@@ -18,12 +18,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from . import __version__
 from .channels import SCHEMES, analytic_channel, choi_of_channel, fidelity_closed, weight_from_choi
+from .errors import OutOfRange, check_unit_interval
 from .infotheory import (
     aux_info_closed,
     classical_accessible_info,
@@ -41,7 +42,7 @@ from .infotheory import (
 from .linalg import max_abs, partial_trace, trace_distance
 from .protocols import (
     A_TO_B,
-    B_TO_A,
+    DIRECTIONS,
     SchemeParams,
     build_scheme_common,
     build_scheme_independent,
@@ -49,6 +50,7 @@ from .protocols import (
     choi_mixed,
     extract_choi,
 )
+from .sim import Circuit
 
 CHOI_TOL = 1e-10
 MARGINAL_TOL = 1e-10
@@ -57,57 +59,37 @@ TOTAL_TOL = 1e-10
 CAPACITY_TOL = 1e-6
 CONCURRENCE_TOL = 1e-9
 
-_FIGURES = ("3a", "3b", "3c", "4")
-_INFO_COLUMNS = ("i_aux", "i_tot", "i_class", "discord", "concurrence", "i_coh", "min_pt_eig", "entanglement_breaking")
+
+def _scheme_circuit(scheme: str, params: SchemeParams) -> Circuit:
+    """Circuit of the independent- or common-trigger scheme."""
+    builders = {"independent": build_scheme_independent, "common": build_scheme_common}
+    if scheme not in builders:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return builders[scheme](params)
 
 
 def simulated_choi(scheme: str, params: SchemeParams, direction: str) -> np.ndarray:
     """Channel state of a scheme obtained by circuit simulation."""
-    input_label, output_label = channel_endpoints(direction)
-    if scheme == "independent":
-        return extract_choi(build_scheme_independent(params), input_label, output_label)
-    if scheme == "common":
-        return extract_choi(build_scheme_common(params), input_label, output_label)
     if scheme == "mixed":
-        choi_ind = extract_choi(build_scheme_independent(params), input_label, output_label)
-        choi_com = extract_choi(build_scheme_common(params), input_label, output_label)
-        return choi_mixed(params.t, choi_ind, choi_com)
-    raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        parts = [simulated_choi(name, params, direction) for name in ("independent", "common")]
+        return choi_mixed(params.t, *parts)
+    return extract_choi(_scheme_circuit(scheme, params), *channel_endpoints(direction))
 
 
-def independent_grid_deviation(grid: int = 9) -> tuple[float, float]:
-    """Worst simulated-vs-closed-form deviation over a trigger-angle grid.
+def channel_deviation(scheme: str, points: list[SchemeParams]) -> tuple[float, float]:
+    """Worst simulated-vs-closed-form deviation of a scheme over parameter points.
 
     Returns the maximum trace distance between channel states and the
     maximum deviation of the reference marginal from maximally mixed, over
-    grid x grid values of (theta1, theta2) and both directions.
+    the points and both directions.  Each circuit is built once per point.
     """
-    thetas = np.linspace(0.0, math.pi, grid)
     worst_choi = 0.0
     worst_marginal = 0.0
-    for theta1 in thetas:
-        for theta2 in thetas:
-            params = SchemeParams(theta1=theta1, theta2=theta2)
-            circuit = build_scheme_independent(params)
-            for direction in (A_TO_B, B_TO_A):
-                simulated = extract_choi(circuit, *channel_endpoints(direction))
-                reference = choi_of_channel(analytic_channel("independent", params, direction))
-                worst_choi = max(worst_choi, trace_distance(simulated, reference))
-                marginal = partial_trace(simulated, 2, [0]) - np.eye(2) / 2
-                worst_marginal = max(worst_marginal, max_abs(marginal))
-    return worst_choi, worst_marginal
-
-
-def common_line_deviation(count: int = 17) -> tuple[float, float]:
-    """Same as :func:`independent_grid_deviation` for the common-trigger scheme."""
-    worst_choi = 0.0
-    worst_marginal = 0.0
-    for theta in np.linspace(0.0, math.pi, count):
-        params = SchemeParams(theta=theta)
-        circuit = build_scheme_common(params)
-        for direction in (A_TO_B, B_TO_A):
+    for params in points:
+        circuit = _scheme_circuit(scheme, params)
+        for direction in DIRECTIONS:
             simulated = extract_choi(circuit, *channel_endpoints(direction))
-            reference = choi_of_channel(analytic_channel("common", params, direction))
+            reference = choi_of_channel(analytic_channel(scheme, params, direction))
             worst_choi = max(worst_choi, trace_distance(simulated, reference))
             marginal = partial_trace(simulated, 2, [0]) - np.eye(2) / 2
             worst_marginal = max(worst_marginal, max_abs(marginal))
@@ -140,9 +122,14 @@ class CheckResult:
 
 
 def run_verification(grid: int = 9, points: int = 101) -> list[CheckResult]:
-    """All verification checks at the given grid sizes."""
-    ind_choi, ind_marginal = independent_grid_deviation(grid)
-    com_choi, com_marginal = common_line_deviation(max(17, grid))
+    """All verification checks at the given grid sizes (each at least 2)."""
+    if grid < 2 or points < 2:
+        raise OutOfRange(f"grid and points must be at least 2, got grid={grid}, points={points}")
+    thetas = np.linspace(0.0, math.pi, grid)
+    ind_points = [SchemeParams(theta1=theta1, theta2=theta2) for theta1 in thetas for theta2 in thetas]
+    ind_choi, ind_marginal = channel_deviation("independent", ind_points)
+    com_points = [SchemeParams(theta=theta) for theta in np.linspace(0.0, math.pi, max(17, grid))]
+    com_choi, com_marginal = channel_deviation("common", com_points)
     info = infotheory_deviations(points)
     return [
         CheckResult(f"independent choi vs closed form ({grid}x{grid}, both dirs)", ind_choi, CHOI_TOL),
@@ -182,32 +169,29 @@ def _resolve_params(args, parser: argparse.ArgumentParser) -> SchemeParams:
         if theta is not None and prob is not None:
             parser.error(f"--{angle_name} and --{prob_name} are mutually exclusive")
         if prob is not None:
-            if not 0.0 <= prob <= 1.0:
-                parser.error(f"--{prob_name} must be in [0, 1]")
+            check_unit_interval(f"--{prob_name}", prob)
             return 2.0 * math.asin(math.sqrt(prob))
         if theta is not None:
             return theta
         return math.pi / 2
 
     t = args.t
-    if args.scheme == "mixed":
-        if t is None:
-            parser.error("--t is required for the mixed scheme")
-        if not 0.0 <= t <= 1.0:
-            parser.error("--t must be in [0, 1]")
-    elif t is not None:
+    if args.scheme == "mixed" and t is None:
+        parser.error("--t is required for the mixed scheme")
+    if args.scheme != "mixed" and t is not None:
         parser.error("--t only applies to the mixed scheme")
-    return SchemeParams(
-        theta1=angle("theta1", "p1"),
-        theta2=angle("theta2", "p2"),
-        theta=angle("theta", "p"),
-        t=0.0 if t is None else t,
-    )
+    try:
+        return SchemeParams(
+            theta1=angle("theta1", "p1"),
+            theta2=angle("theta2", "p2"),
+            theta=angle("theta", "p"),
+            t=0.0 if t is None else t,
+        )
+    except OutOfRange as exc:
+        parser.error(str(exc))
 
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
-    if args.format != "json":
-        parser.error("simulate reports are JSON only")
     params = _resolve_params(args, parser)
     choi = simulated_choi(args.scheme, params, args.direction)
     effective_t = {"independent": 1.0, "common": 0.0, "mixed": params.t}[args.scheme]
@@ -223,7 +207,6 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
             "p2": params.p2,
             "p": params.p,
             "direction": args.direction,
-            "seed": args.seed,
         },
         "choi": {
             "re": np.real(choi).tolist(),
@@ -237,7 +220,9 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     return _emit(json.dumps(report, indent=2) + "\n", args.out)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    if args.grid < 2 or args.points < 2:
+        parser.error("--grid and --points must be at least 2")
     results = run_verification(grid=args.grid, points=args.points)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -247,67 +232,41 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def _sweep_table(figure: str, points: int) -> tuple[list[str], list[list]]:
-    if figure == "3a":
-        header = ["p1", "p2", "F_ab", "F_ba"]
-        grid = np.linspace(0.0, 1.0, points)
-        rows = []
-        for p1 in grid:
-            for p2 in grid:
-                params = SchemeParams.from_probabilities(p1=p1, p2=p2)
-                rows.append(
-                    [
-                        float(p1),
-                        float(p2),
-                        fidelity_closed(analytic_channel("independent", params, A_TO_B)),
-                        fidelity_closed(analytic_channel("independent", params, B_TO_A)),
-                    ]
-                )
-        return header, rows
-    if figure == "3b":
-        header = ["p", "F_ab", "F_ba"]
-        rows = []
-        for p in np.linspace(0.0, 1.0, points):
-            params = SchemeParams.from_probabilities(p=p)
-            rows.append(
-                [
-                    float(p),
-                    fidelity_closed(analytic_channel("common", params, A_TO_B)),
-                    fidelity_closed(analytic_channel("common", params, B_TO_A)),
-                ]
-            )
-        return header, rows
-    if figure == "3c":
-        header = ["t", "F"]
-        rows = []
-        for t in np.linspace(0.0, 1.0, points):
-            params = SchemeParams.from_probabilities(t=float(t))
-            rows.append([float(t), fidelity_closed(analytic_channel("mixed", params, A_TO_B))])
-        return header, rows
-    header = ["t"] + list(_INFO_COLUMNS)
-    rows = []
-    for t in np.linspace(0.0, 1.0, points):
-        report = info_report(float(t))
-        rows.append(
-            [
-                report.t,
-                report.i_aux,
-                report.i_tot,
-                report.i_class,
-                report.discord,
-                report.concurrence,
-                report.i_coh,
-                report.min_pt_eigenvalue,
-                report.entanglement_breaking,
-            ]
-        )
-    return header, rows
+def _fidelities(scheme: str, params: SchemeParams, directions: tuple[str, ...] = DIRECTIONS) -> list[float]:
+    """Closed-form teleportation fidelity of a scheme in each direction."""
+    return [fidelity_closed(analytic_channel(scheme, params, direction)) for direction in directions]
+
+
+# figure -> (CSV header, rows over a uniform grid of [0, 1] given as Python floats)
+_SWEEPS = {
+    "3a": (
+        ["p1", "p2", "F_ab", "F_ba"],
+        lambda grid: [
+            [p1, p2, *_fidelities("independent", SchemeParams.from_probabilities(p1=p1, p2=p2))]
+            for p1 in grid
+            for p2 in grid
+        ],
+    ),
+    "3b": (
+        ["p", "F_ab", "F_ba"],
+        lambda grid: [[p, *_fidelities("common", SchemeParams.from_probabilities(p=p))] for p in grid],
+    ),
+    "3c": (
+        ["t", "F"],
+        lambda grid: [[t, *_fidelities("mixed", SchemeParams.from_probabilities(t=t), (A_TO_B,))] for t in grid],
+    ),
+    "4": (
+        ["t", "i_aux", "i_tot", "i_class", "discord", "concurrence", "i_coh", "min_pt_eig", "entanglement_breaking"],
+        lambda grid: [list(astuple(info_report(t))) for t in grid],
+    ),
+}
 
 
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     if args.points < 2:
         parser.error("--points must be at least 2")
-    header, rows = _sweep_table(args.figure, args.points)
+    header, build_rows = _SWEEPS[args.figure]
+    rows = build_rows(np.linspace(0.0, 1.0, args.points).tolist())
     if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_format_number(value) for value in row) for row in rows]
@@ -340,20 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p2", type=float, default=None, help="Bob's firing probability")
     sim.add_argument("--p", type=float, default=None, help="common firing probability")
     sim.add_argument("--t", type=float, default=None, help="mixing weight, mixed scheme only")
-    sim.add_argument("--direction", choices=[A_TO_B, B_TO_A], default=A_TO_B)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--direction", choices=DIRECTIONS, default=A_TO_B)
     sim.add_argument("--out", default=None, help="output path (default: stdout)")
-    sim.add_argument("--format", choices=["csv", "json"], default="json")
 
     verify = sub.add_parser("verify", help="check simulated channels against closed forms")
     verify.add_argument("--grid", type=int, default=9, help="trigger-angle grid size per axis")
     verify.add_argument("--points", type=int, default=101, help="t-grid size for the information checks")
-    verify.add_argument("--seed", type=int, default=0)
 
     sweep = sub.add_parser("sweep", help="emit figure-reproduction data")
-    sweep.add_argument("--figure", choices=_FIGURES, required=True)
+    sweep.add_argument("--figure", choices=_SWEEPS, required=True)
     sweep.add_argument("--points", type=int, default=101)
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default=None, help="output path (default: stdout)")
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
@@ -362,11 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_sweep(args, parser)
+    commands = {"simulate": _cmd_simulate, "verify": _cmd_verify, "sweep": _cmd_sweep}
+    return commands[args.command](args, parser)
 
 
 def entrypoint() -> None:

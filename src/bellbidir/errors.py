@@ -25,5 +25,15 @@ class OutOfRange(ValueError):
     """Scalar parameter outside its documented range."""
 
 
+def check_unit_interval(name: str, value: float) -> None:
+    """Raise :class:`OutOfRange` unless 0 <= value <= 1; NaN is rejected too."""
+    if not 0.0 <= value <= 1.0:
+        raise OutOfRange(f"{name}={value} outside [0, 1]")
+
+
 class DomainError(ValueError):
     """Argument outside the domain of an entropy function."""
+
+
+class BadChannelState(RuntimeError):
+    """Extracted channel state fails a validity check: Hermitian, unit trace, PSD, maximally mixed reference."""

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QubitChannel, choi_of_channel
-from .errors import DomainError, NotPSD, OutOfRange
-from .linalg import assert_hermitian, kron, matrix_sqrt_psd
+from .errors import DomainError, NotPSD, OutOfRange, check_unit_interval
+from .linalg import assert_hermitian, matrix_sqrt_psd, partial_trace
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_FLIP = kron(_SIGMA_Y, _SIGMA_Y)
+_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 _PT_EIG_TOL = 1e-10
 
 
@@ -60,8 +60,7 @@ def trigger_joint_distribution(t: float) -> np.ndarray:
     (independent triggers); weight 1 - t sits on the anti-diagonal (a common
     trigger makes the decisions opposite).
     """
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"mixing weight t={t} outside [0, 1]")
+    check_unit_interval("mixing weight t", t)
     return (t / 4.0) * np.ones((2, 2)) + ((1.0 - t) / 2.0) * np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -84,8 +83,7 @@ def shannon_mutual_information(m: np.ndarray) -> float:
 
 def aux_info_closed(t: float) -> float:
     """Closed form of the trigger mutual information, 2 - h4_22(t/4)."""
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"mixing weight t={t} outside [0, 1]")
+    check_unit_interval("mixing weight t", t)
     return 2.0 - h4_22(t / 4.0)
 
 
@@ -99,27 +97,18 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(sum(_plog2(max(val, 0.0)) for val in eigenvalues))
 
 
-def _reduced_reference(choi: np.ndarray) -> np.ndarray:
-    return np.einsum("rqsq->rs", np.asarray(choi, dtype=complex).reshape(2, 2, 2, 2))
-
-
-def _reduced_output(choi: np.ndarray) -> np.ndarray:
-    return np.einsum("rqrs->qs", np.asarray(choi, dtype=complex).reshape(2, 2, 2, 2))
-
-
 def quantum_mutual_information(rho_rq: np.ndarray) -> float:
     """S[rho_R] + S[rho_Q] - S[rho_RQ]; the entanglement-assisted capacity here."""
     return (
-        von_neumann_entropy(_reduced_reference(rho_rq))
-        + von_neumann_entropy(_reduced_output(rho_rq))
+        von_neumann_entropy(partial_trace(rho_rq, 2, [0]))
+        + von_neumann_entropy(partial_trace(rho_rq, 2, [1]))
         - von_neumann_entropy(rho_rq)
     )
 
 
 def total_info_closed(t: float) -> float:
     """Closed form of the channel-state mutual information, 2 - h4_31(1/8 + t/16)."""
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"mixing weight t={t} outside [0, 1]")
+    check_unit_interval("mixing weight t", t)
     return 2.0 - h4_31(1.0 / 8.0 + t / 16.0)
 
 
@@ -153,7 +142,7 @@ def _weighted_entropies(mats: np.ndarray) -> np.ndarray:
     lam = np.stack([mean + disc, np.maximum(mean - disc, 0.0)], axis=1)
     trace = lam.sum(axis=1, keepdims=True)
     ratio = np.divide(lam, trace, out=np.zeros_like(lam), where=trace > _PROB_FLOOR)
-    logs = np.where(ratio > _PROB_FLOOR, np.log2(ratio, where=ratio > _PROB_FLOOR), 0.0)
+    logs = np.where(ratio > _PROB_FLOOR, np.log2(ratio, out=np.zeros_like(ratio), where=ratio > _PROB_FLOOR), 0.0)
     return -(lam * logs).sum(axis=1)
 
 
@@ -201,7 +190,7 @@ def classical_accessible_info(rho_rq: np.ndarray, grid: int = 32) -> tuple[float
     if choi.shape != (4, 4):
         raise ValueError(f"expected a 4x4 channel state, got {choi.shape}")
     blocks = choi.reshape(2, 2, 2, 2)
-    s_output = von_neumann_entropy(_reduced_output(choi))
+    s_output = von_neumann_entropy(partial_trace(choi, 2, [1]))
     axes = _fibonacci_axes(grid * grid)
     values = _objective_over_axes(blocks, s_output, axes)
     flatness = float(values.max() - values.min())
@@ -223,8 +212,7 @@ def classical_accessible_info(rho_rq: np.ndarray, grid: int = 32) -> tuple[float
 
 def classical_capacity_closed(t: float) -> float:
     """Closed form of the accessible information, 1 - h2(3/4 - t/8)."""
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"mixing weight t={t} outside [0, 1]")
+    check_unit_interval("mixing weight t", t)
     return 1.0 - h2(3.0 / 4.0 - t / 8.0)
 
 
@@ -261,8 +249,7 @@ def concurrence(rho: np.ndarray) -> float:
 
 def concurrence_closed(t: float) -> float:
     """Closed form for the symmetric mixed channel state, max(0, 1/4 - 3t/8)."""
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"mixing weight t={t} outside [0, 1]")
+    check_unit_interval("mixing weight t", t)
     return max(0.0, 0.25 - 3.0 * t / 8.0)
 
 
@@ -280,13 +267,12 @@ def min_partial_transpose_eigenvalue(rho: np.ndarray) -> float:
 
 def coherent_information(rho_rq: np.ndarray) -> float:
     """S[rho_Q] - S[rho_RQ]; negative whenever the channel has no quantum capacity."""
-    return von_neumann_entropy(_reduced_output(rho_rq)) - von_neumann_entropy(rho_rq)
+    return von_neumann_entropy(partial_trace(rho_rq, 2, [1])) - von_neumann_entropy(rho_rq)
 
 
 def symmetric_mixed_choi(t: float) -> np.ndarray:
     """Channel state of the symmetric mixed scheme, weight q = 1/2 - t/4."""
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"mixing weight t={t} outside [0, 1]")
+    check_unit_interval("mixing weight t", t)
     return choi_of_channel(QubitChannel(0.5 - 0.25 * t))
 
 

@@ -6,8 +6,6 @@ exceed 16x16, so robustness always wins over speed.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import BadIndex, NonHermitianInput, NotPSD
@@ -18,52 +16,22 @@ HERMITIAN_TOL = 1e-10
 EIG_NOISE_FLOOR = -1e-8
 
 
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-
-
 def max_abs(a: np.ndarray) -> float:
     """Largest entrywise absolute value (max norm)."""
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    return max_abs(a - a.conj().T)
-
-
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    defect = hermiticity_defect(a)
+    defect = max_abs(a - a.conj().T)
     if defect > tol:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.0e})")
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product; dimensions multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def projector(psi: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a state vector."""
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
-
-
-def hermitian_eig(a: np.ndarray, eigenvectors: bool = True) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
-
-    When ``eigenvectors`` is set, the returned columns match the eigenvalue
-    order and reconstruct the input as V diag(w) V^dagger.
-    """
-    a = np.asarray(a, dtype=complex)
-    assert_hermitian(a)
-    if eigenvectors:
-        w, v = np.linalg.eigh(a)
-        return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
-    return Spectrum(np.linalg.eigvalsh(a)[::-1].copy(), None)
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:

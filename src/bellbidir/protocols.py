@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndex, BadLabel, OutOfRange
+from .errors import BadChannelState, BadIndex, BadLabel, OutOfRange, check_unit_interval
 from .linalg import max_abs, partial_trace
 from .sim import (
     CCNOT,
@@ -74,8 +74,10 @@ class SchemeParams:
     t: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise OutOfRange(f"mixing weight t={self.t} outside [0, 1]")
+        angles = (self.theta1, self.theta2, self.theta)
+        if not all(map(math.isfinite, angles)):
+            raise OutOfRange(f"trigger angles (theta1, theta2, theta) = {angles} must be finite")
+        check_unit_interval("mixing weight t", self.t)
 
     @property
     def p1(self) -> float:
@@ -92,8 +94,7 @@ class SchemeParams:
     @classmethod
     def from_probabilities(cls, p1: float = 0.5, p2: float = 0.5, p: float = 0.5, t: float = 0.0) -> "SchemeParams":
         for name, value in (("p1", p1), ("p2", p2), ("p", p)):
-            if not 0.0 <= value <= 1.0:
-                raise OutOfRange(f"{name}={value} outside [0, 1]")
+            check_unit_interval(name, value)
         angle = lambda prob: 2.0 * math.asin(math.sqrt(prob))
         return cls(theta1=angle(p1), theta2=angle(p2), theta=angle(p), t=t)
 
@@ -161,14 +162,14 @@ def channel_endpoints(direction: str) -> tuple[str, str]:
 
 def _validate_choi(choi: np.ndarray) -> None:
     if max_abs(choi - choi.conj().T) > 1e-10:
-        raise RuntimeError("extracted state is not Hermitian")
+        raise BadChannelState("extracted state is not Hermitian")
     if abs(np.trace(choi).real - 1.0) > 1e-10:
-        raise RuntimeError("extracted state does not have unit trace")
+        raise BadChannelState("extracted state does not have unit trace")
     if np.linalg.eigvalsh(choi).min() < -1e-10:
-        raise RuntimeError("extracted state is not positive semidefinite")
+        raise BadChannelState("extracted state is not positive semidefinite")
     reduced_ref = partial_trace(choi, 2, [0])
     if max_abs(reduced_ref - np.eye(2) / 2) > 1e-10:
-        raise RuntimeError("reference marginal is not maximally mixed: channel not trace preserving")
+        raise BadChannelState("reference marginal is not maximally mixed: channel not trace preserving")
 
 
 def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.ndarray:
@@ -199,8 +200,7 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
 
 def choi_mixed(t: float, choi_ind: np.ndarray, choi_com: np.ndarray) -> np.ndarray:
     """Convex mixture t * independent + (1 - t) * common of two channel states."""
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"mixing weight t={t} outside [0, 1]")
+    check_unit_interval("mixing weight t", t)
     return t * np.asarray(choi_ind) + (1.0 - t) * np.asarray(choi_com)
 
 
@@ -227,25 +227,12 @@ def _strip_corrections(circuit: Circuit) -> tuple[Circuit, list[tuple[int, str, 
     return stripped, corrections
 
 
-def _initial_state_with_input(circuit: Circuit, input_label: str, psi_in: np.ndarray) -> np.ndarray:
-    psi_in = np.asarray(psi_in, dtype=complex)
-    if psi_in.shape != (2,) or abs(np.linalg.norm(psi_in) - 1.0) > 1e-10:
-        raise ValueError("psi_in must be a normalized single-qubit state")
-    state = np.ones(1, dtype=complex)
-    for label in circuit.labels:
-        if label == input_label:
-            factor = psi_in
-        else:
-            factor = np.asarray(circuit.prep.get(label, _KET0), dtype=complex)
-        state = np.kron(state, factor)
-    return state
-
-
 def _trajectories(circuit, input_label, output_label, psi_in, trials, rng):
     circuit.index(input_label)
     output_ix = circuit.index(output_label)
     stripped, corrections = _strip_corrections(circuit)
-    base = run_circuit(stripped, _initial_state_with_input(stripped, input_label, psi_in))
+    prepared = Circuit(stripped.num_qubits, stripped.labels, stripped.gates, {**stripped.prep, input_label: psi_in})
+    base = run_circuit(prepared, prepared.initial_state())
     outputs = np.empty((trials, 2, 2), dtype=complex)
     for k in range(trials):
         psi = base
@@ -292,8 +279,7 @@ def sample_mixed_trajectories(
     With probability ``t`` a trajectory executes the independent-trigger
     circuit, otherwise the common-trigger circuit.
     """
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"mixing weight t={t} outside [0, 1]")
+    check_unit_interval("mixing weight t", t)
     rng = np.random.default_rng(seed)
     picks = rng.random(trials) < t
     n_ind = int(picks.sum())

@@ -95,7 +95,7 @@ class Circuit:
             if label not in self.labels:
                 raise BadLabel(f"prepared qubit {label!r} not in register")
             state = np.asarray(state, dtype=complex)
-            if state.shape != (2,) or abs(np.linalg.norm(state) - 1.0) > 1e-10:
+            if state.shape != (2,) or not abs(np.linalg.norm(state) - 1.0) <= 1e-10:
                 raise ValueError(f"preparation for {label!r} is not a normalized single-qubit state")
 
     def index(self, label: str) -> int:
@@ -152,27 +152,15 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
         a1 = psi[_ix(n, {q: 1})]
         psi[_ix(n, {q: 0})] = (a0 + a1) * _INV_SQRT2
         psi[_ix(n, {q: 1})] = (a0 - a1) * _INV_SQRT2
-    elif kind == "X":
-        (q,) = gate.qubits
-        a0 = psi[_ix(n, {q: 0})].copy()
-        psi[_ix(n, {q: 0})] = psi[_ix(n, {q: 1})]
-        psi[_ix(n, {q: 1})] = a0
-    elif kind == "Z":
-        (q,) = gate.qubits
-        psi[_ix(n, {q: 1})] *= -1.0
-    elif kind == "CZ":
-        c, t = gate.qubits
-        psi[_ix(n, {c: 1, t: 1})] *= -1.0
-    elif kind == "CNOT":
-        c, t = gate.qubits
-        a0 = psi[_ix(n, {c: 1, t: 0})].copy()
-        psi[_ix(n, {c: 1, t: 0})] = psi[_ix(n, {c: 1, t: 1})]
-        psi[_ix(n, {c: 1, t: 1})] = a0
-    else:  # CCNOT
-        c1, c2, t = gate.qubits
-        a0 = psi[_ix(n, {c1: 1, c2: 1, t: 0})].copy()
-        psi[_ix(n, {c1: 1, c2: 1, t: 0})] = psi[_ix(n, {c1: 1, c2: 1, t: 1})]
-        psi[_ix(n, {c1: 1, c2: 1, t: 1})] = a0
+    elif kind in ("Z", "CZ"):
+        psi[_ix(n, dict.fromkeys(gate.qubits, 1))] *= -1.0
+    else:  # X, CNOT, CCNOT: swap the target's 0 and 1 amplitudes where every control is 1
+        *controls, t = gate.qubits
+        lo = _ix(n, {**dict.fromkeys(controls, 1), t: 0})
+        hi = _ix(n, {**dict.fromkeys(controls, 1), t: 1})
+        a0 = psi[lo].copy()
+        psi[lo] = psi[hi]
+        psi[hi] = a0
     return psi.reshape(-1)
 
 
@@ -183,7 +171,8 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         raise ValueError(f"state length {len(state)} does not match {circuit.num_qubits} qubits")
     for gate in circuit.gates:
         state = apply_gate(state, gate)
-    assert abs(np.linalg.norm(state) - 1.0) < 1e-10, "statevector norm drifted"
+    if not abs(np.linalg.norm(state) - 1.0) < 1e-10:
+        raise ValueError(f"statevector norm {np.linalg.norm(state)} differs from 1")
     return state
 
 

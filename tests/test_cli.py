@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bellbidir.cli import main, run_verification
+from bellbidir.errors import OutOfRange
 
 
 def run_cli(args, capsys=None):
@@ -84,6 +85,17 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
     assert err.value.code == 2
+    for argv in (
+        ["verify", "--grid", "0", "--points", "0"],
+        ["verify", "--grid", "1"],
+        ["verify", "--points", "1"],
+        ["simulate", "--scheme", "common", "--theta", "nan"],
+        ["simulate", "--scheme", "independent", "--theta1", "inf"],
+        ["simulate", "--scheme", "independent", "--p2", "nan"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_io_error_exit_3(tmp_path):
@@ -156,7 +168,7 @@ def test_outputs_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
-        assert main(["simulate", "--scheme", "mixed", "--t", "0.5", "--seed", "7", "--out", str(path)]) == 0
+        assert main(["simulate", "--scheme", "mixed", "--t", "0.5", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -182,6 +194,9 @@ def test_run_verification_results():
     results = run_verification(grid=3, points=11)
     assert all(result.passed for result in results)
     assert any("independent" in result.name for result in results)
+    for grid, points in ((1, 11), (3, 0)):
+        with pytest.raises(OutOfRange):
+            run_verification(grid=grid, points=points)
 
 
 def test_module_invocation_smoke():
@@ -192,3 +207,13 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p,F_ab,F_ba\n")
+
+
+def test_non_finite_angle_is_usage_error_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bellbidir.cli", "simulate", "--scheme", "common", "--theta", "nan"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

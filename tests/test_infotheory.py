@@ -25,11 +25,11 @@ from bellbidir.infotheory import (
     trigger_joint_distribution,
     von_neumann_entropy,
 )
-from bellbidir.linalg import kron, projector
+from bellbidir.linalg import projector
 from bellbidir.sim import bell_state
 
 RHO0 = np.eye(2, dtype=complex) / 2
-PRODUCT = kron(RHO0, RHO0)
+PRODUCT = np.kron(RHO0, RHO0)
 
 # closed-form anchors used below, derived by direct substitution
 AUX_AT_CRITICAL = 5 / 3 - math.log2(3)  # = 0.0817041...

@@ -3,8 +3,6 @@ import pytest
 
 from bellbidir.errors import BadIndex, NonHermitianInput, NotPSD
 from bellbidir.linalg import (
-    hermitian_eig,
-    kron,
     matrix_sqrt_psd,
     partial_trace,
     projector,
@@ -13,7 +11,6 @@ from bellbidir.linalg import (
 from bellbidir.sim import bell_state
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def random_psd(dim, rng):
@@ -26,64 +23,9 @@ def random_pure_state(num_qubits, rng):
     return psi / np.linalg.norm(psi)
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_sigma_y_pair():
-    # hand expansion of the 2x2 definition: anti-diagonal (-1, 1, 1, -1)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = -1.0
-    expected[1, 2] = 1.0
-    expected[2, 1] = 1.0
-    expected[3, 0] = -1.0
-    assert np.abs(kron(SIGMA_Y, SIGMA_Y) - expected).max() == 0.0
-
-
-def test_kron_basis_projectors():
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    assert np.array_equal(kron(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_kron_associative_on_gate_matrices():
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    for a, b, c in [(SIGMA_Y, hadamard, p1), (hadamard, SIGMA_Y, SIGMA_Y), (p1, hadamard, hadamard)]:
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-
-def test_hermitian_eig_maximally_mixed():
-    spectrum = hermitian_eig(I2 / 2)
-    assert np.allclose(spectrum.eigenvalues, [0.5, 0.5])
-
-
-def test_hermitian_eig_pure_projector():
-    spectrum = hermitian_eig(projector(bell_state()))
-    assert np.allclose(spectrum.eigenvalues, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_hermitian_eig_symmetric_channel_state_spectrum():
-    # q = 1/4 mixture of the Bell projector with I/4: the Bell eigenvalue is
-    # q + (1 - q)/4 = 7/16 and the rest are (1 - q)/4 = 3/16
-    state = 0.25 * projector(bell_state()) + 0.75 * np.eye(4) / 4
-    spectrum = hermitian_eig(state)
-    assert np.allclose(spectrum.eigenvalues, [7 / 16, 3 / 16, 3 / 16, 3 / 16], atol=1e-12)
-
-
-def test_hermitian_eig_reconstruction_and_order():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = random_psd(4, rng) - random_psd(4, rng)
-        spectrum = hermitian_eig(a)
-        w, v = spectrum.eigenvalues, spectrum.eigenvectors
-        assert np.all(np.diff(w) <= 1e-12)
-        assert np.abs((v * w) @ v.conj().T - a).max() <= 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
+def test_matrix_sqrt_psd_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        matrix_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_matrix_sqrt_psd_identity():
@@ -124,7 +66,7 @@ def test_partial_trace_bell_marginals():
 
 def test_partial_trace_product_state():
     rho0 = I2 / 2
-    assert np.abs(partial_trace(kron(rho0, rho0), 2, [1]) - rho0).max() <= 1e-12
+    assert np.abs(partial_trace(np.kron(rho0, rho0), 2, [1]) - rho0).max() <= 1e-12
 
 
 def test_partial_trace_channel_state_reference_is_maximally_mixed():
@@ -136,9 +78,9 @@ def test_partial_trace_channel_state_reference_is_maximally_mixed():
 def test_partial_trace_keep_order():
     a = np.diag([0.2, 0.8]).astype(complex)
     b = np.diag([0.7, 0.3]).astype(complex)
-    rho = kron(a, b)
+    rho = np.kron(a, b)
     assert np.abs(partial_trace(rho, 2, [0, 1]) - rho).max() <= 1e-12
-    assert np.abs(partial_trace(rho, 2, [1, 0]) - kron(b, a)).max() <= 1e-12
+    assert np.abs(partial_trace(rho, 2, [1, 0]) - np.kron(b, a)).max() <= 1e-12
 
 
 def test_partial_trace_preserves_trace():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellbidir.channels import analytic_channel, choi_of_channel
-from bellbidir.errors import BadIndex, BadLabel, OutOfRange
+from bellbidir.errors import BadChannelState, BadIndex, BadLabel, OutOfRange
 from bellbidir.linalg import max_abs, partial_trace, projector, trace_distance
 from bellbidir.protocols import (
     A_TO_B,
@@ -16,6 +16,7 @@ from bellbidir.protocols import (
     build_scheme_common,
     build_scheme_independent,
     channel_endpoints,
+    _validate_choi,
     choi_mixed,
     extract_choi,
     sample_mixed_trajectories,
@@ -225,6 +226,22 @@ def test_sampling_matches_deterministic_channel():
     _assert_within_three_sigma(samples, expected)
 
 
+def test_sampling_rejects_unnormalized_input():
+    circuit = build_scheme_independent(SchemeParams())
+    with pytest.raises(ValueError):
+        sample_trajectories(circuit, "Q_A", "C_B", np.array([1.0, 1.0]), trials=4, seed=0)
+
+
+def test_invalid_channel_state_raises_package_error():
+    bell = projector(bell_state())
+    not_hermitian = bell + 1e-6j * np.triu(np.ones((4, 4)), 1)
+    not_psd = np.diag([1.2, -0.2, 0.0, 0.0])
+    not_trace_preserving = np.diag([1.0, 0.0, 0.0, 0.0])
+    for bad in (not_hermitian, 2.0 * bell, not_psd, not_trace_preserving):
+        with pytest.raises(BadChannelState):
+            _validate_choi(bad)
+
+
 def test_mixed_sampling_matches_deterministic_channel():
     params = SchemeParams(t=0.5)
     circuit_ind = build_scheme_independent(params)
@@ -239,6 +256,10 @@ def test_mixed_sampling_matches_deterministic_channel():
 def test_scheme_params_validation():
     with pytest.raises(OutOfRange):
         SchemeParams(t=1.2)
+    for name in ("theta1", "theta2", "theta"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfRange):
+                SchemeParams(**{name: value})
     with pytest.raises(OutOfRange):
         SchemeParams.from_probabilities(p1=1.5)
     params = SchemeParams.from_probabilities(p1=0.25, p2=0.75, p=0.5)

@@ -177,6 +177,10 @@ def test_circuit_validation_and_labels():
         Circuit(1, ("a",), (), prep={"b": KET0})
     with pytest.raises(ValueError):
         Circuit(1, ("a",), (), prep={"a": np.array([1.0, 1.0])})
+    with pytest.raises(ValueError):
+        Circuit(1, ("a",), (), prep={"a": np.array([math.nan, 0.0])})
+    with pytest.raises(ValueError):
+        run_circuit(circuit, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_circuit_initial_state_with_prep():
