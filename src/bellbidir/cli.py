@@ -162,6 +162,11 @@ def _emit(text: str, out_path: str | None) -> int:
     return 0
 
 
+# scheme -> the simulate parameter flags it reads; any other one is a usage error
+_SCHEME_FLAGS = {"independent": ("theta1", "theta2", "p1", "p2"), "common": ("theta", "p")}
+_SCHEME_FLAGS["mixed"] = (*_SCHEME_FLAGS["independent"], *_SCHEME_FLAGS["common"], "t")
+
+
 def _resolve_params(args, parser: argparse.ArgumentParser) -> SchemeParams:
     def angle(angle_name: str, prob_name: str) -> float:
         theta = getattr(args, angle_name)
@@ -175,20 +180,17 @@ def _resolve_params(args, parser: argparse.ArgumentParser) -> SchemeParams:
             return theta
         return math.pi / 2
 
-    t = args.t
-    if args.scheme == "mixed" and t is None:
+    for name in _SCHEME_FLAGS["mixed"]:
+        if getattr(args, name) is not None and name not in _SCHEME_FLAGS[args.scheme]:
+            parser.error(f"--{name} does not apply to the {args.scheme} scheme")
+    if args.scheme == "mixed" and args.t is None:
         parser.error("--t is required for the mixed scheme")
-    if args.scheme != "mixed" and t is not None:
-        parser.error("--t only applies to the mixed scheme")
-    try:
-        return SchemeParams(
-            theta1=angle("theta1", "p1"),
-            theta2=angle("theta2", "p2"),
-            theta=angle("theta", "p"),
-            t=0.0 if t is None else t,
-        )
-    except OutOfRange as exc:
-        parser.error(str(exc))
+    return SchemeParams(
+        theta1=angle("theta1", "p1"),
+        theta2=angle("theta2", "p2"),
+        theta=angle("theta", "p"),
+        t=0.0 if args.t is None else args.t,
+    )
 
 
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
@@ -221,8 +223,6 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if args.grid < 2 or args.points < 2:
-        parser.error("--grid and --points must be at least 2")
     results = run_verification(grid=args.grid, points=args.points)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -318,7 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {"simulate": _cmd_simulate, "verify": _cmd_verify, "sweep": _cmd_sweep}
-    return commands[args.command](args, parser)
+    try:
+        return commands[args.command](args, parser)
+    except OutOfRange as exc:  # a parameter outside its documented range is a usage error
+        parser.error(str(exc))
 
 
 def entrypoint() -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QubitChannel, choi_of_channel
-from .errors import DomainError, NotPSD, OutOfRange, check_unit_interval
+from .errors import DomainError, NotPSD, check_unit_interval
 from .linalg import assert_hermitian, matrix_sqrt_psd, partial_trace
 
 _PROB_FLOOR = 1e-15
@@ -21,6 +21,9 @@ _DOMAIN_SLACK = 1e-12
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 _PT_EIG_TOL = 1e-10
+_SCAN_GRID = 32  # the accessible-information scan covers _SCAN_GRID**2 lattice axes
+_ZOOM_POINTS = 7  # candidate angles per coordinate in each refinement pass
+_ZOOM_PASSES = 12
 
 
 def _plog2(p: float) -> float:
@@ -154,60 +157,41 @@ def _objective_over_axes(blocks: np.ndarray, s_output: float, axes: np.ndarray) 
     return s_output - _weighted_entropies(cond_plus) - _weighted_entropies(cond_minus)
 
 
-def _golden_section_max(f, lo: float, hi: float, iterations: int = 48) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    mid = (a + b) / 2.0
-    return mid, f(mid)
-
-
-def classical_accessible_info(rho_rq: np.ndarray, grid: int = 32) -> tuple[float, float]:
+def classical_accessible_info(rho_rq: np.ndarray) -> tuple[float, float]:
     """Best projective-measurement information about Q from measuring R.
 
     Maximizes S[rho_Q] - sum_j p_j S[rho_Q | outcome j] over rank-1
-    projective measurements on the reference, scanning a Fibonacci lattice
-    of grid**2 axes and refining the best one by golden-section search in
-    the polar and azimuthal coordinates.  Returns ``(value, flatness)``
-    where flatness is the max-min spread of the objective over the lattice;
-    for the channel states produced here the objective is axis-independent,
-    so the flatness doubles as a self-check.
+    projective measurements on the reference.  A Fibonacci lattice of
+    _SCAN_GRID**2 axes is scanned, then the best axis is refined in the
+    polar and azimuthal angles: each pass scores a _ZOOM_POINTS**2 grid of
+    axes around it in one batch and narrows the window to one grid step.
+    Returns ``(value, flatness)`` where flatness is the max-min spread of
+    the objective over the lattice; for the channel states produced here
+    the objective is axis-independent, so the flatness doubles as a
+    self-check.
     """
-    if grid < 8:
-        raise OutOfRange(f"grid must be at least 8, got {grid}")
     choi = np.asarray(rho_rq, dtype=complex)
     if choi.shape != (4, 4):
         raise ValueError(f"expected a 4x4 channel state, got {choi.shape}")
     blocks = choi.reshape(2, 2, 2, 2)
     s_output = von_neumann_entropy(partial_trace(choi, 2, [1]))
-    axes = _fibonacci_axes(grid * grid)
+    axes = _fibonacci_axes(_SCAN_GRID * _SCAN_GRID)
     values = _objective_over_axes(blocks, s_output, axes)
     flatness = float(values.max() - values.min())
     best_ix = int(np.argmax(values))
+    best = float(values[best_ix])
     x, y, z = axes[best_ix]
-    theta0 = math.acos(min(max(z, -1.0), 1.0))
-    phi0 = math.atan2(y, x)
-
-    def at(theta_m: float, phi_m: float) -> float:
-        axis = np.array([[math.sin(theta_m) * math.cos(phi_m), math.sin(theta_m) * math.sin(phi_m), math.cos(theta_m)]])
-        return float(_objective_over_axes(blocks, s_output, axis)[0])
-
-    dtheta = math.pi / grid
-    theta1, val1 = _golden_section_max(lambda th: at(th, phi0), max(0.0, theta0 - dtheta), min(math.pi, theta0 + dtheta))
-    dphi = 2.0 * math.pi / grid
-    _, val2 = _golden_section_max(lambda ph: at(theta1, ph), phi0 - dphi, phi0 + dphi)
-    return max(float(values[best_ix]), val1, val2), flatness
+    theta, phi = math.acos(z), math.atan2(y, x)
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    half = math.pi / _SCAN_GRID  # polar half-width; the azimuthal window is twice as wide
+    for _ in range(_ZOOM_PASSES):
+        thetas, phis = (g.ravel() for g in np.meshgrid(theta + half * offsets, phi + 2.0 * half * offsets))
+        zoom_axes = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
+        candidates = _objective_over_axes(blocks, s_output, zoom_axes)
+        ix = int(np.argmax(candidates))
+        best, theta, phi = max(best, float(candidates[ix])), thetas[ix], phis[ix]
+        half *= 2.0 / (_ZOOM_POINTS - 1)  # the next window reaches one grid step either side
+    return best, flatness
 
 
 def classical_capacity_closed(t: float) -> float:
@@ -216,9 +200,9 @@ def classical_capacity_closed(t: float) -> float:
     return 1.0 - h2(3.0 / 4.0 - t / 8.0)
 
 
-def quantum_discord(rho_rq: np.ndarray, grid: int = 32) -> float:
+def quantum_discord(rho_rq: np.ndarray) -> float:
     """Mutual information minus its classically accessible part."""
-    accessible, _ = classical_accessible_info(rho_rq, grid)
+    accessible, _ = classical_accessible_info(rho_rq)
     return quantum_mutual_information(rho_rq) - accessible
 
 
@@ -291,7 +275,7 @@ class InfoReport:
     entanglement_breaking: bool
 
 
-def info_report_from_choi(choi: np.ndarray, t: float, grid: int = 32) -> InfoReport:
+def info_report_from_choi(choi: np.ndarray, t: float) -> InfoReport:
     """Evaluate every measure on a given channel state.
 
     ``t`` sets the trigger-correlation level used for the auxiliary
@@ -299,7 +283,7 @@ def info_report_from_choi(choi: np.ndarray, t: float, grid: int = 32) -> InfoRep
     """
     i_aux = shannon_mutual_information(trigger_joint_distribution(t))
     i_tot = quantum_mutual_information(choi)
-    i_class, _ = classical_accessible_info(choi, grid)
+    i_class, _ = classical_accessible_info(choi)
     min_pt = min_partial_transpose_eigenvalue(choi)
     return InfoReport(
         t=float(t),
@@ -314,6 +298,6 @@ def info_report_from_choi(choi: np.ndarray, t: float, grid: int = 32) -> InfoRep
     )
 
 
-def info_report(t: float, grid: int = 32) -> InfoReport:
+def info_report(t: float) -> InfoReport:
     """Full report for the symmetric mixed scheme at mixing weight ``t``."""
-    return info_report_from_choi(symmetric_mixed_choi(t), t, grid)
+    return info_report_from_choi(symmetric_mixed_choi(t), t)

@@ -205,7 +205,7 @@ def test_criterion_8_coherent_information_identity():
 def test_criterion_9_measurement_flatness():
     worst = 0.0
     for t in np.linspace(0.0, 1.0, 101):
-        _, flatness = classical_accessible_info(symmetric_mixed_choi(float(t)), grid=32)
+        _, flatness = classical_accessible_info(symmetric_mixed_choi(float(t)))
         worst = max(worst, flatness)
     _report(
         worst <= 1e-9,

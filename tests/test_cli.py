@@ -92,6 +92,12 @@ def test_usage_errors_exit_2(tmp_path):
         ["simulate", "--scheme", "common", "--theta", "nan"],
         ["simulate", "--scheme", "independent", "--theta1", "inf"],
         ["simulate", "--scheme", "independent", "--p2", "nan"],
+        ["simulate", "--scheme", "common", "--theta1", "0.3", "--p2", "0.9"],
+        ["simulate", "--scheme", "common", "--theta2", "0.3"],
+        ["simulate", "--scheme", "common", "--p1", "0.5"],
+        ["simulate", "--scheme", "independent", "--theta", "0.3"],
+        ["simulate", "--scheme", "independent", "--p", "0.5"],
+        ["simulate", "--scheme", "independent", "--theta1", "0.3", "--t", "0.5"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

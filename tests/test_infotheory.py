@@ -26,7 +26,7 @@ from bellbidir.infotheory import (
     von_neumann_entropy,
 )
 from bellbidir.linalg import projector
-from bellbidir.sim import bell_state
+from bellbidir.sim import bell_state, bloch_state
 
 RHO0 = np.eye(2, dtype=complex) / 2
 PRODUCT = np.kron(RHO0, RHO0)
@@ -129,8 +129,6 @@ def test_classical_accessible_info_golden_values():
     value, flatness = classical_accessible_info(PRODUCT)
     assert abs(value) <= 1e-12
     assert flatness <= 1e-12
-    with pytest.raises(OutOfRange):
-        classical_accessible_info(PRODUCT, grid=4)
 
 
 def test_classical_capacity_closed():
@@ -148,6 +146,14 @@ def test_quantum_discord():
     assert abs(quantum_discord(symmetric_mixed_choi(1.0)) - 0.0744) <= 2e-3
     for t in (0.0, 0.5, 1.0):
         assert quantum_discord(symmetric_mixed_choi(t)) >= -1e-9
+    # classical-quantum states 1/2 |n><n| x rho0 + 1/2 |-n><-n| x rho1 have zero
+    # discord; the optimum axis n lies off the scan lattice
+    rho0 = 0.7 * projector(bloch_state(0.4, 0.2)) + 0.15 * np.eye(2)
+    rho1 = 0.6 * projector(bloch_state(2.0, -1.0)) + 0.2 * np.eye(2)
+    for theta, phi in ((1.234, 0.567), (0.3, 2.9), (2.2, -1.3), (1.0, 1.0)):
+        n = projector(bloch_state(theta, phi))
+        rho = 0.5 * np.kron(n, rho0) + 0.5 * np.kron(np.eye(2) - n, rho1)
+        assert abs(quantum_discord(rho)) <= 1e-10, (theta, phi)
 
 
 def test_concurrence_reference_states():
@@ -200,7 +206,7 @@ def test_coherent_information():
 
 def test_monotonicity_in_t():
     ts = np.linspace(0.0, 1.0, 41)
-    reports = [info_report(float(t), grid=16) for t in ts]
+    reports = [info_report(float(t)) for t in ts]
     for field in ("i_aux", "i_tot", "i_class", "concurrence"):
         values = [getattr(r, field) for r in reports]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:])), field
