@@ -56,7 +56,7 @@ CHOI_TOL = 1e-10
 MARGINAL_TOL = 1e-10
 AUX_TOL = 1e-12
 TOTAL_TOL = 1e-10
-CAPACITY_TOL = 1e-6
+CAPACITY_TOL = 1e-12
 CONCURRENCE_TOL = 1e-9
 
 
@@ -144,7 +144,7 @@ def run_verification(grid: int = 9, points: int = 101) -> list[CheckResult]:
 
 
 def _format_number(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     return f"{value:.12g}"
 
@@ -200,16 +200,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     q = weight_from_choi(choi)
     report = {
         "scheme": args.scheme,
-        "params": {
-            "theta1": params.theta1,
-            "theta2": params.theta2,
-            "theta": params.theta,
-            "t": params.t,
-            "p1": params.p1,
-            "p2": params.p2,
-            "p": params.p,
-            "direction": args.direction,
-        },
+        "params": {**{name: getattr(params, name) for name in _SCHEME_FLAGS[args.scheme]}, "direction": args.direction},
         "choi": {
             "re": np.real(choi).tolist(),
             "im": np.imag(choi).tolist(),
@@ -276,7 +267,7 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             "figure": args.figure,
             "points": args.points,
             "columns": header,
-            "rows": [[bool(v) if isinstance(v, (bool, np.bool_)) else float(v) for v in row] for row in rows],
+            "rows": rows,
             "tool_version": __version__,
         }
         text = json.dumps(payload, indent=2) + "\n"

@@ -18,8 +18,8 @@ from .linalg import assert_hermitian, matrix_sqrt_psd, partial_trace
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_FLIP = np.kron(_PAULIS[2], _PAULIS[2])
 _PT_EIG_TOL = 1e-10
 _SCAN_GRID = 32  # the accessible-information scan covers _SCAN_GRID**2 lattice axes
 _ZOOM_POINTS = 7  # candidate angles per coordinate in each refinement pass
@@ -72,7 +72,7 @@ def shannon_mutual_information(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 table, got {m.shape}")
-    if m.min() < -_DOMAIN_SLACK or abs(m.sum() - 1.0) > _DOMAIN_SLACK:
+    if not (m.min() >= -_DOMAIN_SLACK and abs(m.sum() - 1.0) <= _DOMAIN_SLACK):
         raise ValueError("entries must be nonnegative and sum to 1")
     row = m.sum(axis=1)
     col = m.sum(axis=0)
@@ -124,37 +124,29 @@ def _fibonacci_axes(count: int) -> np.ndarray:
     return np.stack([radius * np.cos(azimuth), radius * np.sin(azimuth), z], axis=1)
 
 
-def _axis_projectors(axes: np.ndarray) -> np.ndarray:
-    """(I + n . sigma) / 2 for each axis, shape (K, 2, 2)."""
-    nx, ny, nz = axes[:, 0], axes[:, 1], axes[:, 2]
-    proj = np.empty((len(axes), 2, 2), dtype=complex)
-    proj[:, 0, 0] = (1.0 + nz) / 2.0
-    proj[:, 1, 1] = (1.0 - nz) / 2.0
-    proj[:, 0, 1] = (nx - 1j * ny) / 2.0
-    proj[:, 1, 0] = (nx + 1j * ny) / 2.0
-    return proj
+def _weighted_entropies(trace: np.ndarray, bloch: np.ndarray) -> np.ndarray:
+    """p * S(m / p) per unnormalized qubit state m = (p I + v . sigma) / 2, given p and v (last axis)."""
+    radius = np.linalg.norm(bloch, axis=-1)
+    lam = np.stack([trace + radius, np.maximum(trace - radius, 0.0)], axis=-1) / 2.0
+    total = lam.sum(axis=-1, keepdims=True)
+    ratio = np.divide(lam, total, out=np.zeros_like(lam), where=total > _PROB_FLOOR)
+    logs = np.log2(ratio, out=np.zeros_like(ratio), where=ratio > _PROB_FLOOR)
+    return -(lam * logs).sum(axis=-1)
 
 
-def _weighted_entropies(mats: np.ndarray) -> np.ndarray:
-    """p * S(m / p) for a batch of unnormalized 2x2 PSD matrices with trace p."""
-    a = mats[:, 0, 0].real
-    d = mats[:, 1, 1].real
-    off = mats[:, 0, 1]
-    mean = (a + d) / 2.0
-    disc = np.sqrt(np.maximum(((a - d) / 2.0) ** 2 + np.abs(off) ** 2, 0.0))
-    lam = np.stack([mean + disc, np.maximum(mean - disc, 0.0)], axis=1)
-    trace = lam.sum(axis=1, keepdims=True)
-    ratio = np.divide(lam, trace, out=np.zeros_like(lam), where=trace > _PROB_FLOOR)
-    logs = np.where(ratio > _PROB_FLOOR, np.log2(ratio, out=np.zeros_like(ratio), where=ratio > _PROB_FLOOR), 0.0)
-    return -(lam * logs).sum(axis=1)
+def _objective_over_axes(pauli: np.ndarray, s_output: float, axes: np.ndarray) -> np.ndarray:
+    """Retained-information objective of a projective measurement per axis.
 
-
-def _objective_over_axes(blocks: np.ndarray, s_output: float, axes: np.ndarray) -> np.ndarray:
-    """Retained-information objective of a projective measurement per axis."""
-    proj = _axis_projectors(axes)
-    cond_plus = np.einsum("kac,cqas->kqs", proj, blocks)
-    cond_minus = np.einsum("kac,cqas->kqs", np.eye(2, dtype=complex)[None] - proj, blocks)
-    return s_output - _weighted_entropies(cond_plus) - _weighted_entropies(cond_minus)
+    ``pauli[i, j] = Tr[rho (sigma_i x sigma_j)]`` holds the reference Bloch
+    vector r (column 0), the output Bloch vector s (row 0) and the
+    correlation matrix T.  Outcome +-1 along axis n leaves the output in
+    (p I + v . sigma) / 2 with p = (1 +- n . r) / 2 and v = (s +- T^T n) / 2,
+    whose eigenvalues are (p +- |v|) / 2.
+    """
+    shift = axes @ pauli[1:]
+    conditional = (pauli[0] + np.stack([shift, -shift])) / 2.0  # outcome +1, then -1
+    plus, minus = _weighted_entropies(conditional[..., 0], conditional[..., 1:])
+    return s_output - plus - minus
 
 
 def classical_accessible_info(rho_rq: np.ndarray) -> tuple[float, float]:
@@ -170,13 +162,11 @@ def classical_accessible_info(rho_rq: np.ndarray) -> tuple[float, float]:
     the objective is axis-independent, so the flatness doubles as a
     self-check.
     """
-    choi = np.asarray(rho_rq, dtype=complex)
-    if choi.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 channel state, got {choi.shape}")
-    blocks = choi.reshape(2, 2, 2, 2)
+    choi = _check_two_qubit_state(rho_rq)
+    pauli = np.einsum("aqbr,iba,jrq->ij", choi.reshape(2, 2, 2, 2), _PAULIS, _PAULIS).real
     s_output = von_neumann_entropy(partial_trace(choi, 2, [1]))
     axes = _fibonacci_axes(_SCAN_GRID * _SCAN_GRID)
-    values = _objective_over_axes(blocks, s_output, axes)
+    values = _objective_over_axes(pauli, s_output, axes)
     flatness = float(values.max() - values.min())
     best_ix = int(np.argmax(values))
     best = float(values[best_ix])
@@ -187,7 +177,7 @@ def classical_accessible_info(rho_rq: np.ndarray) -> tuple[float, float]:
     for _ in range(_ZOOM_PASSES):
         thetas, phis = (g.ravel() for g in np.meshgrid(theta + half * offsets, phi + 2.0 * half * offsets))
         zoom_axes = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
-        candidates = _objective_over_axes(blocks, s_output, zoom_axes)
+        candidates = _objective_over_axes(pauli, s_output, zoom_axes)
         ix = int(np.argmax(candidates))
         best, theta, phi = max(best, float(candidates[ix])), thetas[ix], phis[ix]
         half *= 2.0 / (_ZOOM_POINTS - 1)  # the next window reaches one grid step either side

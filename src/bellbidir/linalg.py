@@ -23,8 +23,10 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+    if not np.isfinite(a).all():
+        raise NonHermitianInput("matrix has a NaN or infinite entry")
     defect = max_abs(a - a.conj().T)
-    if defect > tol:
+    if not defect <= tol:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.0e})")
 
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from bellbidir import cli
 from bellbidir.cli import main, run_verification
 from bellbidir.errors import OutOfRange
 
@@ -31,6 +32,7 @@ def test_simulate_perfect_teleportation(tmp_path):
     assert report["tool_version"]
     choi_re = np.array(report["choi"]["re"])
     assert choi_re.shape == (4, 4)
+    assert set(report["params"]) == {"theta", "p", "direction"}
 
 
 def test_simulate_independent_symmetric(tmp_path):
@@ -43,6 +45,7 @@ def test_simulate_independent_symmetric(tmp_path):
     assert abs(report["q"] - 0.25) <= 1e-9
     assert abs(report["fidelity"] - 0.625) <= 1e-9
     assert report["info"]["i_aux"] == 0.0  # independent triggers share nothing
+    assert set(report["params"]) == {"theta1", "theta2", "p1", "p2", "direction"}  # no t: info used t = 1
 
 
 def test_simulate_mixed_critical_point(tmp_path):
@@ -196,10 +199,14 @@ def test_verify_wider_grid_passes(capsys):
     assert "VERIFY: PASS" in capsys.readouterr().out
 
 
-def test_run_verification_results():
+def test_run_verification_results(monkeypatch):
     results = run_verification(grid=3, points=11)
     assert all(result.passed for result in results)
     assert any("independent" in result.name for result in results)
+    optimizer = cli.classical_accessible_info
+    monkeypatch.setattr(cli, "classical_accessible_info", lambda rho: (optimizer(rho)[0] + 1e-9, 0.0))
+    failed = [result.name for result in run_verification(grid=3, points=11) if not result.passed]
+    assert len(failed) == 1 and failed[0].startswith("classical capacity")
     for grid, points in ((1, 11), (3, 0)):
         with pytest.raises(OutOfRange):
             run_verification(grid=grid, points=points)

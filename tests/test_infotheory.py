@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellbidir.channels import QubitChannel, choi_of_channel
-from bellbidir.errors import DomainError, NotPSD, OutOfRange
+from bellbidir.errors import DomainError, NonHermitianInput, NotPSD, OutOfRange
 from bellbidir.infotheory import (
     aux_info_closed,
     classical_accessible_info,
@@ -16,6 +16,7 @@ from bellbidir.infotheory import (
     h4_22,
     h4_31,
     info_report,
+    info_report_from_choi,
     min_partial_transpose_eigenvalue,
     quantum_discord,
     quantum_mutual_information,
@@ -25,7 +26,7 @@ from bellbidir.infotheory import (
     trigger_joint_distribution,
     von_neumann_entropy,
 )
-from bellbidir.linalg import projector
+from bellbidir.linalg import matrix_sqrt_psd, partial_trace, projector
 from bellbidir.sim import bell_state, bloch_state
 
 RHO0 = np.eye(2, dtype=complex) / 2
@@ -80,6 +81,8 @@ def test_shannon_mutual_information_validation():
         shannon_mutual_information(np.ones((2, 2)))
     with pytest.raises(ValueError):
         shannon_mutual_information(np.ones(4) / 4)
+    with pytest.raises(ValueError):
+        shannon_mutual_information(np.array([[0.5, np.nan], [0.25, 0.25]]))
 
 
 def test_aux_info_closed_matches_table():
@@ -137,7 +140,7 @@ def test_classical_capacity_closed():
     assert abs(classical_capacity_closed(2 / 3) - aux_info_closed(2 / 3)) <= 1e-12
     for t in np.linspace(0.0, 1.0, 101):
         value, _ = classical_accessible_info(symmetric_mixed_choi(float(t)))
-        assert abs(classical_capacity_closed(float(t)) - value) <= 1e-6
+        assert abs(classical_capacity_closed(float(t)) - value) <= 1e-12
 
 
 def test_quantum_discord():
@@ -154,6 +157,50 @@ def test_quantum_discord():
         n = projector(bloch_state(theta, phi))
         rho = 0.5 * np.kron(n, rho0) + 0.5 * np.kron(np.eye(2) - n, rho1)
         assert abs(quantum_discord(rho)) <= 1e-10, (theta, phi)
+
+
+def test_classical_accessible_info_on_random_states():
+    # reference: the retained information of explicit projectors (P x I) rho
+    # on random axes, which the optimum can only match or exceed
+    rng = np.random.default_rng(7)
+    sigmas = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    for _ in range(30):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        accessible, _ = classical_accessible_info(rho)
+        s_output = von_neumann_entropy(partial_trace(rho, 2, [1]))
+        for n in rng.normal(size=(64, 3)):
+            n /= np.linalg.norm(n)
+            retained = s_output
+            for sign in (1.0, -1.0):
+                proj = (np.eye(2) + sign * sum(c * sigma for c, sigma in zip(n, sigmas))) / 2.0
+                cond = partial_trace(np.kron(proj, np.eye(2)) @ rho, 2, [1])
+                prob = np.trace(cond).real
+                retained -= prob * von_neumann_entropy(cond / prob)
+            assert accessible >= retained - 1e-12
+        assert accessible <= quantum_mutual_information(rho) + 1e-12
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)], ids=["diagonal", "off-marginal"])
+def test_non_finite_state_is_rejected(value, entry):
+    rho = symmetric_mixed_choi(0.5).copy()
+    rho[entry] = value
+    measures = (
+        von_neumann_entropy,
+        quantum_mutual_information,
+        classical_accessible_info,
+        min_partial_transpose_eigenvalue,
+        matrix_sqrt_psd,
+        concurrence,
+        coherent_information,
+        quantum_discord,
+        lambda state: info_report_from_choi(state, 0.5),
+    )
+    for measure in measures:
+        with pytest.raises(NonHermitianInput):
+            measure(rho)
 
 
 def test_concurrence_reference_states():
