@@ -13,11 +13,9 @@ from bellbidir import (
     B_TO_A,
     SchemeParams,
     analytic_channel,
-    bloch_state,
     critical_t,
     fidelity_closed,
     fidelity_quadrature,
-    projector,
 )
 
 CLASSICAL_BOUND = 2 / 3
@@ -48,6 +46,6 @@ t0 = critical_t()
 print(f"\nCritical mixing weight t0 = {t0} (fidelity there = {0.75 - t0 / 8:.6f})")
 
 channel = analytic_channel("mixed", SchemeParams.from_probabilities(t=0.4), A_TO_B)
-quadrature = fidelity_quadrature(lambda th, ph: channel.apply(projector(bloch_state(th, ph))), nodes=32)
+quadrature = fidelity_quadrature(channel.apply, nodes=32)
 print(f"\nQuadrature cross-check at t = 0.4: closed form {fidelity_closed(channel):.12f}, "
       f"32x32-node Bloch average {quadrature:.12f}")

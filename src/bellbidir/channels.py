@@ -83,15 +83,15 @@ def fidelity_closed(channel: QubitChannel) -> float:
     return (1.0 + channel.q) / 2.0
 
 
-def fidelity_quadrature(channel_apply: Callable[[float, float], np.ndarray], nodes: int = 32) -> float:
+def fidelity_quadrature(channel_apply: Callable[[np.ndarray], np.ndarray], nodes: int = 32) -> float:
     """Average output-vs-input overlap over the Bloch sphere by quadrature.
 
-    ``channel_apply(theta, phi)`` must return the 2x2 output density matrix
-    for the pure input state at those angles.  The polar integral uses
-    Gauss-Legendre nodes in cos(theta); the azimuthal one a uniform
-    trapezoid rule, exact for periodic integrands.  For depolarizing-family
-    channels the integrand is constant and the result matches
-    :func:`fidelity_closed` to machine precision at any node count.
+    ``channel_apply`` maps a 2x2 input density matrix to the 2x2 output one,
+    as ``QubitChannel.apply`` does.  The polar integral uses Gauss-Legendre
+    nodes in cos(theta); the azimuthal one a uniform trapezoid rule, exact
+    for periodic integrands.  For depolarizing-family channels the integrand
+    is constant and the result matches :func:`fidelity_closed` to machine
+    precision at any node count.
     """
     if nodes < 4:
         raise OutOfRange(f"need at least 4 quadrature nodes, got {nodes}")
@@ -103,7 +103,7 @@ def fidelity_quadrature(channel_apply: Callable[[float, float], np.ndarray], nod
         ring = 0.0
         for phi in phis:
             psi = bloch_state(theta, phi)
-            out = np.asarray(channel_apply(theta, phi), dtype=complex)
+            out = np.asarray(channel_apply(projector(psi)), dtype=complex)
             ring += float(np.real(psi.conj() @ out @ psi))
         total += weight * ring / nodes
     return total / 2.0

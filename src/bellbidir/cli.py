@@ -207,7 +207,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         },
         "q": q,
         "fidelity": (1.0 + q) / 2.0,
-        "info": asdict(info_report_from_choi(choi, effective_t)),
+        "info": asdict(info_report_from_choi(choi, effective_t, params.p1, params.p2, params.p)),
         "tool_version": __version__,
     }
     return _emit(json.dumps(report, indent=2) + "\n", args.out)

@@ -56,15 +56,17 @@ def h4_31(x: float) -> float:
     return 3.0 * _plog2(x) + _plog2(1.0 - 3.0 * x)
 
 
-def trigger_joint_distribution(t: float) -> np.ndarray:
-    """Joint distribution of the two parties' fire / don't-fire decisions.
+def trigger_joint_distribution(t: float, p1: float = 0.5, p2: float = 0.5, p: float = 0.5) -> np.ndarray:
+    """Joint distribution of the two parties' don't-fire / fire decisions.
 
-    Rows index Alice's decision, columns Bob's.  Weight t spreads uniformly
-    (independent triggers); weight 1 - t sits on the anti-diagonal (a common
-    trigger makes the decisions opposite).
+    Rows index Alice's decision, columns Bob's.  Weight t goes to independent
+    triggers firing with probabilities p1 and p2; weight 1 - t sits on the
+    anti-diagonal, where a common trigger fires Alice with probability p and
+    Bob otherwise.
     """
-    check_unit_interval("mixing weight t", t)
-    return (t / 4.0) * np.ones((2, 2)) + ((1.0 - t) / 2.0) * np.array([[0.0, 1.0], [1.0, 0.0]])
+    for name, value in (("mixing weight t", t), ("p1", p1), ("p2", p2), ("p", p)):
+        check_unit_interval(name, value)
+    return t * np.outer([1.0 - p1, p1], [1.0 - p2, p2]) + (1.0 - t) * np.array([[0.0, 1.0 - p], [p, 0.0]])
 
 
 def shannon_mutual_information(m: np.ndarray) -> float:
@@ -265,13 +267,15 @@ class InfoReport:
     entanglement_breaking: bool
 
 
-def info_report_from_choi(choi: np.ndarray, t: float) -> InfoReport:
+def info_report_from_choi(choi: np.ndarray, t: float, p1: float = 0.5, p2: float = 0.5, p: float = 0.5) -> InfoReport:
     """Evaluate every measure on a given channel state.
 
     ``t`` sets the trigger-correlation level used for the auxiliary
-    classical information (1 for independent triggers, 0 for a common one).
+    classical information (1 for independent triggers, 0 for a common one),
+    and ``p1``, ``p2``, ``p`` the firing probabilities of
+    :func:`trigger_joint_distribution`.
     """
-    i_aux = shannon_mutual_information(trigger_joint_distribution(t))
+    i_aux = shannon_mutual_information(trigger_joint_distribution(t, p1, p2, p))
     i_tot = quantum_mutual_information(choi)
     i_class, _ = classical_accessible_info(choi)
     min_pt = min_partial_transpose_eigenvalue(choi)

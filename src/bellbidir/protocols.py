@@ -61,9 +61,6 @@ _CORRECTIONS = (
     ("M_B2", "CZ", "C_A"),
 )
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-
-
 @dataclass(frozen=True)
 class SchemeParams:
     """Trigger angles and mixing weight; probabilities are sin^2(angle/2)."""
@@ -191,8 +188,7 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
         (H(ref), CNOT(ref, input_ix)) + circuit.gates,
         circuit.prep,
     )
-    initial = np.kron(circuit.initial_state(), _KET0)
-    final = run_circuit(extended, initial)
+    final = run_circuit(extended, extended.initial_state())
     choi = reduced_density_matrix(final, [ref, output_ix])
     _validate_choi(choi)
     return choi
@@ -213,44 +209,13 @@ def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("ca,cqas->qs", rho_in, blocks)
 
 
-def _strip_corrections(circuit: Circuit) -> tuple[Circuit, list[tuple[int, str, int]]]:
-    """Split a scheme circuit into its unitary part and the deferred corrections."""
-    m_qubits = {circuit.index(label) for label in circuit.labels if label.startswith("M_")}
-    pre, corrections = [], []
-    for gate in circuit.gates:
-        if gate.kind in ("CNOT", "CZ") and gate.qubits[0] in m_qubits:
-            kind = "X" if gate.kind == "CNOT" else "Z"
-            corrections.append((gate.qubits[0], kind, gate.qubits[1]))
-        else:
-            pre.append(gate)
-    stripped = Circuit(circuit.num_qubits, circuit.labels, tuple(pre), circuit.prep)
-    return stripped, corrections
-
-
-def _trajectories(circuit, input_label, output_label, psi_in, trials, rng):
-    circuit.index(input_label)
-    output_ix = circuit.index(output_label)
-    stripped, corrections = _strip_corrections(circuit)
-    prepared = Circuit(stripped.num_qubits, stripped.labels, stripped.gates, {**stripped.prep, input_label: psi_in})
-    base = run_circuit(prepared, prepared.initial_state())
-    outputs = np.empty((trials, 2, 2), dtype=complex)
-    for k in range(trials):
-        psi = base
-        for record_ix, kind, target_ix in corrections:
-            outcome, psi, _ = measure_qubit(psi, record_ix, rng)
-            if outcome == 1:
-                psi = apply_gate(psi, Gate(kind, (target_ix,)))
-        outputs[k] = reduced_density_matrix(psi, [output_ix])
-    return outputs
-
-
 def sample_trajectories(
     circuit: Circuit,
     input_label: str,
     output_label: str,
     psi_in: np.ndarray,
     trials: int,
-    seed: int,
+    seed: int | np.random.Generator,
 ) -> np.ndarray:
     """Measure-and-correct execution of a scheme circuit, one run per trajectory.
 
@@ -258,10 +223,26 @@ def sample_trajectories(
     measured instead and the X/Z corrections applied on the measured-1
     outcomes.  Returns the per-trajectory output density matrices, shape
     ``(trials, 2, 2)``; their mean estimates the channel output for
-    ``psi_in``.
+    ``psi_in``.  ``seed`` is an integer or a ``np.random.Generator``; a
+    generator is drawn from as is, so its state advances.
     """
     rng = np.random.default_rng(seed)
-    return _trajectories(circuit, input_label, output_label, psi_in, trials, rng)
+    output_ix = circuit.index(output_label)
+    records = {circuit.index(label) for label in circuit.labels if label.startswith("M_")}
+    deferred = [gate for gate in circuit.gates if gate.kind in ("CNOT", "CZ") and gate.qubits[0] in records]
+    corrections = [(gate.qubits[0], Gate("X" if gate.kind == "CNOT" else "Z", gate.qubits[1:])) for gate in deferred]
+    gates = [gate for gate in circuit.gates if gate not in deferred]
+    stripped = Circuit(circuit.num_qubits, circuit.labels, gates, {**circuit.prep, input_label: psi_in})
+    base = run_circuit(stripped, stripped.initial_state())
+    outputs = np.empty((trials, 2, 2), dtype=complex)
+    for k in range(trials):
+        psi = base
+        for record_ix, correction in corrections:
+            outcome, psi, _ = measure_qubit(psi, record_ix, rng)
+            if outcome == 1:
+                psi = apply_gate(psi, correction)
+        outputs[k] = reduced_density_matrix(psi, [output_ix])
+    return outputs
 
 
 def sample_mixed_trajectories(
@@ -272,7 +253,7 @@ def sample_mixed_trajectories(
     output_label: str,
     psi_in: np.ndarray,
     trials: int,
-    seed: int,
+    seed: int | np.random.Generator,
 ) -> np.ndarray:
     """Trajectory sampling of the mixed scheme: each run picks a sub-scheme.
 
@@ -282,10 +263,8 @@ def sample_mixed_trajectories(
     check_unit_interval("mixing weight t", t)
     rng = np.random.default_rng(seed)
     picks = rng.random(trials) < t
-    n_ind = int(picks.sum())
     outputs = np.empty((trials, 2, 2), dtype=complex)
-    if n_ind:
-        outputs[picks] = _trajectories(circuit_ind, input_label, output_label, psi_in, n_ind, rng)
-    if trials - n_ind:
-        outputs[~picks] = _trajectories(circuit_com, input_label, output_label, psi_in, trials - n_ind, rng)
+    for circuit, chosen in ((circuit_ind, picks), (circuit_com, ~picks)):
+        if chosen.any():
+            outputs[chosen] = sample_trajectories(circuit, input_label, output_label, psi_in, int(chosen.sum()), rng)
     return outputs

@@ -10,6 +10,7 @@ consists entirely of involutions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -106,11 +107,8 @@ class Circuit:
 
     def initial_state(self) -> np.ndarray:
         """Product state of all per-qubit preparations (|0> where unlisted)."""
-        state = np.ones(1, dtype=complex)
-        for label in self.labels:
-            factor = np.asarray(self.prep.get(label, _KET0), dtype=complex)
-            state = np.kron(state, factor)
-        return state
+        factors = (np.asarray(self.prep.get(label, _KET0), dtype=complex) for label in self.labels)
+        return functools.reduce(np.multiply.outer, factors, np.ones((), dtype=complex)).reshape(-1)
 
 
 def bell_state() -> np.ndarray:
@@ -179,24 +177,28 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tuple[int, np.ndarray, float]:
     """Projectively measure one qubit in the computational basis.
 
-    Returns ``(outcome, collapsed_state, probability_of_that_outcome)``; the
-    collapsed state is renormalized.
+    The state may have any nonzero norm: outcome ``k`` comes up with
+    probability ``w_k / (w_0 + w_1)``, where ``w_k`` is the squared norm of
+    the half of the state with the qubit at ``k``.  Returns ``(outcome,
+    collapsed_state, probability_of_that_outcome)``; the collapsed state is
+    the kept half scaled to unit norm.
     """
     n = num_qubits_of(state)
     if not 0 <= index < n:
         raise BadIndex(f"qubit {index} out of range for {n}-qubit state")
     psi = np.asarray(state, dtype=complex).reshape([2] * n)
-    if np.sum(np.abs(psi) ** 2) < 1e-15:
+    halves = [psi[_ix(n, {index: k})] for k in (0, 1)]
+    weights = [np.vdot(half, half).real for half in halves]
+    total = weights[0] + weights[1]
+    if total < 1e-15:
         raise ZeroNorm("cannot measure a zero-norm state")
-    p1 = float(np.sum(np.abs(psi[_ix(n, {index: 1})]) ** 2))
-    p1 = min(max(p1, 0.0), 1.0)
-    outcome = 1 if rng.random() < p1 else 0
-    prob = p1 if outcome == 1 else 1.0 - p1
+    outcome = int(rng.random() < weights[1] / total)
+    prob = weights[outcome] / total
     if prob < 1e-15:
         raise ZeroNorm(f"outcome {outcome} on qubit {index} has vanishing probability")
-    collapsed = psi.copy()
-    collapsed[_ix(n, {index: 1 - outcome})] = 0.0
-    return outcome, (collapsed / math.sqrt(prob)).reshape(-1), prob
+    collapsed = np.zeros_like(psi)
+    collapsed[_ix(n, {index: outcome})] = halves[outcome] / math.sqrt(weights[outcome])
+    return outcome, collapsed.reshape(-1), prob
 
 
 def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:

@@ -102,13 +102,13 @@ def test_criterion_3_fidelity_golden_numbers():
     worst_mix = 0.0
     worst_quad = 0.0
     for channel in (ind, com):
-        quad = fidelity_quadrature(lambda th, ph: channel.apply(projector(bloch_state(th, ph))), nodes=32)
+        quad = fidelity_quadrature(channel.apply, nodes=32)
         worst_quad = max(worst_quad, abs(quad - fidelity_closed(channel)))
     for t in np.linspace(0.0, 1.0, 101):
         params = SchemeParams.from_probabilities(t=float(t))
         channel = analytic_channel("mixed", params, A_TO_B)
         worst_mix = max(worst_mix, abs(fidelity_closed(channel) - (0.75 - t / 8)))
-        quad = fidelity_quadrature(lambda th, ph: channel.apply(projector(bloch_state(th, ph))), nodes=32)
+        quad = fidelity_quadrature(channel.apply, nodes=32)
         worst_quad = max(worst_quad, abs(quad - fidelity_closed(channel)))
     _report(
         worst_golden <= 1e-12 and worst_mix <= 1e-12 and worst_quad <= 1e-12,

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from bellbidir.channels import (
 from bellbidir.errors import OutOfRange
 from bellbidir.linalg import projector
 from bellbidir.protocols import A_TO_B, B_TO_A, SchemeParams
-from bellbidir.sim import bell_state, bloch_state
+from bellbidir.sim import bell_state
 
 
 def random_density_matrix(rng):
@@ -98,14 +99,12 @@ def test_fidelity_exchange_symmetry():
 
 
 def test_quadrature_identity_channel():
-    identity = lambda theta, phi: projector(bloch_state(theta, phi))
-    assert abs(fidelity_quadrature(identity, nodes=8) - 1.0) <= 1e-12
+    assert abs(fidelity_quadrature(lambda rho: rho, nodes=8) - 1.0) <= 1e-12
 
 
 def test_quadrature_constant_integrand_node_invariance():
     channel = QubitChannel(0.5)
-    apply = lambda theta, phi: channel.apply(projector(bloch_state(theta, phi)))
-    values = [fidelity_quadrature(apply, nodes=n) for n in (4, 8, 32)]
+    values = [fidelity_quadrature(channel.apply, nodes=n) for n in (4, 8, 32)]
     for value in values:
         assert abs(value - 0.75) <= 1e-12
     assert max(values) - min(values) <= 1e-12
@@ -115,13 +114,13 @@ def test_quadrature_converges_for_dephasing_map():
     # measure-and-dephase in the computational basis: the overlap integrand is
     # cos^4(theta/2) + sin^4(theta/2), whose Bloch-sphere average is
     # int_{-1}^{1} (1 + u^2)/2 du / 2 = 2/3
-    dephase = lambda theta, phi: np.diag(np.diag(projector(bloch_state(theta, phi))))
+    dephase = lambda rho: np.diag(np.diag(rho))
     assert abs(fidelity_quadrature(dephase, nodes=64) - 2 / 3) <= 1e-6
 
 
 def test_quadrature_rejects_tiny_node_count():
     with pytest.raises(OutOfRange):
-        fidelity_quadrature(lambda theta, phi: np.eye(2) / 2, nodes=2)
+        fidelity_quadrature(lambda rho: np.eye(2) / 2, nodes=2)
 
 
 def test_critical_t_and_boundary():
@@ -155,8 +154,7 @@ def test_closed_fidelity_matches_simulated_choi_quadrature():
     )
 
     def quadrature_fidelity(choi):
-        apply = lambda theta, phi: apply_channel_from_choi(choi, projector(bloch_state(theta, phi)))
-        return fidelity_quadrature(apply, nodes=8)
+        return fidelity_quadrature(functools.partial(apply_channel_from_choi, choi), nodes=8)
 
     thetas = np.linspace(0.0, math.pi, 9)
     for theta1 in thetas:

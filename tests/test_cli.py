@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from bellbidir.cli import main, run_verification
 from bellbidir.errors import OutOfRange
 
 
-def run_cli(args, capsys=None):
-    code = main(args)
-    return code
+def run_module(*args):
+    """Run the interpreter on ``args`` with the tested package's source tree on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def read_json(path):
@@ -56,6 +60,21 @@ def test_simulate_mixed_critical_point(tmp_path):
     assert abs(report["fidelity"] - 2 / 3) <= 1e-9
     assert report["info"]["entanglement_breaking"] is True
     assert abs(report["info"]["i_aux"] - report["info"]["i_class"]) <= 1e-5
+
+
+def test_simulate_trigger_info_at_the_requested_point(tmp_path):
+    # i_aux is the mutual information of the point's own trigger table
+    out = tmp_path / "report.json"
+    h2_09 = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
+    table = np.array([[0.12, 0.33], [0.48, 0.07]])  # mixed, t = 0.5, p1 = 0.2, p2 = 0.7, p = 0.9
+    mixed = float(np.sum(table * np.log2(table / np.outer(table.sum(axis=1), table.sum(axis=0)))))
+    for argv, expected, tol in (
+        (["--scheme", "common", "--p", "0.9"], h2_09, 1e-12),
+        (["--scheme", "mixed", "--t", "0.5", "--p1", "0.2", "--p2", "0.7", "--p", "0.9"], mixed, 1e-12),
+        (["--scheme", "independent", "--p1", "0.9", "--p2", "0.1"], 0.0, 1e-15),
+    ):
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        assert abs(read_json(out)["info"]["i_aux"] - expected) <= tol, argv
 
 
 def test_simulate_probability_flags(tmp_path):
@@ -213,20 +232,12 @@ def test_run_verification_results(monkeypatch):
 
 
 def test_module_invocation_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bellbidir.cli", "sweep", "--figure", "3b", "--points", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("-m", "bellbidir.cli", "sweep", "--figure", "3b", "--points", "3")
     assert proc.returncode == 0
     assert proc.stdout.startswith("p,F_ab,F_ba\n")
 
 
 def test_non_finite_angle_is_usage_error_under_optimize():
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "bellbidir.cli", "simulate", "--scheme", "common", "--theta", "nan"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("-O", "-m", "bellbidir.cli", "simulate", "--scheme", "common", "--theta", "nan")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -64,8 +64,12 @@ def test_trigger_joint_distribution():
     assert np.abs(table - np.array([[0.0, 0.5], [0.5, 0.0]])).max() <= 1e-15
     table = trigger_joint_distribution(2 / 3)
     assert np.abs(table - np.array([[1 / 6, 1 / 3], [1 / 3, 1 / 6]])).max() <= 1e-15
+    table = trigger_joint_distribution(0.5, p1=0.2, p2=0.7, p=0.9)
+    assert np.abs(table - np.array([[0.12, 0.33], [0.48, 0.07]])).max() <= 1e-15
     with pytest.raises(OutOfRange):
         trigger_joint_distribution(-0.1)
+    with pytest.raises(OutOfRange):
+        trigger_joint_distribution(0.5, p=1.5)
 
 
 def test_shannon_mutual_information_limits():

@@ -226,6 +226,14 @@ def test_sampling_matches_deterministic_channel():
     _assert_within_three_sigma(samples, expected)
 
 
+def test_sampling_accepts_a_generator_as_seed():
+    circuit = build_scheme_common(SchemeParams(theta=1.2))
+    psi = bloch_state(0.8, 2.1)
+    from_seed = sample_trajectories(circuit, "Q_B", "C_A", psi, trials=50, seed=14)
+    from_generator = sample_trajectories(circuit, "Q_B", "C_A", psi, trials=50, seed=np.random.default_rng(14))
+    assert np.array_equal(from_seed, from_generator)
+
+
 def test_sampling_rejects_unnormalized_input():
     circuit = build_scheme_independent(SchemeParams())
     with pytest.raises(ValueError):

@@ -184,8 +184,17 @@ def test_circuit_validation_and_labels():
 
 
 def test_circuit_initial_state_with_prep():
+    from bellbidir.protocols import SchemeParams, build_scheme_independent
+
     circuit = Circuit(2, ("a", "b"), (), prep={"b": KET1})
     assert np.allclose(circuit.initial_state(), np.kron(KET0, KET1))
+    scheme = build_scheme_independent(SchemeParams(theta1=0.7, theta2=2.3))
+    prep = {**scheme.prep, "Q_A": bloch_state(1.1, 0.6), "Q_B": bloch_state(2.9, -1.3)}
+    prepared = Circuit(scheme.num_qubits, scheme.labels, scheme.gates, prep)
+    single = Circuit(1, ("q",), (), {"q": bloch_state(0.4, 2.0)})
+    for circuit in (prepared, single):
+        chain = reduce(np.kron, [circuit.prep.get(label, KET0) for label in circuit.labels], np.ones(1, dtype=complex))
+        assert np.array_equal(circuit.initial_state(), chain)
 
 
 def test_measure_deterministic():
@@ -213,6 +222,19 @@ def test_measure_statistics_three_sigma():
     ones = sum(measure_qubit(psi, 0, rng)[0] for _ in range(trials))
     stderr = math.sqrt(0.3 * 0.7 / trials)
     assert abs(ones / trials - 0.3) <= 3 * stderr
+
+
+def test_measure_unnormalized_state():
+    psi = np.array([0.6, 0.6], dtype=complex)
+    rng = np.random.default_rng(4)
+    trials = 4000
+    ones = 0
+    for _ in range(trials):
+        outcome, collapsed, prob = measure_qubit(psi, 0, rng)
+        ones += outcome
+        assert abs(prob - 0.5) <= 1e-15
+        assert abs(np.linalg.norm(collapsed) - 1.0) <= 1e-15
+    assert abs(ones / trials - 0.5) <= 5 * math.sqrt(0.25 / trials)
 
 
 def test_measure_bad_index():
