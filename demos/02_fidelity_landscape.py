@@ -13,10 +13,10 @@ from bellbidir import (
     B_TO_A,
     SchemeParams,
     analytic_channel,
-    critical_t,
     fidelity_closed,
     fidelity_quadrature,
 )
+from bellbidir.channels import CRITICAL_T
 
 CLASSICAL_BOUND = 2 / 3
 
@@ -42,7 +42,7 @@ for t in np.linspace(0, 1, 9):
     marker = " <- classical boundary" if abs(f_ab - CLASSICAL_BOUND) < 1e-9 else ""
     print(f"  t = {t:5.3f}: F = {f_ab:.6f} / {f_ba:.6f}{marker}")
 
-t0 = critical_t()
+t0 = CRITICAL_T
 print(f"\nCritical mixing weight t0 = {t0} (fidelity there = {0.75 - t0 / 8:.6f})")
 
 channel = analytic_channel("mixed", SchemeParams.from_probabilities(t=0.4), A_TO_B)

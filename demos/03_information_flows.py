@@ -6,10 +6,30 @@ triggers (i_aux), the channel's entanglement-assisted and classical
 capacities (i_tot, i_class), discord, the channel-state concurrence, and
 the coherent information.  i_class crosses i_aux exactly where the channels
 become entanglement breaking and the fidelity meets the classical bound.
+
+Every measure is evaluated on simulated channel states: the independent and
+common A -> B states are extracted once at p1 = p2 = p = 1/2, and the mixed
+scheme's state is their convex mixture with weight t.
 """
 import numpy as np
 
-from bellbidir import critical_t, info_report
+from bellbidir import (
+    SchemeParams,
+    build_scheme_common,
+    build_scheme_independent,
+    choi_mixed,
+    extract_choi,
+    info_report_from_choi,
+)
+from bellbidir.channels import CRITICAL_T
+
+choi_ind = extract_choi(build_scheme_independent(SchemeParams()), "Q_A", "C_B")
+choi_com = extract_choi(build_scheme_common(SchemeParams()), "Q_A", "C_B")
+
+
+def info_report(t):
+    return info_report_from_choi(choi_mixed(t, choi_ind, choi_com), t)
+
 
 print(" t      i_aux    i_tot    i_class  discord  concur   i_coh    min_pt    EB")
 for t in np.linspace(0.0, 1.0, 11):
@@ -19,7 +39,7 @@ for t in np.linspace(0.0, 1.0, 11):
         f" {r.concurrence:8.5f} {r.i_coh:8.5f} {r.min_pt_eigenvalue:9.5f}  {r.entanglement_breaking}"
     )
 
-t0 = critical_t()
+t0 = CRITICAL_T
 r = info_report(t0)
 print(f"\nAt the critical point t0 = {t0:.6f}:")
 print(f"  i_aux   = {r.i_aux:.6f}")

@@ -11,7 +11,6 @@ from .channels import (
     QubitChannel,
     analytic_channel,
     choi_of_channel,
-    critical_t,
     fidelity_closed,
     fidelity_quadrature,
     weight_from_choi,
@@ -24,13 +23,11 @@ from .infotheory import (
     coherent_information,
     concurrence,
     concurrence_closed,
-    info_report,
     info_report_from_choi,
     min_partial_transpose_eigenvalue,
     quantum_discord,
     quantum_mutual_information,
     shannon_mutual_information,
-    symmetric_mixed_choi,
     total_info_closed,
     trigger_joint_distribution,
     von_neumann_entropy,
@@ -66,60 +63,3 @@ from .sim import (
     reduced_density_matrix,
     run_circuit,
 )
-
-__all__ = [
-    "A_TO_B",
-    "B_TO_A",
-    "CCNOT",
-    "CNOT",
-    "CZ",
-    "Circuit",
-    "Gate",
-    "H",
-    "InfoReport",
-    "QubitChannel",
-    "SchemeParams",
-    "X",
-    "Z",
-    "analytic_channel",
-    "apply_channel_from_choi",
-    "apply_gate",
-    "aux_info_closed",
-    "bell_state",
-    "bloch_state",
-    "build_indirect_bell_block",
-    "build_scheme_common",
-    "build_scheme_independent",
-    "channel_endpoints",
-    "choi_mixed",
-    "choi_of_channel",
-    "classical_accessible_info",
-    "classical_capacity_closed",
-    "coherent_information",
-    "concurrence",
-    "concurrence_closed",
-    "critical_t",
-    "extract_choi",
-    "fidelity_closed",
-    "fidelity_quadrature",
-    "info_report",
-    "info_report_from_choi",
-    "matrix_sqrt_psd",
-    "measure_qubit",
-    "min_partial_transpose_eigenvalue",
-    "partial_trace",
-    "projector",
-    "quantum_discord",
-    "quantum_mutual_information",
-    "reduced_density_matrix",
-    "run_circuit",
-    "sample_mixed_trajectories",
-    "sample_trajectories",
-    "shannon_mutual_information",
-    "symmetric_mixed_choi",
-    "total_info_closed",
-    "trace_distance",
-    "trigger_joint_distribution",
-    "von_neumann_entropy",
-    "weight_from_choi",
-]

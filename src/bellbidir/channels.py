@@ -23,6 +23,10 @@ from .sim import bell_state, bloch_state
 
 SCHEMES = ("independent", "common", "mixed")
 
+# Mixing weight where the symmetric scheme meets the classical fidelity bound:
+# at p1 = p2 = p = 1/2 the fidelity is 3/4 - t/8, which equals 2/3 at t = 2/3.
+CRITICAL_T = 2.0 / 3.0
+
 _IDENTITY2 = np.eye(2, dtype=complex)
 _MAX_MIXED = _IDENTITY2 / 2
 
@@ -107,12 +111,3 @@ def fidelity_quadrature(channel_apply: Callable[[np.ndarray], np.ndarray], nodes
             ring += float(np.real(psi.conj() @ out @ psi))
         total += weight * ring / nodes
     return total / 2.0
-
-
-def critical_t() -> float:
-    """Mixing weight where the symmetric scheme meets the classical fidelity bound.
-
-    At p1 = p2 = p = 1/2 the fidelity is 3/4 - t/8; setting it equal to 2/3
-    gives t = 2/3 exactly.
-    """
-    return 2.0 / 3.0

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QubitChannel, choi_of_channel
 from .errors import DomainError, NotPSD, check_unit_interval
 from .linalg import assert_hermitian, matrix_sqrt_psd, partial_trace
 
@@ -83,7 +82,9 @@ def shannon_mutual_information(m: np.ndarray) -> float:
         for j in range(2):
             if m[i, j] > _PROB_FLOOR:
                 info += m[i, j] * math.log2(m[i, j] / (row[i] * col[j]))
-    return info
+    if info < -_DOMAIN_SLACK:
+        raise DomainError(f"mutual information {info} is negative")
+    return max(info, 0.0)  # rounding can leave a few ulps below 0
 
 
 def aux_info_closed(t: float) -> float:
@@ -246,12 +247,6 @@ def coherent_information(rho_rq: np.ndarray) -> float:
     return von_neumann_entropy(partial_trace(rho_rq, 2, [1])) - von_neumann_entropy(rho_rq)
 
 
-def symmetric_mixed_choi(t: float) -> np.ndarray:
-    """Channel state of the symmetric mixed scheme, weight q = 1/2 - t/4."""
-    check_unit_interval("mixing weight t", t)
-    return choi_of_channel(QubitChannel(0.5 - 0.25 * t))
-
-
 @dataclass(frozen=True)
 class InfoReport:
     """All information measures evaluated at one parameter point."""
@@ -290,8 +285,3 @@ def info_report_from_choi(choi: np.ndarray, t: float, p1: float = 0.5, p2: float
         min_pt_eigenvalue=float(min_pt),
         entanglement_breaking=bool(min_pt >= -_PT_EIG_TOL),
     )
-
-
-def info_report(t: float) -> InfoReport:
-    """Full report for the symmetric mixed scheme at mixing weight ``t``."""
-    return info_report_from_choi(symmetric_mixed_choi(t), t)

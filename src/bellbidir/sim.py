@@ -136,13 +136,9 @@ def _ix(n: int, fixed: dict[int, int]) -> tuple:
     return tuple(ix)
 
 
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Return the state with one gate applied (the input is left untouched)."""
-    n = num_qubits_of(state)
-    for q in gate.qubits:
-        if q >= n:
-            raise BadIndex(f"qubit {q} out of range for {n}-qubit state")
-    psi = np.array(state, dtype=complex).reshape([2] * n)
+def _apply_in_place(psi: np.ndarray, gate: Gate) -> None:
+    """Apply one gate to the ``[2] * n`` view of a register, overwriting it."""
+    n = psi.ndim
     kind = gate.kind
     if kind == "H":
         (q,) = gate.qubits
@@ -159,6 +155,16 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
         a0 = psi[lo].copy()
         psi[lo] = psi[hi]
         psi[hi] = a0
+
+
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+    """Return the state with one gate applied (the input is left untouched)."""
+    n = num_qubits_of(state)
+    for q in gate.qubits:
+        if q >= n:
+            raise BadIndex(f"qubit {q} out of range for {n}-qubit state")
+    psi = np.array(state, dtype=complex).reshape([2] * n)
+    _apply_in_place(psi, gate)
     return psi.reshape(-1)
 
 
@@ -167,8 +173,10 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if len(state) != 2**circuit.num_qubits:
         raise ValueError(f"state length {len(state)} does not match {circuit.num_qubits} qubits")
+    psi = state.reshape([2] * circuit.num_qubits).copy()  # Circuit has bounds-checked every gate
     for gate in circuit.gates:
-        state = apply_gate(state, gate)
+        _apply_in_place(psi, gate)
+    state = psi.reshape(-1)
     if not abs(np.linalg.norm(state) - 1.0) < 1e-10:
         raise ValueError(f"statevector norm {np.linalg.norm(state)} differs from 1")
     return state

@@ -9,10 +9,10 @@ import time
 import numpy as np
 
 from bellbidir.channels import (
+    CRITICAL_T,
     QubitChannel,
     analytic_channel,
     choi_of_channel,
-    critical_t,
     fidelity_closed,
     fidelity_quadrature,
 )
@@ -23,11 +23,9 @@ from bellbidir.infotheory import (
     classical_capacity_closed,
     coherent_information,
     concurrence,
-    info_report,
     min_partial_transpose_eigenvalue,
     quantum_mutual_information,
     shannon_mutual_information,
-    symmetric_mixed_choi,
     trigger_joint_distribution,
 )
 from bellbidir.linalg import max_abs, partial_trace, projector, trace_distance
@@ -45,6 +43,11 @@ from bellbidir.protocols import (
     sample_trajectories,
 )
 from bellbidir.sim import Circuit, Gate, bell_state, bloch_state, run_circuit
+
+
+def symmetric_mixed_choi(t):
+    """Closed-form channel state of the mixed scheme at p1 = p2 = p = 1/2."""
+    return choi_of_channel(QubitChannel(0.5 - 0.25 * t))
 
 
 def _report(ok: bool, label: str) -> None:
@@ -118,7 +121,7 @@ def test_criterion_3_fidelity_golden_numbers():
 
 
 def test_criterion_4_critical_point():
-    t0 = critical_t()
+    t0 = CRITICAL_T
     exact = t0 == 2 / 3
     fid = fidelity_closed(analytic_channel("mixed", SchemeParams.from_probabilities(t=t0), A_TO_B))
     fid_ok = abs(fid - 2 / 3) <= 1e-12
@@ -163,7 +166,7 @@ def test_criterion_5_information_golden_numbers():
 
 
 def test_criterion_6_crossing_identity():
-    t0 = critical_t()
+    t0 = CRITICAL_T
     closed_gap = abs(classical_capacity_closed(t0) - aux_info_closed(t0))
     optimizer_value, _ = classical_accessible_info(symmetric_mixed_choi(t0))
     optimizer_gap = abs(optimizer_value - aux_info_closed(t0))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from bellbidir.channels import (
+    CRITICAL_T,
     QubitChannel,
     analytic_channel,
     choi_of_channel,
-    critical_t,
     fidelity_closed,
     fidelity_quadrature,
     weight_from_choi,
@@ -124,8 +124,8 @@ def test_quadrature_rejects_tiny_node_count():
 
 
 def test_critical_t_and_boundary():
-    assert critical_t() == 2 / 3
-    params = SchemeParams.from_probabilities(t=critical_t())
+    assert CRITICAL_T == 2 / 3
+    params = SchemeParams.from_probabilities(t=CRITICAL_T)
     fidelity = fidelity_closed(analytic_channel("mixed", params, A_TO_B))
     assert abs(fidelity - 2 / 3) <= 1e-12
     params = SchemeParams.from_probabilities(t=0.0)

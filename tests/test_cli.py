@@ -11,6 +11,7 @@ import pytest
 from bellbidir import cli
 from bellbidir.cli import main, run_verification
 from bellbidir.errors import OutOfRange
+from bellbidir.infotheory import total_info_closed
 
 
 def run_module(*args):
@@ -72,6 +73,7 @@ def test_simulate_trigger_info_at_the_requested_point(tmp_path):
         (["--scheme", "common", "--p", "0.9"], h2_09, 1e-12),
         (["--scheme", "mixed", "--t", "0.5", "--p1", "0.2", "--p2", "0.7", "--p", "0.9"], mixed, 1e-12),
         (["--scheme", "independent", "--p1", "0.9", "--p2", "0.1"], 0.0, 1e-15),
+        (["--scheme", "independent", "--p1", "0.3", "--p2", "0.8", "--direction", "ba"], 0.0, 0.0),  # not -2e-16
     ):
         assert main(["simulate", *argv, "--out", str(out)]) == 0
         assert abs(read_json(out)["info"]["i_aux"] - expected) <= tol, argv
@@ -229,6 +231,17 @@ def test_run_verification_results(monkeypatch):
     for grid, points in ((1, 11), (3, 0)):
         with pytest.raises(OutOfRange):
             run_verification(grid=grid, points=points)
+
+
+def test_information_checks_read_simulated_states(monkeypatch, capsys):
+    # a 1% depolarized extraction must show in the information checks and in fig 4
+    extract = cli.extract_choi
+    monkeypatch.setattr(cli, "extract_choi", lambda *args: 0.99 * extract(*args) + 0.01 * np.eye(4) / 4)
+    failed = {result.name.split(" closed form")[0] for result in run_verification(grid=3, points=5) if not result.passed}
+    assert {"total info", "classical capacity", "concurrence"} <= failed
+    assert main(["sweep", "--figure", "4", "--points", "3"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")  # t = 0
+    assert abs(float(row[2]) - total_info_closed(0.0)) > cli.TOTAL_TOL
 
 
 def test_module_invocation_smoke():

