@@ -11,6 +11,8 @@ Every measure is evaluated on simulated channel states: the independent and
 common A -> B states are extracted once at p1 = p2 = p = 1/2, and the mixed
 scheme's state is their convex mixture with weight t.
 """
+from dataclasses import astuple
+
 import numpy as np
 
 from bellbidir import (
@@ -31,12 +33,14 @@ def info_report(t):
     return info_report_from_choi(choi_mixed(t, choi_ind, choi_com), t)
 
 
+# the measures accept a stack of states: one call evaluates the whole table
+ts = np.linspace(0.0, 1.0, 11).tolist()
+table = info_report(ts)
 print(" t      i_aux    i_tot    i_class  discord  concur   i_coh    min_pt    EB")
-for t in np.linspace(0.0, 1.0, 11):
-    r = info_report(float(t))
+for t, i_aux, i_tot, i_class, discord, concur, i_coh, min_pt, eb in zip(*astuple(table)):
     print(
-        f"{r.t:5.2f}  {r.i_aux:8.5f} {r.i_tot:8.5f} {r.i_class:8.5f} {r.discord:8.5f}"
-        f" {r.concurrence:8.5f} {r.i_coh:8.5f} {r.min_pt_eigenvalue:9.5f}  {r.entanglement_breaking}"
+        f"{t:5.2f}  {i_aux:8.5f} {i_tot:8.5f} {i_class:8.5f} {discord:8.5f}"
+        f" {concur:8.5f} {i_coh:8.5f} {min_pt:9.5f}  {eb}"
     )
 
 t0 = CRITICAL_T

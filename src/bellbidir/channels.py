@@ -19,7 +19,7 @@ import numpy as np
 from .errors import OutOfRange
 from .linalg import projector
 from .protocols import A_TO_B, B_TO_A, DIRECTIONS, SchemeParams
-from .sim import bell_state, bloch_state
+from .sim import bell_state
 
 SCHEMES = ("independent", "common", "mixed")
 
@@ -90,8 +90,9 @@ def fidelity_closed(channel: QubitChannel) -> float:
 def fidelity_quadrature(channel_apply: Callable[[np.ndarray], np.ndarray], nodes: int = 32) -> float:
     """Average output-vs-input overlap over the Bloch sphere by quadrature.
 
-    ``channel_apply`` maps a 2x2 input density matrix to the 2x2 output one,
-    as ``QubitChannel.apply`` does.  The polar integral uses Gauss-Legendre
+    ``channel_apply`` maps a ``(..., 2, 2)`` stack of input density matrices
+    to the output ones, as ``QubitChannel.apply`` does; it is called once on
+    all nodes**2 node states.  The polar integral uses Gauss-Legendre
     nodes in cos(theta); the azimuthal one a uniform trapezoid rule, exact
     for periodic integrands.  For depolarizing-family channels the integrand
     is constant and the result matches :func:`fidelity_closed` to machine
@@ -100,14 +101,9 @@ def fidelity_quadrature(channel_apply: Callable[[np.ndarray], np.ndarray], nodes
     if nodes < 4:
         raise OutOfRange(f"need at least 4 quadrature nodes, got {nodes}")
     cos_nodes, weights = np.polynomial.legendre.leggauss(nodes)
-    thetas = np.arccos(cos_nodes)
-    phis = 2.0 * math.pi * np.arange(nodes) / nodes
-    total = 0.0
-    for theta, weight in zip(thetas, weights):
-        ring = 0.0
-        for phi in phis:
-            psi = bloch_state(theta, phi)
-            out = np.asarray(channel_apply(projector(psi)), dtype=complex)
-            ring += float(np.real(psi.conj() @ out @ psi))
-        total += weight * ring / nodes
-    return total / 2.0
+    half_thetas = np.arccos(cos_nodes)[:, None] / 2  # polar nodes down the rows, uniform azimuths along them
+    phases = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
+    psi = np.stack(np.broadcast_arrays(np.cos(half_thetas), phases * np.sin(half_thetas)), axis=-1)
+    out = np.asarray(channel_apply(psi[..., :, None] * psi[..., None, :].conj()), dtype=complex)
+    overlaps = np.einsum("...i,...ij,...j->...", psi.conj(), out, psi).real
+    return float(weights @ overlaps.mean(axis=1)) / 2.0

@@ -26,16 +26,12 @@ from . import __version__
 from .channels import SCHEMES, analytic_channel, choi_of_channel, fidelity_closed, weight_from_choi
 from .errors import OutOfRange, check_unit_interval
 from .infotheory import (
+    InfoReport,
     aux_info_closed,
-    classical_accessible_info,
     classical_capacity_closed,
-    concurrence,
     concurrence_closed,
     info_report_from_choi,
-    quantum_mutual_information,
-    shannon_mutual_information,
     total_info_closed,
-    trigger_joint_distribution,
 )
 from .linalg import max_abs, partial_trace, trace_distance
 from .protocols import (
@@ -74,14 +70,13 @@ def simulated_choi(scheme: str, params: SchemeParams, direction: str) -> np.ndar
     return extract_choi(_scheme_circuit(scheme, params), *channel_endpoints(direction))
 
 
-def _symmetric_point_states(ts: list[float]) -> list[np.ndarray]:
-    """Simulated A-to-B channel states of the mixed scheme at p1 = p2 = p = 1/2, one per t.
+def _symmetric_point_report(ts: list[float]) -> InfoReport:
+    """Every measure of the mixed scheme's simulated A-to-B channel state at p1 = p2 = p = 1/2, one entry per t.
 
-    The mixed scheme is linear in t, so the independent and common states
-    are extracted once and mixed per t.
+    The scheme is linear in t: the independent and common states are extracted once and mixed into one stack.
     """
     parts = [simulated_choi(name, SchemeParams(), A_TO_B) for name in ("independent", "common")]
-    return [choi_mixed(t, *parts) for t in ts]
+    return info_report_from_choi(choi_mixed(ts, *parts), ts)
 
 
 def channel_deviation(scheme: str, points: list[SchemeParams]) -> tuple[float, float]:
@@ -104,18 +99,13 @@ def channel_deviation(scheme: str, points: list[SchemeParams]) -> tuple[float, f
     return worst_choi, worst_marginal
 
 
-def infotheory_deviations(points: int = 101) -> dict[str, float]:
-    """Worst deviation of each measure on a simulated state from its closed form over a t grid."""
-    worst = {"aux": 0.0, "total": 0.0, "capacity": 0.0, "concurrence": 0.0}
+def infotheory_deviations(points: int = 101) -> list[float]:
+    """Worst deviation of i_aux, i_tot, i_class and concurrence on simulated states from their closed forms over t."""
     ts = np.linspace(0.0, 1.0, points).tolist()
-    for t, choi in zip(ts, _symmetric_point_states(ts)):
-        table = trigger_joint_distribution(t)
-        worst["aux"] = max(worst["aux"], abs(aux_info_closed(t) - shannon_mutual_information(table)))
-        worst["total"] = max(worst["total"], abs(total_info_closed(t) - quantum_mutual_information(choi)))
-        accessible, _ = classical_accessible_info(choi)
-        worst["capacity"] = max(worst["capacity"], abs(classical_capacity_closed(t) - accessible))
-        worst["concurrence"] = max(worst["concurrence"], abs(concurrence_closed(t) - concurrence(choi)))
-    return worst
+    report = _symmetric_point_report(ts)
+    closed_forms = (aux_info_closed, total_info_closed, classical_capacity_closed, concurrence_closed)
+    measured = (report.i_aux, report.i_tot, report.i_class, report.concurrence)
+    return [float(np.max(np.abs([closed(t) for t in ts] - values))) for closed, values in zip(closed_forms, measured)]
 
 
 @dataclass(frozen=True)
@@ -138,16 +128,16 @@ def run_verification(grid: int = 9, points: int = 101) -> list[CheckResult]:
     ind_choi, ind_marginal = channel_deviation("independent", ind_points)
     com_points = [SchemeParams(theta=theta) for theta in np.linspace(0.0, math.pi, max(17, grid))]
     com_choi, com_marginal = channel_deviation("common", com_points)
-    info = infotheory_deviations(points)
+    aux, total, capacity, concurrence = infotheory_deviations(points)
     return [
         CheckResult(f"independent choi vs closed form ({grid}x{grid}, both dirs)", ind_choi, CHOI_TOL),
         CheckResult("independent reference marginal vs I/2", ind_marginal, MARGINAL_TOL),
         CheckResult(f"common choi vs closed form ({max(17, grid)} angles, both dirs)", com_choi, CHOI_TOL),
         CheckResult("common reference marginal vs I/2", com_marginal, MARGINAL_TOL),
-        CheckResult(f"trigger info closed form vs table ({points} t)", info["aux"], AUX_TOL),
-        CheckResult(f"total info closed form vs channel state ({points} t)", info["total"], TOTAL_TOL),
-        CheckResult(f"classical capacity closed form vs optimizer ({points} t)", info["capacity"], CAPACITY_TOL),
-        CheckResult(f"concurrence closed form vs spectrum ({points} t)", info["concurrence"], CONCURRENCE_TOL),
+        CheckResult(f"trigger info closed form vs table ({points} t)", aux, AUX_TOL),
+        CheckResult(f"total info closed form vs channel state ({points} t)", total, TOTAL_TOL),
+        CheckResult(f"classical capacity closed form vs optimizer ({points} t)", capacity, CAPACITY_TOL),
+        CheckResult(f"concurrence closed form vs spectrum ({points} t)", concurrence, CONCURRENCE_TOL),
     ]
 
 
@@ -256,7 +246,7 @@ _SWEEPS = {
     ),
     "4": (
         ["t", "i_aux", "i_tot", "i_class", "discord", "concurrence", "i_coh", "min_pt_eig", "entanglement_breaking"],
-        lambda grid: [astuple(info_report_from_choi(choi, t)) for t, choi in zip(grid, _symmetric_point_states(grid))],
+        lambda grid: list(zip(*(column.tolist() for column in astuple(_symmetric_point_report(grid))))),
     ),
 }
 

@@ -75,13 +75,8 @@ def shannon_mutual_information(m: np.ndarray) -> float:
         raise ValueError(f"expected a 2x2 table, got {m.shape}")
     if not (m.min() >= -_DOMAIN_SLACK and abs(m.sum() - 1.0) <= _DOMAIN_SLACK):
         raise ValueError("entries must be nonnegative and sum to 1")
-    row = m.sum(axis=1)
-    col = m.sum(axis=0)
-    info = 0.0
-    for i in range(2):
-        for j in range(2):
-            if m[i, j] > _PROB_FLOOR:
-                info += m[i, j] * math.log2(m[i, j] / (row[i] * col[j]))
+    row, col = m.sum(axis=1), m.sum(axis=0)
+    info = sum(m[i, j] * math.log2(m[i, j] / (row[i] * col[j])) for i, j in np.ndindex(2, 2) if m[i, j] > _PROB_FLOOR)
     if info < -_DOMAIN_SLACK:
         raise DomainError(f"mutual information {info} is negative")
     return max(info, 0.0)  # rounding can leave a few ulps below 0
@@ -93,17 +88,24 @@ def aux_info_closed(t: float) -> float:
     return 2.0 - h4_22(t / 4.0)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr[rho log2 rho] over the eigenvalues of a density matrix."""
+def _scalar_or_stack(values: np.ndarray):
+    """A Python float for a single state, the per-state array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def von_neumann_entropy(rho: np.ndarray):
+    """-Tr[rho log2 rho] over the eigenvalues of a density matrix, or per matrix of a stack."""
     rho = np.asarray(rho, dtype=complex)
     assert_hermitian(rho)
     eigenvalues = np.linalg.eigvalsh(rho)
     if eigenvalues.min() < -_PT_EIG_TOL:
         raise NotPSD(f"eigenvalue {eigenvalues.min():.3e} below clamp threshold")
-    return float(sum(_plog2(max(val, 0.0)) for val in eigenvalues))
+    p = np.maximum(eigenvalues, 0.0)
+    terms = -p * np.log2(p, out=np.zeros_like(p), where=p > _PROB_FLOOR)
+    return _scalar_or_stack(sum(np.moveaxis(terms, -1, 0)))  # summed in eigenvalue order, as a Python sum would
 
 
-def quantum_mutual_information(rho_rq: np.ndarray) -> float:
+def quantum_mutual_information(rho_rq: np.ndarray):
     """S[rho_R] + S[rho_Q] - S[rho_RQ]; the entanglement-assisted capacity here."""
     return (
         von_neumann_entropy(partial_trace(rho_rq, 2, [0]))
@@ -137,22 +139,22 @@ def _weighted_entropies(trace: np.ndarray, bloch: np.ndarray) -> np.ndarray:
     return -(lam * logs).sum(axis=-1)
 
 
-def _objective_over_axes(pauli: np.ndarray, s_output: float, axes: np.ndarray) -> np.ndarray:
-    """Retained-information objective of a projective measurement per axis.
+def _objective_over_axes(pauli: np.ndarray, s_output: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Retained-information objective of a projective measurement per axis, per state of a stack.
 
-    ``pauli[i, j] = Tr[rho (sigma_i x sigma_j)]`` holds the reference Bloch
-    vector r (column 0), the output Bloch vector s (row 0) and the
+    ``pauli[..., i, j] = Tr[rho (sigma_i x sigma_j)]`` holds the reference
+    Bloch vector r (column 0), the output Bloch vector s (row 0) and the
     correlation matrix T.  Outcome +-1 along axis n leaves the output in
     (p I + v . sigma) / 2 with p = (1 +- n . r) / 2 and v = (s +- T^T n) / 2,
     whose eigenvalues are (p +- |v|) / 2.
     """
-    shift = axes @ pauli[1:]
-    conditional = (pauli[0] + np.stack([shift, -shift])) / 2.0  # outcome +1, then -1
+    shift = axes @ pauli[..., 1:, :]
+    conditional = (pauli[..., None, 0, :] + np.stack([shift, -shift])) / 2.0  # outcome +1, then -1
     plus, minus = _weighted_entropies(conditional[..., 0], conditional[..., 1:])
-    return s_output - plus - minus
+    return np.asarray(s_output)[..., None] - plus - minus
 
 
-def classical_accessible_info(rho_rq: np.ndarray) -> tuple[float, float]:
+def classical_accessible_info(rho_rq: np.ndarray):
     """Best projective-measurement information about Q from measuring R.
 
     Maximizes S[rho_Q] - sum_j p_j S[rho_Q | outcome j] over rank-1
@@ -163,28 +165,30 @@ def classical_accessible_info(rho_rq: np.ndarray) -> tuple[float, float]:
     Returns ``(value, flatness)`` where flatness is the max-min spread of
     the objective over the lattice; for the channel states produced here
     the objective is axis-independent, so the flatness doubles as a
-    self-check.
+    self-check.  A ``(..., 4, 4)`` stack gives both per state, and each
+    zoom pass scores the whole stack in one batch.
     """
     choi = _check_two_qubit_state(rho_rq)
-    pauli = np.einsum("aqbr,iba,jrq->ij", choi.reshape(2, 2, 2, 2), _PAULIS, _PAULIS).real
-    s_output = von_neumann_entropy(partial_trace(choi, 2, [1]))
+    pauli = np.einsum("naqbr,iba,jrq->nij", choi.reshape(-1, 2, 2, 2, 2), _PAULIS, _PAULIS).real
+    s_output = np.reshape(von_neumann_entropy(partial_trace(choi, 2, [1])), -1)
     axes = _fibonacci_axes(_SCAN_GRID * _SCAN_GRID)
-    values = _objective_over_axes(pauli, s_output, axes)
-    flatness = float(values.max() - values.min())
-    best_ix = int(np.argmax(values))
-    best = float(values[best_ix])
-    x, y, z = axes[best_ix]
-    theta, phi = math.acos(z), math.atan2(y, x)
+    # the lattice is scored one state at a time: its intermediates take ~0.27 MiB per state
+    values = np.array([_objective_over_axes(*state, axes) for state in zip(pauli, s_output)])
+    best, flatness, states = values.max(axis=1), np.ptp(values, axis=1), np.arange(len(values))
+    x, y, z = axes[np.argmax(values, axis=1)].T
+    theta, phi = np.arccos(z), np.arctan2(y, x)
     offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     half = math.pi / _SCAN_GRID  # polar half-width; the azimuthal window is twice as wide
     for _ in range(_ZOOM_PASSES):
-        thetas, phis = (g.ravel() for g in np.meshgrid(theta + half * offsets, phi + 2.0 * half * offsets))
-        zoom_axes = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=1)
+        # the cells of np.meshgrid(theta window, phi window).ravel(): theta tiled, phi repeated
+        thetas = np.tile(theta[:, None] + half * offsets, _ZOOM_POINTS)
+        phis = np.repeat(phi[:, None] + 2.0 * half * offsets, _ZOOM_POINTS, axis=1)
+        zoom_axes = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=-1)
         candidates = _objective_over_axes(pauli, s_output, zoom_axes)
-        ix = int(np.argmax(candidates))
-        best, theta, phi = max(best, float(candidates[ix])), thetas[ix], phis[ix]
+        ix = np.argmax(candidates, axis=1)
+        best, theta, phi = np.maximum(best, candidates.max(axis=1)), thetas[states, ix], phis[states, ix]
         half *= 2.0 / (_ZOOM_POINTS - 1)  # the next window reaches one grid step either side
-    return best, flatness
+    return _scalar_or_stack(best.reshape(choi.shape[:-2])), _scalar_or_stack(flatness.reshape(choi.shape[:-2]))
 
 
 def classical_capacity_closed(t: float) -> float:
@@ -193,7 +197,7 @@ def classical_capacity_closed(t: float) -> float:
     return 1.0 - h2(3.0 / 4.0 - t / 8.0)
 
 
-def quantum_discord(rho_rq: np.ndarray) -> float:
+def quantum_discord(rho_rq: np.ndarray):
     """Mutual information minus its classically accessible part."""
     accessible, _ = classical_accessible_info(rho_rq)
     return quantum_mutual_information(rho_rq) - accessible
@@ -201,15 +205,15 @@ def quantum_discord(rho_rq: np.ndarray) -> float:
 
 def _check_two_qubit_state(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix or a stack of them, got {rho.shape}")
     assert_hermitian(rho)
     if np.linalg.eigvalsh(rho).min() < -1e-8:
         raise NotPSD("matrix has a clearly negative eigenvalue")
     return rho
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray):
     """Two-qubit entanglement monotone from the spin-flipped spectrum.
 
     Evaluates the Hermitian matrix sqrt(rho) (sy x sy) rho* (sy x sy)
@@ -219,9 +223,9 @@ def concurrence(rho: np.ndarray) -> float:
     rho = _check_two_qubit_state(rho)
     root = matrix_sqrt_psd(rho)
     m = root @ _FLIP @ rho.conj() @ _FLIP @ root
-    m = (m + m.conj().T) / 2.0
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None))
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(m)[..., ::-1], 0.0, None))
+    return _scalar_or_stack(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
 def concurrence_closed(t: float) -> float:
@@ -230,7 +234,7 @@ def concurrence_closed(t: float) -> float:
     return max(0.0, 0.25 - 3.0 * t / 8.0)
 
 
-def min_partial_transpose_eigenvalue(rho: np.ndarray) -> float:
+def min_partial_transpose_eigenvalue(rho: np.ndarray):
     """Smallest eigenvalue of the partial transpose over the second qubit.
 
     For two qubits, nonnegativity of the partial transpose is equivalent to
@@ -238,50 +242,51 @@ def min_partial_transpose_eigenvalue(rho: np.ndarray) -> float:
     channel when ``rho`` is its channel state.
     """
     rho = _check_two_qubit_state(rho)
-    transposed = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    return float(np.linalg.eigvalsh(transposed).min())
+    transposed = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(rho.shape)
+    return _scalar_or_stack(np.linalg.eigvalsh(transposed).min(axis=-1))
 
 
-def coherent_information(rho_rq: np.ndarray) -> float:
+def coherent_information(rho_rq: np.ndarray):
     """S[rho_Q] - S[rho_RQ]; negative whenever the channel has no quantum capacity."""
     return von_neumann_entropy(partial_trace(rho_rq, 2, [1])) - von_neumann_entropy(rho_rq)
 
 
 @dataclass(frozen=True)
 class InfoReport:
-    """All information measures evaluated at one parameter point."""
+    """All information measures at one parameter point, or one array entry per state of a stack."""
 
-    t: float
-    i_aux: float
-    i_tot: float
-    i_class: float
-    discord: float
-    concurrence: float
-    i_coh: float
-    min_pt_eigenvalue: float
-    entanglement_breaking: bool
+    t: float | np.ndarray
+    i_aux: float | np.ndarray
+    i_tot: float | np.ndarray
+    i_class: float | np.ndarray
+    discord: float | np.ndarray
+    concurrence: float | np.ndarray
+    i_coh: float | np.ndarray
+    min_pt_eigenvalue: float | np.ndarray
+    entanglement_breaking: bool | np.ndarray
 
 
-def info_report_from_choi(choi: np.ndarray, t: float, p1: float = 0.5, p2: float = 0.5, p: float = 0.5) -> InfoReport:
-    """Evaluate every measure on a given channel state.
+def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5, p: float = 0.5) -> InfoReport:
+    """Evaluate every measure on a given channel state, or on each state of a ``(..., 4, 4)`` stack.
 
     ``t`` sets the trigger-correlation level used for the auxiliary
     classical information (1 for independent triggers, 0 for a common one),
-    and ``p1``, ``p2``, ``p`` the firing probabilities of
-    :func:`trigger_joint_distribution`.
+    per state of a stack, and ``p1``, ``p2``, ``p`` the firing probabilities
+    of :func:`trigger_joint_distribution`.
     """
-    i_aux = shannon_mutual_information(trigger_joint_distribution(t, p1, p2, p))
+    ts = np.broadcast_to(np.asarray(t, dtype=float), np.shape(choi)[:-2])
+    i_aux = [shannon_mutual_information(trigger_joint_distribution(x, p1, p2, p)) for x in ts.ravel().tolist()]
     i_tot = quantum_mutual_information(choi)
     i_class, _ = classical_accessible_info(choi)
     min_pt = min_partial_transpose_eigenvalue(choi)
     return InfoReport(
-        t=float(t),
-        i_aux=float(i_aux),
-        i_tot=float(i_tot),
-        i_class=float(i_class),
-        discord=float(i_tot - i_class),
-        concurrence=float(concurrence(choi)),
-        i_coh=float(coherent_information(choi)),
-        min_pt_eigenvalue=float(min_pt),
-        entanglement_breaking=bool(min_pt >= -_PT_EIG_TOL),
+        t=_scalar_or_stack(ts.copy()),
+        i_aux=_scalar_or_stack(np.reshape(i_aux, ts.shape)),
+        i_tot=i_tot,
+        i_class=i_class,
+        discord=i_tot - i_class,
+        concurrence=concurrence(choi),
+        i_coh=coherent_information(choi),
+        min_pt_eigenvalue=min_pt,
+        entanglement_breaking=min_pt >= -_PT_EIG_TOL,
     )

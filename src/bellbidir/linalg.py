@@ -25,7 +25,7 @@ def max_abs(a: np.ndarray) -> float:
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     if not np.isfinite(a).all():
         raise NonHermitianInput("matrix has a NaN or infinite entry")
-    defect = max_abs(a - a.conj().T)
+    defect = max_abs(a - a.conj().swapaxes(-1, -2))
     if not defect <= tol:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.0e})")
 
@@ -37,7 +37,7 @@ def projector(psi: np.ndarray) -> np.ndarray:
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root B of a PSD matrix, B @ B == a.
+    """Hermitian PSD square root B of a PSD matrix, B @ B == a, per matrix of a ``(..., n, n)`` stack.
 
     Eigenvalues slightly below zero are clamped; clearly negative ones raise
     :class:`NotPSD`.
@@ -48,19 +48,19 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     if w.min() < EIG_NOISE_FLOOR:
         raise NotPSD(f"eigenvalue {w.min():.3e} below {EIG_NOISE_FLOOR:.0e}")
     w = np.clip(w, 0.0, None)
-    b = (v * np.sqrt(w)) @ v.conj().T
-    return (b + b.conj().T) / 2
+    b = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (b + b.conj().swapaxes(-1, -2)) / 2
 
 
 def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarray:
-    """Trace out every qubit of a 2**n x 2**n matrix except those in ``keep``.
+    """Trace out every qubit of a 2**n x 2**n matrix, or of each in a stack, except those in ``keep``.
 
     The kept qubits appear in the output in the order listed, qubit 0 being
     the most significant bit of both indices.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 2**num_qubits
-    if rho.shape != (dim, dim):
+    if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for {num_qubits} qubits, got {rho.shape}")
     keep = [int(k) for k in keep]
     if len(set(keep)) != len(keep):
@@ -69,10 +69,11 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
         raise BadIndex(f"qubit index out of range in keep={keep}")
     rest = [i for i in range(num_qubits) if i not in keep]
     dk, dr = 2 ** len(keep), 2 ** len(rest)
-    perm = keep + rest
-    blocks = rho.reshape([2] * (2 * num_qubits))
-    blocks = blocks.transpose(perm + [num_qubits + p for p in perm])
-    return np.einsum("aibi->ab", blocks.reshape(dk, dr, dk, dr))
+    lead = rho.shape[:-2]
+    perm = [len(lead) + p for p in keep + rest]
+    blocks = rho.reshape(*lead, *[2] * (2 * num_qubits))
+    blocks = blocks.transpose([*range(len(lead)), *perm, *[num_qubits + p for p in perm]])
+    return np.einsum("...aibi->...ab", blocks.reshape(*lead, dk, dr, dk, dr))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

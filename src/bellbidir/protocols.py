@@ -194,19 +194,21 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
     return choi
 
 
-def choi_mixed(t: float, choi_ind: np.ndarray, choi_com: np.ndarray) -> np.ndarray:
-    """Convex mixture t * independent + (1 - t) * common of two channel states."""
-    check_unit_interval("mixing weight t", t)
+def choi_mixed(t, choi_ind: np.ndarray, choi_com: np.ndarray) -> np.ndarray:
+    """Convex mixture t * independent + (1 - t) * common of two channel states; a sequence of t gives a stack."""
+    for value in np.ravel(t).tolist():
+        check_unit_interval("mixing weight t", value)
+    t = np.asarray(t, dtype=float)[..., None, None]
     return t * np.asarray(choi_ind) + (1.0 - t) * np.asarray(choi_com)
 
 
 def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
-    """Reconstruct the channel action on a qubit state from its channel state."""
+    """Reconstruct the channel action on a qubit state, or on a ``(..., 2, 2)`` stack, from its channel state."""
     rho_in = np.asarray(rho_in, dtype=complex)
-    if rho_in.shape != (2, 2):
+    if rho_in.shape[-2:] != (2, 2):
         raise ValueError(f"input must be a 2x2 density matrix, got {rho_in.shape}")
     blocks = np.asarray(choi, dtype=complex).reshape(2, 2, 2, 2)
-    return 2.0 * np.einsum("ca,cqas->qs", rho_in, blocks)
+    return 2.0 * np.einsum("...ca,cqas->...qs", rho_in, blocks)
 
 
 def sample_trajectories(

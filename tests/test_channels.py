@@ -114,8 +114,19 @@ def test_quadrature_converges_for_dephasing_map():
     # measure-and-dephase in the computational basis: the overlap integrand is
     # cos^4(theta/2) + sin^4(theta/2), whose Bloch-sphere average is
     # int_{-1}^{1} (1 + u^2)/2 du / 2 = 2/3
-    dephase = lambda rho: np.diag(np.diag(rho))
+    dephase = lambda rho: rho * np.eye(2)
     assert abs(fidelity_quadrature(dephase, nodes=64) - 2 / 3) <= 1e-6
+
+
+def test_quadrature_maps_all_node_states_in_one_call():
+    calls = []
+
+    def identity(rho):
+        calls.append(rho.shape)
+        return rho
+
+    assert abs(fidelity_quadrature(identity, nodes=16) - 1.0) <= 1e-12
+    assert calls == [(16, 16, 2, 2)]
 
 
 def test_quadrature_rejects_tiny_node_count():

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellbidir import cli
+from bellbidir import cli, infotheory
 from bellbidir.cli import main, run_verification
 from bellbidir.errors import OutOfRange
 from bellbidir.infotheory import total_info_closed
@@ -224,8 +225,8 @@ def test_run_verification_results(monkeypatch):
     results = run_verification(grid=3, points=11)
     assert all(result.passed for result in results)
     assert any("independent" in result.name for result in results)
-    optimizer = cli.classical_accessible_info
-    monkeypatch.setattr(cli, "classical_accessible_info", lambda rho: (optimizer(rho)[0] + 1e-9, 0.0))
+    optimizer = infotheory.classical_accessible_info
+    monkeypatch.setattr(infotheory, "classical_accessible_info", lambda rho: (optimizer(rho)[0] + 1e-9, 0.0))
     failed = [result.name for result in run_verification(grid=3, points=11) if not result.passed]
     assert len(failed) == 1 and failed[0].startswith("classical capacity")
     for grid, points in ((1, 11), (3, 0)):
@@ -242,6 +243,19 @@ def test_information_checks_read_simulated_states(monkeypatch, capsys):
     assert main(["sweep", "--figure", "4", "--points", "3"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")  # t = 0
     assert abs(float(row[2]) - total_info_closed(0.0)) > cli.TOTAL_TOL
+
+
+def test_fig4_sweep_memory_budget(capsys):
+    # the accessible-information lattice is scored one state at a time; scoring
+    # it for the whole 101-state stack at once traces about 27 MiB
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--figure", "4"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out.splitlines()) == 102
+    assert peak <= 4 * 2**20
 
 
 def test_module_invocation_smoke():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bellbidir.infotheory import (
     von_neumann_entropy,
 )
 from bellbidir.linalg import matrix_sqrt_psd, partial_trace, projector
+from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent, choi_mixed, extract_choi
 from bellbidir.sim import bell_state, bloch_state
 
 RHO0 = np.eye(2, dtype=complex) / 2
@@ -42,6 +44,18 @@ def symmetric_mixed_choi(t):
 
 def info_report(t):
     return info_report_from_choi(symmetric_mixed_choi(t), t)
+
+
+def random_state(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def fig4_states():
+    """The 101 simulated channel states of fig 4: the symmetric point's two schemes mixed per t."""
+    parts = [extract_choi(build(SchemeParams()), "Q_A", "C_B") for build in (build_scheme_independent, build_scheme_common)]
+    return choi_mixed(np.linspace(0.0, 1.0, 101).tolist(), *parts)
 
 
 def test_entropy_helpers_reference_points():
@@ -176,9 +190,7 @@ def test_classical_accessible_info_on_random_states():
     rng = np.random.default_rng(7)
     sigmas = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
     for _ in range(30):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
+        rho = random_state(rng)
         accessible, _ = classical_accessible_info(rho)
         s_output = von_neumann_entropy(partial_trace(rho, 2, [1]))
         for n in rng.normal(size=(64, 3)):
@@ -193,11 +205,49 @@ def test_classical_accessible_info_on_random_states():
         assert accessible <= quantum_mutual_information(rho) + 1e-12
 
 
+def random_states(count):
+    rng = np.random.default_rng(7)
+    return np.array([random_state(rng) for _ in range(count)])
+
+
+@pytest.mark.parametrize("stack", [fig4_states, lambda: random_states(30)], ids=["fig4", "random"])
+def test_measures_on_a_stack_equal_per_state_calls(stack):
+    stack = stack()
+    for measure in (
+        von_neumann_entropy,
+        quantum_mutual_information,
+        concurrence,
+        min_partial_transpose_eigenvalue,
+        coherent_information,
+    ):
+        singles = [measure(rho) for rho in stack]
+        assert all(type(value) is float for value in singles), measure.__name__
+        assert np.array_equal(measure(stack), singles), measure.__name__
+    values, flatness = classical_accessible_info(stack)
+    singles = [classical_accessible_info(rho) for rho in stack]
+    assert all(type(value) is float and type(spread) is float for value, spread in singles)
+    assert np.array_equal(values, [value for value, _ in singles])
+    assert np.array_equal(flatness, [spread for _, spread in singles])
+    # leading axes keep their shape
+    assert np.array_equal(concurrence(stack[:6].reshape(2, 3, 4, 4)), np.reshape(concurrence(stack[:6]), (2, 3)))
+
+
+def test_info_report_on_a_stack_holds_one_entry_per_state():
+    stack, ts = fig4_states()[::10], np.linspace(0.0, 1.0, 101)[::10].tolist()
+    report = info_report_from_choi(stack, ts)
+    for t, rho, row in zip(ts, stack, zip(*astuple(report))):
+        single = info_report_from_choi(rho, t)
+        assert [type(value) for value in astuple(single)] == [float] * 8 + [bool]
+        assert row == astuple(single)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [(1, 1), (0, 2)], ids=["diagonal", "off-marginal"])
 def test_non_finite_state_is_rejected(value, entry):
     rho = symmetric_mixed_choi(0.5).copy()
     rho[entry] = value
+    stack = np.array([symmetric_mixed_choi(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)])
+    stack[2] = rho
     measures = (
         von_neumann_entropy,
         quantum_mutual_information,
@@ -210,8 +260,17 @@ def test_non_finite_state_is_rejected(value, entry):
         lambda state: info_report_from_choi(state, 0.5),
     )
     for measure in measures:
-        with pytest.raises(NonHermitianInput):
-            measure(rho)
+        for state in (rho, stack):
+            with pytest.raises(NonHermitianInput):
+                measure(state)
+
+
+def test_not_psd_state_in_a_stack_is_rejected():
+    stack = np.array([symmetric_mixed_choi(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)])
+    stack[3] = np.diag([1.1, 0.0, 0.0, -0.1])
+    for measure in (classical_accessible_info, concurrence, min_partial_transpose_eigenvalue):
+        with pytest.raises(NotPSD):
+            measure(stack)
 
 
 def test_concurrence_reference_states():

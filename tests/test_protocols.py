@@ -161,6 +161,12 @@ def test_choi_mixed_endpoints_and_range():
     assert max_abs(choi_mixed(0.0, a, b) - b) == 0.0
     with pytest.raises(OutOfRange):
         choi_mixed(1.5, a, b)
+    stack = choi_mixed([1.0, 0.25, 0.0], a, b)
+    assert stack.shape == (3, 4, 4)
+    assert all(np.array_equal(mixed, choi_mixed(t, a, b)) for t, mixed in zip([1.0, 0.25, 0.0], stack))
+    for ts in ([0.5, 1.5], [0.5, np.nan]):
+        with pytest.raises(OutOfRange):
+            choi_mixed(ts, a, b)
 
 
 def test_choi_mixed_symmetric_formula():
