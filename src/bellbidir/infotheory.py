@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPSD, check_unit_interval
-from .linalg import assert_hermitian, matrix_sqrt_psd, partial_trace
+from .errors import DomainError, check_unit_interval
+from .linalg import matrix_sqrt_psd, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _FLIP = np.kron(_PAULIS[2], _PAULIS[2])
-_PT_EIG_TOL = 1e-10
+_PT_EIG_TOL = 1e-10  # entanglement breaking: no partial-transpose eigenvalue below -_PT_EIG_TOL
 _SCAN_GRID = 32  # the accessible-information scan covers _SCAN_GRID**2 lattice axes
 _ZOOM_POINTS = 7  # candidate angles per coordinate in each refinement pass
 _ZOOM_PASSES = 12
@@ -95,12 +95,7 @@ def _scalar_or_stack(values: np.ndarray):
 
 def von_neumann_entropy(rho: np.ndarray):
     """-Tr[rho log2 rho] over the eigenvalues of a density matrix, or per matrix of a stack."""
-    rho = np.asarray(rho, dtype=complex)
-    assert_hermitian(rho)
-    eigenvalues = np.linalg.eigvalsh(rho)
-    if eigenvalues.min() < -_PT_EIG_TOL:
-        raise NotPSD(f"eigenvalue {eigenvalues.min():.3e} below clamp threshold")
-    p = np.maximum(eigenvalues, 0.0)
+    p = np.maximum(psd_eigenvalues(np.asarray(rho, dtype=complex)), 0.0)
     terms = -p * np.log2(p, out=np.zeros_like(p), where=p > _PROB_FLOOR)
     return _scalar_or_stack(sum(np.moveaxis(terms, -1, 0)))  # summed in eigenvalue order, as a Python sum would
 
@@ -207,9 +202,7 @@ def _check_two_qubit_state(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix or a stack of them, got {rho.shape}")
-    assert_hermitian(rho)
-    if np.linalg.eigvalsh(rho).min() < -1e-8:
-        raise NotPSD("matrix has a clearly negative eigenvalue")
+    psd_eigenvalues(rho)
     return rho
 
 

@@ -10,10 +10,11 @@ import numpy as np
 
 from .errors import BadIndex, NonHermitianInput, NotPSD
 
-# Hermiticity is asserted at 1e-10; eigenvalues in [-1e-8, 0) are treated as
-# rounding noise and clamped to zero, anything below -1e-8 is a hard error.
+# The validity rule of every density matrix, or of each matrix of a stack: finite, Hermitian within
+# HERMITIAN_TOL, no eigenvalue below EIG_NOISE_FLOOR; eigenvalues in [EIG_NOISE_FLOOR, 0) are rounding
+# noise, clamped to zero.  An error on a stack names the flat index of its first failing matrix.
 HERMITIAN_TOL = 1e-10
-EIG_NOISE_FLOOR = -1e-8
+EIG_NOISE_FLOOR = -1e-10
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -22,12 +23,29 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    if not np.isfinite(a).all():
-        raise NonHermitianInput("matrix has a NaN or infinite entry")
-    defect = max_abs(a - a.conj().swapaxes(-1, -2))
-    if not defect <= tol:
-        raise NonHermitianInput(f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.0e})")
+def _reject_first(bad: np.ndarray, values: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error`` with ``message`` formatted on the first flagged value; in a stack, name its flat index."""
+    if np.count_nonzero(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise error(message.format(np.ravel(values)[i]) + (f" (matrix {i} of the stack)" if np.ndim(bad) else ""))
+
+
+def assert_hermitian(a: np.ndarray) -> None:
+    """Raise :class:`NonHermitianInput` unless ``a``, or each matrix of a stack, is finite and Hermitian."""
+    a = np.asarray(a)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    _reject_first(~finite, finite, NonHermitianInput, "matrix has a NaN or infinite entry")
+    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    message = f"matrix deviates from Hermitian by {{:.3e}} (tol {HERMITIAN_TOL:.0e})"
+    _reject_first(defect > HERMITIAN_TOL, defect, NonHermitianInput, message)
+
+
+def psd_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a density matrix, or per matrix of a stack, that passes the validity rule."""
+    assert_hermitian(a)
+    w = np.linalg.eigvalsh(a)
+    _reject_first(w[..., 0] < EIG_NOISE_FLOOR, w[..., 0], NotPSD, f"eigenvalue {{:.3e}} below {EIG_NOISE_FLOOR:.0e}")
+    return w
 
 
 def projector(psi: np.ndarray) -> np.ndarray:
@@ -37,19 +55,23 @@ def projector(psi: np.ndarray) -> np.ndarray:
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root B of a PSD matrix, B @ B == a, per matrix of a ``(..., n, n)`` stack.
-
-    Eigenvalues slightly below zero are clamped; clearly negative ones raise
-    :class:`NotPSD`.
-    """
+    """Hermitian square root B, B @ B == a, of a matrix or stack that passes the validity rule; clamps noise."""
     a = np.asarray(a, dtype=complex)
-    assert_hermitian(a)
+    psd_eigenvalues(a)
     w, v = np.linalg.eigh(a)
-    if w.min() < EIG_NOISE_FLOOR:
-        raise NotPSD(f"eigenvalue {w.min():.3e} below {EIG_NOISE_FLOOR:.0e}")
     w = np.clip(w, 0.0, None)
     b = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (b + b.conj().swapaxes(-1, -2)) / 2
+
+
+def split_keep(num_qubits: int, keep: list[int]) -> tuple[list[int], list[int]]:
+    """``keep`` as distinct qubit indices in range, and the other qubits in order; :class:`BadIndex` otherwise."""
+    keep = [int(k) for k in keep]
+    if len(set(keep)) != len(keep):
+        raise BadIndex(f"repeated qubit index in keep={keep}")
+    if any(not 0 <= k < num_qubits for k in keep):
+        raise BadIndex(f"qubit index out of range in keep={keep}")
+    return keep, [i for i in range(num_qubits) if i not in keep]
 
 
 def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarray:
@@ -62,12 +84,7 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
     dim = 2**num_qubits
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for {num_qubits} qubits, got {rho.shape}")
-    keep = [int(k) for k in keep]
-    if len(set(keep)) != len(keep):
-        raise BadIndex(f"repeated qubit index in keep={keep}")
-    if any(not 0 <= k < num_qubits for k in keep):
-        raise BadIndex(f"qubit index out of range in keep={keep}")
-    rest = [i for i in range(num_qubits) if i not in keep]
+    keep, rest = split_keep(num_qubits, keep)
     dk, dr = 2 ** len(keep), 2 ** len(rest)
     lead = rho.shape[:-2]
     perm = [len(lead) + p for p in keep + rest]

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadChannelState, BadIndex, BadLabel, OutOfRange, check_unit_interval
-from .linalg import max_abs, partial_trace
+from .errors import BadChannelState, BadIndex, BadLabel, NonHermitianInput, NotPSD, OutOfRange, check_unit_interval
+from .linalg import max_abs, partial_trace, psd_eigenvalues
 from .sim import (
     CCNOT,
     CNOT,
@@ -115,37 +115,26 @@ def build_indirect_bell_block(q: int, c: int, trig: int, m1: int, m2: int) -> li
     ]
 
 
-def _correction_gates(circuit_labels: tuple[str, ...]) -> list[Gate]:
-    index = {label: i for i, label in enumerate(circuit_labels)}
-    gates = []
-    for source, kind, target in _CORRECTIONS:
-        gates.append(Gate(kind, (index[source], index[target])))
-    return gates
+def _wire_scheme(labels: tuple[str, ...], alice: str, bob: str, prep: dict, flip: tuple = ()) -> Circuit:
+    """Bell pair, Alice's block under trigger ``alice``, X on each ``flip`` qubit, Bob's block, corrections."""
+    ix = {label: i for i, label in enumerate(labels)}
+    gates = [H(ix["C_A"]), CNOT(ix["C_A"], ix["C_B"])]
+    gates += build_indirect_bell_block(ix["Q_A"], ix["C_A"], ix[alice], ix["M_A1"], ix["M_A2"])
+    gates += [X(ix[label]) for label in flip]
+    gates += build_indirect_bell_block(ix["Q_B"], ix["C_B"], ix[bob], ix["M_B1"], ix["M_B2"])
+    gates += [Gate(kind, (ix[source], ix[target])) for source, kind, target in _CORRECTIONS]
+    return Circuit(len(labels), labels, tuple(gates), prep)
 
 
 def build_scheme_independent(params: SchemeParams) -> Circuit:
     """Both parties act under their own trigger angles theta1 and theta2."""
-    labels = INDEPENDENT_LABELS
-    ix = {label: i for i, label in enumerate(labels)}
-    gates = [H(ix["C_A"]), CNOT(ix["C_A"], ix["C_B"])]
-    gates += build_indirect_bell_block(ix["Q_A"], ix["C_A"], ix["T_A"], ix["M_A1"], ix["M_A2"])
-    gates += build_indirect_bell_block(ix["Q_B"], ix["C_B"], ix["T_B"], ix["M_B1"], ix["M_B2"])
-    gates += _correction_gates(labels)
     prep = {"T_A": bloch_state(params.theta1), "T_B": bloch_state(params.theta2)}
-    return Circuit(len(labels), labels, tuple(gates), prep)
+    return _wire_scheme(INDEPENDENT_LABELS, "T_A", "T_B", prep)
 
 
 def build_scheme_common(params: SchemeParams) -> Circuit:
     """One shared trigger, inverted between the parties, so one side fires."""
-    labels = COMMON_LABELS
-    ix = {label: i for i, label in enumerate(labels)}
-    gates = [H(ix["C_A"]), CNOT(ix["C_A"], ix["C_B"])]
-    gates += build_indirect_bell_block(ix["Q_A"], ix["C_A"], ix["T"], ix["M_A1"], ix["M_A2"])
-    gates.append(X(ix["T"]))
-    gates += build_indirect_bell_block(ix["Q_B"], ix["C_B"], ix["T"], ix["M_B1"], ix["M_B2"])
-    gates += _correction_gates(labels)
-    prep = {"T": bloch_state(params.theta)}
-    return Circuit(len(labels), labels, tuple(gates), prep)
+    return _wire_scheme(COMMON_LABELS, "T", "T", {"T": bloch_state(params.theta)}, flip=("T",))
 
 
 def channel_endpoints(direction: str) -> tuple[str, str]:
@@ -158,12 +147,12 @@ def channel_endpoints(direction: str) -> tuple[str, str]:
 
 
 def _validate_choi(choi: np.ndarray) -> None:
-    if max_abs(choi - choi.conj().T) > 1e-10:
-        raise BadChannelState("extracted state is not Hermitian")
+    try:
+        psd_eigenvalues(choi)
+    except (NonHermitianInput, NotPSD) as err:
+        raise BadChannelState(f"extracted state is not a density matrix: {err}") from err
     if abs(np.trace(choi).real - 1.0) > 1e-10:
         raise BadChannelState("extracted state does not have unit trace")
-    if np.linalg.eigvalsh(choi).min() < -1e-10:
-        raise BadChannelState("extracted state is not positive semidefinite")
     reduced_ref = partial_trace(choi, 2, [0])
     if max_abs(reduced_ref - np.eye(2) / 2) > 1e-10:
         raise BadChannelState("reference marginal is not maximally mixed: channel not trace preserving")

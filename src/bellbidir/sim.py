@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadIndex, BadLabel, ZeroNorm
+from .linalg import split_keep
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
 
@@ -212,12 +213,7 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
 def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
     """Density matrix of the kept qubits of a pure state, in the order listed."""
     n = num_qubits_of(state)
-    keep = [int(k) for k in keep]
-    if len(set(keep)) != len(keep):
-        raise BadIndex(f"repeated qubit index in keep={keep}")
-    if any(not 0 <= k < n for k in keep):
-        raise BadIndex(f"qubit index out of range in keep={keep}")
-    rest = [i for i in range(n) if i not in keep]
+    keep, rest = split_keep(n, keep)
     psi = np.asarray(state, dtype=complex).reshape([2] * n)
     psi = psi.transpose(keep + rest).reshape(2 ** len(keep), -1)
     return psi @ psi.conj().T

@@ -1,0 +1,55 @@
+"""Every ``bellbidir`` name the benchmark workloads call still exists.
+
+``benchmarks/workloads.py`` reaches the package as ``bb.<module>.<name>``,
+``self.bb.<module>.<name>`` or through a local alias such as
+``info = self.bb.infotheory``.  The file is parsed, never imported.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+
+
+def _path(node, aliases):
+    """The attribute path below the package that an expression names, or None."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        if isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr == "bb":
+            return ()
+        base = _path(node.value, aliases)
+        return None if base is None else base + (node.attr,)
+    return None
+
+
+def _items(node):
+    return node.elts if isinstance(node, ast.Tuple) else [node]
+
+
+def used_names():
+    """(module, name) of every package attribute the workloads file reaches."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    aliases = {"bb": ()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            for name, expr in zip(_items(node.targets[0]), _items(node.value)):
+                path = _path(expr, aliases)
+                if isinstance(name, ast.Name) and path is not None and len(path) <= 1:
+                    aliases[name.id] = path
+    paths = [_path(node, aliases) for node in ast.walk(tree)]
+    return {path[:2] for path in paths if path is not None and len(path) >= 2}
+
+
+def test_benchmark_names_are_found():
+    names = used_names()
+    for expected in (("protocols", "build_scheme_independent"), ("cli", "CHOI_TOL"), ("sim", "run_circuit")):
+        assert expected in names
+    assert len(names) >= 25
+
+
+def test_benchmark_names_exist():
+    names = sorted(used_names())
+    modules = {module: importlib.import_module(f"bellbidir.{module}") for module, _ in names}
+    missing = [f"{module}.{name}" for module, name in names if not hasattr(modules[module], name)]
+    assert not missing, f"benchmarks/workloads.py calls names the package no longer has: {missing}"

@@ -241,36 +241,55 @@ def test_info_report_on_a_stack_holds_one_entry_per_state():
         assert row == astuple(single)
 
 
+MEASURES = (
+    von_neumann_entropy,
+    quantum_mutual_information,
+    classical_accessible_info,
+    min_partial_transpose_eigenvalue,
+    matrix_sqrt_psd,
+    concurrence,
+    coherent_information,
+    quantum_discord,
+    lambda state: info_report_from_choi(state, 0.5),
+)
+
+
+def five_symmetric_states():
+    return np.array([symmetric_mixed_choi(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)])
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [(1, 1), (0, 2)], ids=["diagonal", "off-marginal"])
 def test_non_finite_state_is_rejected(value, entry):
     rho = symmetric_mixed_choi(0.5).copy()
     rho[entry] = value
-    stack = np.array([symmetric_mixed_choi(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)])
+    stack = five_symmetric_states()
     stack[2] = rho
-    measures = (
-        von_neumann_entropy,
-        quantum_mutual_information,
-        classical_accessible_info,
-        min_partial_transpose_eigenvalue,
-        matrix_sqrt_psd,
-        concurrence,
-        coherent_information,
-        quantum_discord,
-        lambda state: info_report_from_choi(state, 0.5),
-    )
-    for measure in measures:
-        for state in (rho, stack):
-            with pytest.raises(NonHermitianInput):
-                measure(state)
+    not_hermitian = five_symmetric_states()
+    not_hermitian[2, 0, 2] += 1e-6
+    for measure in MEASURES:
+        with pytest.raises(NonHermitianInput) as single:
+            measure(rho)
+        assert "of the stack" not in str(single.value)
+        for bad in (stack, not_hermitian):
+            with pytest.raises(NonHermitianInput, match="matrix 2"):
+                measure(bad)
 
 
 def test_not_psd_state_in_a_stack_is_rejected():
-    stack = np.array([symmetric_mixed_choi(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)])
+    stack = five_symmetric_states()
     stack[3] = np.diag([1.1, 0.0, 0.0, -0.1])
     for measure in (classical_accessible_info, concurrence, min_partial_transpose_eigenvalue):
-        with pytest.raises(NotPSD):
+        with pytest.raises(NotPSD, match="matrix 3"):
             measure(stack)
+
+
+def test_one_eigenvalue_floor_for_every_measure():
+    # -5e-9 lies between the floor of -1e-10 and the -1e-8 some measures once used; -5e-11 is rounding noise
+    for measure in MEASURES:
+        with pytest.raises(NotPSD):
+            measure(np.diag([0.5 + 5e-9, 0.25, 0.25, -5e-9]))
+        measure(np.diag([0.5 + 5e-11, 0.25, 0.25, -5e-11]))
 
 
 def test_concurrence_reference_states():
