@@ -54,8 +54,8 @@ CAPACITY_TOL = 1e-12
 CONCURRENCE_TOL = 1e-9
 
 
-def _scheme_circuit(scheme: str, params: SchemeParams) -> Circuit:
-    """Circuit of the independent- or common-trigger scheme."""
+def _scheme_circuit(scheme: str, params: SchemeParams | list[SchemeParams]) -> Circuit:
+    """Circuit of the independent- or common-trigger scheme; a list of points gives one stacked circuit."""
     builders = {"independent": build_scheme_independent, "common": build_scheme_common}
     if scheme not in builders:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -79,21 +79,23 @@ def _symmetric_point_report(ts: list[float]) -> InfoReport:
     return info_report_from_choi(choi_mixed(ts, *parts), ts)
 
 
-def channel_deviation(scheme: str, points: list[SchemeParams]) -> tuple[float, float]:
-    """Worst simulated-vs-closed-form deviation of a scheme over parameter points.
+def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> tuple[float, float]:
+    """Worst simulated-vs-closed-form deviation of a scheme over rows of parameter points.
 
-    Returns the maximum trace distance between channel states and the
-    maximum deviation of the reference marginal from maximally mixed, over
-    the points and both directions.  Each circuit is built once per point.
+    Returns the maximum trace distance between channel states and the maximum
+    deviation of the reference marginal from I/2, over the points and both
+    directions.  Each row is one stacked circuit run: memory grows with its length.
     """
+    if not rows:
+        raise OutOfRange("channel_deviation needs at least one row of parameter points")
     worst_choi = 0.0
     worst_marginal = 0.0
-    for params in points:
-        circuit = _scheme_circuit(scheme, params)
+    for row in rows:
+        circuit = _scheme_circuit(scheme, row)
         for direction in DIRECTIONS:
             simulated = extract_choi(circuit, *channel_endpoints(direction))
-            reference = choi_of_channel(analytic_channel(scheme, params, direction))
-            worst_choi = max(worst_choi, trace_distance(simulated, reference))
+            reference = [choi_of_channel(analytic_channel(scheme, params, direction)) for params in row]
+            worst_choi = max(worst_choi, float(np.max(trace_distance(simulated, reference))))
             marginal = partial_trace(simulated, 2, [0]) - np.eye(2) / 2
             worst_marginal = max(worst_marginal, max_abs(marginal))
     return worst_choi, worst_marginal
@@ -124,10 +126,10 @@ def run_verification(grid: int = 9, points: int = 101) -> list[CheckResult]:
     if grid < 2 or points < 2:
         raise OutOfRange(f"grid and points must be at least 2, got grid={grid}, points={points}")
     thetas = np.linspace(0.0, math.pi, grid)
-    ind_points = [SchemeParams(theta1=theta1, theta2=theta2) for theta1 in thetas for theta2 in thetas]
-    ind_choi, ind_marginal = channel_deviation("independent", ind_points)
-    com_points = [SchemeParams(theta=theta) for theta in np.linspace(0.0, math.pi, max(17, grid))]
-    com_choi, com_marginal = channel_deviation("common", com_points)
+    ind_rows = [[SchemeParams(theta1=theta1, theta2=theta2) for theta2 in thetas] for theta1 in thetas]
+    ind_choi, ind_marginal = channel_deviation("independent", ind_rows)
+    com_row = [SchemeParams(theta=theta) for theta in np.linspace(0.0, math.pi, max(17, grid))]
+    com_choi, com_marginal = channel_deviation("common", [com_row])
     aux, total, capacity, concurrence = infotheory_deviations(points)
     return [
         CheckResult(f"independent choi vs closed form ({grid}x{grid}, both dirs)", ind_choi, CHOI_TOL),

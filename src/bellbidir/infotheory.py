@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_unit_interval
-from .linalg import matrix_sqrt_psd, partial_trace, psd_eigenvalues
+from .linalg import _scalar_or_stack, matrix_sqrt_psd, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
@@ -88,11 +88,6 @@ def aux_info_closed(t: float) -> float:
     return 2.0 - h4_22(t / 4.0)
 
 
-def _scalar_or_stack(values: np.ndarray):
-    """A Python float for a single state, the per-state array for a stack."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
 def von_neumann_entropy(rho: np.ndarray):
     """-Tr[rho log2 rho] over the eigenvalues of a density matrix, or per matrix of a stack."""
     p = np.maximum(psd_eigenvalues(np.asarray(rho, dtype=complex)), 0.0)
@@ -163,7 +158,8 @@ def classical_accessible_info(rho_rq: np.ndarray):
     self-check.  A ``(..., 4, 4)`` stack gives both per state, and each
     zoom pass scores the whole stack in one batch.
     """
-    choi = _check_two_qubit_state(rho_rq)
+    choi = _two_qubit(rho_rq)
+    psd_eigenvalues(choi)
     pauli = np.einsum("naqbr,iba,jrq->nij", choi.reshape(-1, 2, 2, 2, 2), _PAULIS, _PAULIS).real
     s_output = np.reshape(von_neumann_entropy(partial_trace(choi, 2, [1])), -1)
     axes = _fibonacci_axes(_SCAN_GRID * _SCAN_GRID)
@@ -198,11 +194,10 @@ def quantum_discord(rho_rq: np.ndarray):
     return quantum_mutual_information(rho_rq) - accessible
 
 
-def _check_two_qubit_state(rho: np.ndarray) -> np.ndarray:
+def _two_qubit(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix or a stack of them, got {rho.shape}")
-    psd_eigenvalues(rho)
     return rho
 
 
@@ -213,8 +208,8 @@ def concurrence(rho: np.ndarray):
     sqrt(rho), takes the square roots of its eigenvalues in descending
     order, and returns max(0, l1 - l2 - l3 - l4).
     """
-    rho = _check_two_qubit_state(rho)
-    root = matrix_sqrt_psd(rho)
+    rho = _two_qubit(rho)
+    root = matrix_sqrt_psd(rho)  # checks the validity rule
     m = root @ _FLIP @ rho.conj() @ _FLIP @ root
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0
     lam = np.sqrt(np.clip(np.linalg.eigvalsh(m)[..., ::-1], 0.0, None))
@@ -234,7 +229,8 @@ def min_partial_transpose_eigenvalue(rho: np.ndarray):
     separability, so a nonnegative result certifies an entanglement-breaking
     channel when ``rho`` is its channel state.
     """
-    rho = _check_two_qubit_state(rho)
+    rho = _two_qubit(rho)
+    psd_eigenvalues(rho)
     transposed = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(rho.shape)
     return _scalar_or_stack(np.linalg.eigvalsh(transposed).min(axis=-1))
 

@@ -23,11 +23,16 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _reject_first(bad: np.ndarray, values: np.ndarray, error: type, message: str) -> None:
+def _reject_first(bad: np.ndarray, values: np.ndarray, error: type, message: str, item: str = "matrix") -> None:
     """Raise ``error`` with ``message`` formatted on the first flagged value; in a stack, name its flat index."""
     if np.count_nonzero(bad):
         i = int(np.flatnonzero(bad)[0])
-        raise error(message.format(np.ravel(values)[i]) + (f" (matrix {i} of the stack)" if np.ndim(bad) else ""))
+        raise error(message.format(np.ravel(values)[i]) + (f" ({item} {i} of the stack)" if np.ndim(bad) else ""))
+
+
+def _scalar_or_stack(values: np.ndarray):
+    """A Python float for a single state, the per-state array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def assert_hermitian(a: np.ndarray) -> None:
@@ -93,7 +98,7 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
     return np.einsum("...aibi->...ab", blocks.reshape(*lead, dk, dr, dk, dr))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance of two Hermitian matrices: half the L1 norm of the spectrum of a - b."""
+def trace_distance(a: np.ndarray, b: np.ndarray):
+    """Trace distance of two Hermitian matrices, half the L1 norm of the spectrum of a - b; per pair of two stacks."""
     w = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
-    return float(0.5 * np.sum(np.abs(w)))
+    return _scalar_or_stack(0.5 * np.sum(np.abs(w), axis=-1))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadChannelState, BadIndex, BadLabel, NonHermitianInput, NotPSD, OutOfRange, check_unit_interval
-from .linalg import max_abs, partial_trace, psd_eigenvalues
+from .linalg import _reject_first, partial_trace, psd_eigenvalues
 from .sim import (
     CCNOT,
     CNOT,
@@ -126,15 +126,23 @@ def _wire_scheme(labels: tuple[str, ...], alice: str, bob: str, prep: dict, flip
     return Circuit(len(labels), labels, tuple(gates), prep)
 
 
-def build_scheme_independent(params: SchemeParams) -> Circuit:
-    """Both parties act under their own trigger angles theta1 and theta2."""
-    prep = {"T_A": bloch_state(params.theta1), "T_B": bloch_state(params.theta2)}
-    return _wire_scheme(INDEPENDENT_LABELS, "T_A", "T_B", prep)
+def _trigger_prep(params: SchemeParams | list[SchemeParams], angles: dict[str, str]) -> dict[str, np.ndarray]:
+    """Trigger label -> Bloch state of the named angle of ``params``; a sequence of SchemeParams stacks the states."""
+    if isinstance(params, SchemeParams):
+        return {label: bloch_state(getattr(params, angle)) for label, angle in angles.items()}
+    if len(params) == 0:
+        raise OutOfRange("a scheme circuit needs at least one parameter point")
+    return {label: np.array([bloch_state(getattr(p, angle)) for p in params]) for label, angle in angles.items()}
 
 
-def build_scheme_common(params: SchemeParams) -> Circuit:
-    """One shared trigger, inverted between the parties, so one side fires."""
-    return _wire_scheme(COMMON_LABELS, "T", "T", {"T": bloch_state(params.theta)}, flip=("T",))
+def build_scheme_independent(params: SchemeParams | list[SchemeParams]) -> Circuit:
+    """Both parties act under their own trigger angles theta1 and theta2; a sequence gives one stacked circuit."""
+    return _wire_scheme(INDEPENDENT_LABELS, "T_A", "T_B", _trigger_prep(params, {"T_A": "theta1", "T_B": "theta2"}))
+
+
+def build_scheme_common(params: SchemeParams | list[SchemeParams]) -> Circuit:
+    """One shared trigger, inverted between the parties, so one side fires; a sequence gives one stacked circuit."""
+    return _wire_scheme(COMMON_LABELS, "T", "T", _trigger_prep(params, {"T": "theta"}), flip=("T",))
 
 
 def channel_endpoints(direction: str) -> tuple[str, str]:
@@ -147,15 +155,15 @@ def channel_endpoints(direction: str) -> tuple[str, str]:
 
 
 def _validate_choi(choi: np.ndarray) -> None:
+    """Raise :class:`BadChannelState` unless ``choi``, or each state of a stack, is a trace-preserving channel state."""
     try:
         psd_eigenvalues(choi)
     except (NonHermitianInput, NotPSD) as err:
         raise BadChannelState(f"extracted state is not a density matrix: {err}") from err
-    if abs(np.trace(choi).real - 1.0) > 1e-10:
-        raise BadChannelState("extracted state does not have unit trace")
-    reduced_ref = partial_trace(choi, 2, [0])
-    if max_abs(reduced_ref - np.eye(2) / 2) > 1e-10:
-        raise BadChannelState("reference marginal is not maximally mixed: channel not trace preserving")
+    trace = np.trace(choi, axis1=-2, axis2=-1).real
+    _reject_first(np.abs(trace - 1.0) > 1e-10, trace, BadChannelState, "extracted state has trace {:.12g}, not 1")
+    defect = np.abs(partial_trace(choi, 2, [0]) - np.eye(2) / 2).max(axis=(-2, -1))
+    _reject_first(defect > 1e-10, defect, BadChannelState, "reference marginal off I/2 by {:.3e}: not trace preserving")
 
 
 def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.ndarray:
@@ -164,7 +172,8 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
     An extra reference qubit R is appended to the register and Bell-paired
     with the input qubit; after running the circuit, everything except
     (R, output) is traced out.  The reference is the first tensor factor of
-    the returned 4x4 density matrix.
+    the returned 4x4 density matrix.  A stacked circuit gives a ``(k, 4, 4)``
+    stack of channel states from one run.
     """
     input_ix = circuit.index(input_label)
     output_ix = circuit.index(output_label)

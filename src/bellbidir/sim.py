@@ -4,6 +4,9 @@ Convention: qubit 0 is the most significant bit of the amplitude index, so
 ``state.reshape([2] * n)`` exposes qubit ``k`` on axis ``k`` and the first
 label of a :class:`Circuit` is the leftmost tensor factor.
 
+A register may carry leading stack axes, ``(..., 2**n)``: a ``prep`` holding
+``(k, 2)`` stacks runs k registers at once; one state is a stack with no axes.
+
 Gates are applied by slicing the amplitude array, never by building the
 full register unitary; the closed gate set {H, X, Z, CZ, CNOT, CCNOT}
 consists entirely of involutions.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadIndex, BadLabel, ZeroNorm
-from .linalg import split_keep
+from .linalg import _reject_first, split_keep
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
 
@@ -73,9 +76,10 @@ def CCNOT(control1: int, control2: int, target: int) -> Gate:
 class Circuit:
     """Ordered gate list over a register of labeled qubits.
 
-    ``prep`` optionally assigns a single-qubit state to a label; unlisted
-    qubits start in |0>.  This covers preparations (trigger angles) that the
-    closed gate set cannot express.
+    ``prep`` optionally assigns a single-qubit state, or a ``(k, 2)`` stack of
+    them, to a label; unlisted qubits start in |0>.  This covers preparations
+    (trigger angles) that the closed gate set cannot express.  The stacks of
+    one ``prep`` broadcast together into a stack of registers.
     """
 
     num_qubits: int
@@ -97,8 +101,11 @@ class Circuit:
             if label not in self.labels:
                 raise BadLabel(f"prepared qubit {label!r} not in register")
             state = np.asarray(state, dtype=complex)
-            if state.shape != (2,) or not abs(np.linalg.norm(state) - 1.0) <= 1e-10:
-                raise ValueError(f"preparation for {label!r} is not a normalized single-qubit state")
+            if state.shape[-1:] != (2,):
+                raise ValueError(f"preparation for {label!r} is not a single-qubit state or a stack of them")
+            norm = np.linalg.norm(state, axis=-1)
+            _reject_first(~(abs(norm - 1) <= 1e-10), norm, ValueError, f"preparation {label!r} has norm {{}}", "state")
+        np.broadcast_shapes(*(np.shape(state)[:-1] for state in self.prep.values()))
 
     def index(self, label: str) -> int:
         try:
@@ -107,9 +114,13 @@ class Circuit:
             raise BadLabel(f"no qubit labeled {label!r}") from None
 
     def initial_state(self) -> np.ndarray:
-        """Product state of all per-qubit preparations (|0> where unlisted)."""
-        factors = (np.asarray(self.prep.get(label, _KET0), dtype=complex) for label in self.labels)
-        return functools.reduce(np.multiply.outer, factors, np.ones((), dtype=complex)).reshape(-1)
+        """Product state of all per-qubit preparations (|0> where unlisted), ``(k, 2**n)`` for a stacked prep."""
+        state = np.ones(1, dtype=complex)
+        for label in self.labels:
+            factor = np.asarray(self.prep.get(label, _KET0), dtype=complex)
+            state = state[..., :, None] * factor[..., None, :]
+            state = state.reshape(*state.shape[:-2], -1)
+        return state
 
 
 def bell_state() -> np.ndarray:
@@ -123,7 +134,7 @@ def bloch_state(theta: float, phi: float = 0.0) -> np.ndarray:
 
 
 def num_qubits_of(state: np.ndarray) -> int:
-    size = len(state)
+    size = np.shape(state)[-1]
     n = size.bit_length() - 1
     if size < 2 or 2**n != size:
         raise ValueError(f"state length {size} is not a power of two >= 2")
@@ -137,49 +148,50 @@ def _ix(n: int, fixed: dict[int, int]) -> tuple:
     return tuple(ix)
 
 
-def _apply_in_place(psi: np.ndarray, gate: Gate) -> None:
-    """Apply one gate to the ``[2] * n`` view of a register, overwriting it."""
-    n = psi.ndim
-    kind = gate.kind
-    if kind == "H":
-        (q,) = gate.qubits
-        a0 = psi[_ix(n, {q: 0})].copy()
-        a1 = psi[_ix(n, {q: 1})]
-        psi[_ix(n, {q: 0})] = (a0 + a1) * _INV_SQRT2
-        psi[_ix(n, {q: 1})] = (a0 - a1) * _INV_SQRT2
-    elif kind in ("Z", "CZ"):
-        psi[_ix(n, dict.fromkeys(gate.qubits, 1))] *= -1.0
-    else:  # X, CNOT, CCNOT: swap the target's 0 and 1 amplitudes where every control is 1
-        *controls, t = gate.qubits
-        lo = _ix(n, {**dict.fromkeys(controls, 1), t: 0})
-        hi = _ix(n, {**dict.fromkeys(controls, 1), t: 1})
+@functools.lru_cache(maxsize=1024)
+def _gate_ix(gate: Gate, n: int) -> tuple:
+    """Index tuples ``(..., *ix)`` of the target's 0 and 1 amplitudes where every control is 1, for n qubits."""
+    *controls, target = gate.qubits
+    return tuple((Ellipsis, *_ix(n, {**dict.fromkeys(controls, 1), target: value})) for value in (0, 1))
+
+
+def _apply_in_place(psi: np.ndarray, gate: Gate, n: int) -> None:
+    """Apply one gate to the ``(..., 2, ..., 2)`` view of a stack of n-qubit registers, overwriting it."""
+    lo, hi = _gate_ix(gate, n)
+    if gate.kind == "H":
+        a0 = psi[lo].copy()
+        a1 = psi[hi]
+        psi[lo] = (a0 + a1) * _INV_SQRT2
+        psi[hi] = (a0 - a1) * _INV_SQRT2
+    elif gate.kind in ("Z", "CZ"):  # the phase sits where every qubit of the gate is 1
+        psi[hi] *= -1.0
+    else:  # X, CNOT, CCNOT: swap
         a0 = psi[lo].copy()
         psi[lo] = psi[hi]
         psi[hi] = a0
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Return the state with one gate applied (the input is left untouched)."""
+    """Return the state, or each state of a stack, with one gate applied (the input is left untouched)."""
     n = num_qubits_of(state)
     for q in gate.qubits:
         if q >= n:
             raise BadIndex(f"qubit {q} out of range for {n}-qubit state")
-    psi = np.array(state, dtype=complex).reshape([2] * n)
-    _apply_in_place(psi, gate)
-    return psi.reshape(-1)
+    psi = np.array(state, dtype=complex)
+    _apply_in_place(psi.reshape(*psi.shape[:-1], *[2] * n), gate, n)
+    return psi
 
 
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply all gates of the circuit in order to a full-register state."""
-    state = np.asarray(state, dtype=complex)
-    if len(state) != 2**circuit.num_qubits:
-        raise ValueError(f"state length {len(state)} does not match {circuit.num_qubits} qubits")
-    psi = state.reshape([2] * circuit.num_qubits).copy()  # Circuit has bounds-checked every gate
+    """Apply all gates of the circuit in order to a full-register state, or to each state of a stack."""
+    state = np.array(state, dtype=complex)  # a copy: the gates run in place
+    if state.shape[-1:] != (2**circuit.num_qubits,):
+        raise ValueError(f"state shape {state.shape} does not match {circuit.num_qubits} qubits")
+    psi = state.reshape(*state.shape[:-1], *[2] * circuit.num_qubits)  # Circuit has bounds-checked every gate
     for gate in circuit.gates:
-        _apply_in_place(psi, gate)
-    state = psi.reshape(-1)
-    if not abs(np.linalg.norm(state) - 1.0) < 1e-10:
-        raise ValueError(f"statevector norm {np.linalg.norm(state)} differs from 1")
+        _apply_in_place(psi, gate, circuit.num_qubits)
+    norm = np.linalg.norm(state, axis=-1)
+    _reject_first(~(np.abs(norm - 1.0) < 1e-10), norm, ValueError, "statevector norm {} differs from 1", "state")
     return state
 
 
@@ -211,9 +223,10 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
 
 
 def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
-    """Density matrix of the kept qubits of a pure state, in the order listed."""
+    """Density matrix of the kept qubits of a pure state, or of each state of a stack, in the order listed."""
     n = num_qubits_of(state)
     keep, rest = split_keep(n, keep)
-    psi = np.asarray(state, dtype=complex).reshape([2] * n)
-    psi = psi.transpose(keep + rest).reshape(2 ** len(keep), -1)
-    return psi @ psi.conj().T
+    state = np.asarray(state, dtype=complex)
+    psi = state.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in keep + rest])
+    psi = psi.reshape(*state.shape[:-1], 2 ** len(keep), -1)
+    return psi @ psi.conj().swapaxes(-1, -2)

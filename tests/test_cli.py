@@ -258,6 +258,24 @@ def test_fig4_sweep_memory_budget(capsys):
     assert peak <= 4 * 2**20
 
 
+def test_verify_memory_budget(capsys):
+    # verify runs one grid row per stacked circuit; stacking the whole 81-point grid would not fit
+    tracemalloc.start()
+    try:
+        assert main(["verify"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("VERIFY: PASS\n")
+    assert peak <= 4 * 2**20
+
+
+def test_channel_deviation_rejects_empty_points():
+    for rows in ([], [[]]):
+        with pytest.raises(OutOfRange):
+            cli.channel_deviation("common", rows)
+
+
 def test_module_invocation_smoke():
     proc = run_module("-m", "bellbidir.cli", "sweep", "--figure", "3b", "--points", "3")
     assert proc.returncode == 0

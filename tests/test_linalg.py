@@ -116,3 +116,8 @@ def test_partial_trace_bad_indices():
 def test_trace_distance():
     assert trace_distance(I2, I2) == 0.0
     assert abs(trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) - 1.0) <= 1e-12
+    a = np.array([I2, np.diag([1.0, 0.0]), np.diag([0.3, 0.7])])
+    b = np.array([I2, np.diag([0.0, 1.0]), np.diag([0.5, 0.5])])
+    stacked = trace_distance(a, b)
+    assert stacked.shape == (3,)
+    assert stacked.tolist() == [trace_distance(x, y) for x, y in zip(a, b)]

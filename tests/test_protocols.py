@@ -129,6 +129,26 @@ def test_choi_matches_analytic_model_on_grid():
                 assert max_abs(marginal - np.eye(2) / 2) <= 1e-10
 
 
+def test_stacked_extraction_equals_per_point_on_the_verify_grids():
+    # one stacked circuit per row of the default verify grids, against one circuit per point
+    thetas = np.linspace(0.0, math.pi, 9)
+    rows = [(build_scheme_independent, [SchemeParams(theta1=t1, theta2=t2) for t2 in thetas]) for t1 in thetas]
+    rows.append((build_scheme_common, [SchemeParams(theta=th) for th in np.linspace(0.0, math.pi, 17)]))
+    for build, row in rows:
+        stacked = build(row)
+        singles = [build(params) for params in row]
+        for direction in (A_TO_B, B_TO_A):
+            endpoints = channel_endpoints(direction)
+            per_point = np.array([extract_choi(circuit, *endpoints) for circuit in singles])
+            assert np.array_equal(extract_choi(stacked, *endpoints), per_point)
+
+
+def test_builders_reject_an_empty_sequence():
+    for build in (build_scheme_independent, build_scheme_common):
+        with pytest.raises(OutOfRange):
+            build([])
+
+
 def test_direction_exchange_symmetry():
     thetas = np.linspace(0.0, math.pi, 5)
     for theta1 in thetas:
@@ -254,6 +274,12 @@ def test_invalid_channel_state_raises_package_error():
     for bad in (not_hermitian, 2.0 * bell, not_psd, not_trace_preserving):
         with pytest.raises(BadChannelState):
             _validate_choi(bad)
+    good = choi_of_channel(analytic_channel("common", SchemeParams(), A_TO_B))
+    for bad, index in ((not_hermitian, 1), (2.0 * bell, 2), (not_psd, 0), (not_trace_preserving, 3)):
+        stack = np.array([good] * 4)
+        stack[index] = bad
+        with pytest.raises(BadChannelState, match=f"matrix {index} of the stack"):
+            _validate_choi(stack)
 
 
 def test_mixed_sampling_matches_deterministic_channel():

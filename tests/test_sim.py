@@ -164,6 +164,35 @@ def test_run_circuit_norm_preserved_on_random_circuits():
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
 
+def test_run_circuit_on_a_stack_equals_single_runs():
+    rng = np.random.default_rng(5)
+    gates = tuple(random_gate(5, rng) for _ in range(40))
+    circuit = Circuit(5, tuple(f"q{i}" for i in range(5)), gates)
+    stack = np.array([random_state(5, rng) for _ in range(6)])
+    out = run_circuit(circuit, stack)
+    assert out.shape == (6, 32)
+    assert np.array_equal(out, np.array([run_circuit(circuit, psi) for psi in stack]))
+    assert np.array_equal(apply_gate(stack, gates[0]), np.array([apply_gate(psi, gates[0]) for psi in stack]))
+    keep = [3, 0]
+    rdm = reduced_density_matrix(out, keep)
+    assert np.array_equal(rdm, np.array([reduced_density_matrix(psi, keep) for psi in out]))
+    stack[4] *= 1.5
+    with pytest.raises(ValueError, match="state 4 of the stack"):
+        run_circuit(circuit, stack)
+
+
+def test_stacked_prep_gives_a_stack_of_registers():
+    thetas = [0.0, 0.9, 2.2]
+    stacked = Circuit(3, ("a", "t", "b"), (), {"t": np.array([bloch_state(th) for th in thetas]), "b": KET1})
+    singles = [Circuit(3, ("a", "t", "b"), (), {"t": bloch_state(th), "b": KET1}) for th in thetas]
+    assert np.array_equal(stacked.initial_state(), np.array([c.initial_state() for c in singles]))
+    bad = np.array([KET0, KET1, [1.0, 1.0], [math.nan, 0.0]])
+    with pytest.raises(ValueError, match="state 2 of the stack"):
+        Circuit(1, ("a",), (), prep={"a": bad})
+    with pytest.raises(ValueError):
+        Circuit(2, ("a", "b"), (), prep={"a": np.array([KET0, KET1]), "b": np.array([KET0, KET1, KET0])})
+
+
 def test_circuit_validation_and_labels():
     with pytest.raises(ValueError):
         Circuit(2, ("a", "a"), ())
