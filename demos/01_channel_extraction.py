@@ -8,18 +8,16 @@ import math
 
 import numpy as np
 
-from bellbidir import (
+from bellbidir.channels import analytic_channel, choi_of_channel, weight_from_choi
+from bellbidir.linalg import trace_distance
+from bellbidir.protocols import (
     A_TO_B,
     B_TO_A,
     SchemeParams,
-    analytic_channel,
     build_scheme_common,
     build_scheme_independent,
     channel_endpoints,
-    choi_of_channel,
     extract_choi,
-    trace_distance,
-    weight_from_choi,
 )
 
 np.set_printoptions(precision=4, suppress=True)

@@ -8,15 +8,8 @@ t = 2/3.
 """
 import numpy as np
 
-from bellbidir import (
-    A_TO_B,
-    B_TO_A,
-    SchemeParams,
-    analytic_channel,
-    fidelity_closed,
-    fidelity_quadrature,
-)
-from bellbidir.channels import CRITICAL_T
+from bellbidir.channels import CRITICAL_T, analytic_channel, fidelity_closed, fidelity_quadrature
+from bellbidir.protocols import A_TO_B, B_TO_A, SchemeParams
 
 CLASSICAL_BOUND = 2 / 3
 

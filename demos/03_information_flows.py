@@ -15,15 +15,9 @@ from dataclasses import astuple
 
 import numpy as np
 
-from bellbidir import (
-    SchemeParams,
-    build_scheme_common,
-    build_scheme_independent,
-    choi_mixed,
-    extract_choi,
-    info_report_from_choi,
-)
 from bellbidir.channels import CRITICAL_T
+from bellbidir.infotheory import info_report_from_choi
+from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent, choi_mixed, extract_choi
 
 choi_ind = extract_choi(build_scheme_independent(SchemeParams()), "Q_A", "C_B")
 choi_com = extract_choi(build_scheme_common(SchemeParams()), "Q_A", "C_B")

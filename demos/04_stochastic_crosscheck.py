@@ -8,15 +8,15 @@ corrections on the 1 outcomes, and average many trajectories.
 """
 import numpy as np
 
-from bellbidir import (
+from bellbidir.linalg import projector
+from bellbidir.protocols import (
     SchemeParams,
     apply_channel_from_choi,
-    bloch_state,
     build_scheme_independent,
     extract_choi,
-    projector,
     sample_trajectories,
 )
+from bellbidir.sim import bloch_state
 
 TRIALS = 5000
 psi = bloch_state(1.1, 0.6)

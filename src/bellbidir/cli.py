@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channels import SCHEMES, analytic_channel, choi_of_channel, fidelity_closed, weight_from_choi
-from .errors import OutOfRange, check_unit_interval
+from .errors import OutOfRange
 from .infotheory import (
     InfoReport,
     aux_info_closed,
@@ -43,6 +43,7 @@ from .protocols import (
     channel_endpoints,
     choi_mixed,
     extract_choi,
+    firing_angle,
 )
 from .sim import Circuit
 
@@ -174,8 +175,7 @@ def _resolve_params(args, parser: argparse.ArgumentParser) -> SchemeParams:
         if theta is not None and prob is not None:
             parser.error(f"--{angle_name} and --{prob_name} are mutually exclusive")
         if prob is not None:
-            check_unit_interval(f"--{prob_name}", prob)
-            return 2.0 * math.asin(math.sqrt(prob))
+            return firing_angle(f"--{prob_name}", prob)
         if theta is not None:
             return theta
         return math.pi / 2

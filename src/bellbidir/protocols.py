@@ -90,10 +90,13 @@ class SchemeParams:
 
     @classmethod
     def from_probabilities(cls, p1: float = 0.5, p2: float = 0.5, p: float = 0.5, t: float = 0.0) -> "SchemeParams":
-        for name, value in (("p1", p1), ("p2", p2), ("p", p)):
-            check_unit_interval(name, value)
-        angle = lambda prob: 2.0 * math.asin(math.sqrt(prob))
-        return cls(theta1=angle(p1), theta2=angle(p2), theta=angle(p), t=t)
+        return cls(theta1=firing_angle("p1", p1), theta2=firing_angle("p2", p2), theta=firing_angle("p", p), t=t)
+
+
+def firing_angle(name: str, prob: float) -> float:
+    """Trigger angle 2 asin(sqrt(prob)) that fires with probability ``prob``; ``name`` labels a range error."""
+    check_unit_interval(name, prob)
+    return 2.0 * math.asin(math.sqrt(prob))
 
 
 def build_indirect_bell_block(q: int, c: int, trig: int, m1: int, m2: int) -> list[Gate]:
@@ -205,8 +208,10 @@ def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape[-2:] != (2, 2):
         raise ValueError(f"input must be a 2x2 density matrix, got {rho_in.shape}")
-    blocks = np.asarray(choi, dtype=complex).reshape(2, 2, 2, 2)
-    return 2.0 * np.einsum("...ca,cqas->...qs", rho_in, blocks)
+    choi = np.asarray(choi, dtype=complex)
+    if choi.shape != (4, 4):
+        raise ValueError(f"channel state must be one 4x4 matrix, got shape {choi.shape}")
+    return 2.0 * np.einsum("...ca,cqas->...qs", rho_in, choi.reshape(2, 2, 2, 2))
 
 
 def sample_trajectories(
@@ -234,6 +239,8 @@ def sample_trajectories(
     gates = [gate for gate in circuit.gates if gate not in deferred]
     stripped = Circuit(circuit.num_qubits, circuit.labels, gates, {**circuit.prep, input_label: psi_in})
     base = run_circuit(stripped, stripped.initial_state())
+    if base.ndim > 1:  # a stacked circuit or psi_in, rejected before any draw
+        raise ValueError(f"the trajectory sampler takes one register, got a stack of shape {base.shape[:-1]}")
     outputs = np.empty((trials, 2, 2), dtype=complex)
     for k in range(trials):
         psi = base

@@ -13,6 +13,7 @@ from bellbidir import cli, infotheory
 from bellbidir.cli import main, run_verification
 from bellbidir.errors import OutOfRange
 from bellbidir.infotheory import total_info_closed
+from bellbidir.protocols import SchemeParams
 
 
 def run_module(*args):
@@ -86,6 +87,26 @@ def test_simulate_probability_flags(tmp_path):
     assert code == 0
     report = read_json(out)
     assert abs(report["q"] - 1.0) <= 1e-9
+
+
+def test_probability_flags_follow_the_library_rule(tmp_path, capsys):
+    # one p -> theta rule: the flags convert as SchemeParams.from_probabilities does, checked in the order p1, p2, p
+    out = tmp_path / "report.json"
+    flags = ["--t", "0.5", "--p1", "0.3", "--p2", "0.8", "--p", "0.1"]
+    assert main(["simulate", "--scheme", "mixed", *flags, "--out", str(out)]) == 0
+    params = SchemeParams.from_probabilities(p1=0.3, p2=0.8, p=0.1)
+    reported = read_json(out)["params"]
+    assert [reported[name] for name in ("theta1", "theta2", "theta")] == [params.theta1, params.theta2, params.theta]
+    for flags, message in (
+        (["--p1", "-0.1", "--p2", "2"], "--p1=-0.1"),
+        (["--p2", "2", "--p", "3"], "--p2=2.0"),
+        (["--p", "nan"], "--p=nan"),
+    ):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--scheme", "mixed", "--t", "0.5", *flags])
+        assert capsys.readouterr().err.endswith(f"error: {message} outside [0, 1]\n")
+    with pytest.raises(OutOfRange, match=r"^p2=2 outside \[0, 1\]$"):
+        SchemeParams.from_probabilities(p2=2, p=3)
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -234,15 +255,42 @@ def test_run_verification_results(monkeypatch):
             run_verification(grid=grid, points=points)
 
 
+def failed_checks(capsys) -> set[str]:
+    """Names, without their grid suffix, of the checks a small verify run fails; the run must fail."""
+    assert main(["verify", "--grid", "3", "--points", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "VERIFY: FAIL"
+    return {line.split(" max dev")[0].split(" (")[0].rstrip() for line in lines[:-1] if line.endswith("FAIL")}
+
+
 def test_information_checks_read_simulated_states(monkeypatch, capsys):
-    # a 1% depolarized extraction must show in the information checks and in fig 4
+    # a 1% depolarized extraction must show in both channel checks, the information checks and fig 4
     extract = cli.extract_choi
     monkeypatch.setattr(cli, "extract_choi", lambda *args: 0.99 * extract(*args) + 0.01 * np.eye(4) / 4)
-    failed = {result.name.split(" closed form")[0] for result in run_verification(grid=3, points=5) if not result.passed}
-    assert {"total info", "classical capacity", "concurrence"} <= failed
+    assert failed_checks(capsys) == {
+        "independent choi vs closed form",
+        "common choi vs closed form",
+        "total info closed form vs channel state",
+        "classical capacity closed form vs optimizer",
+        "concurrence closed form vs spectrum",
+    }
     assert main(["sweep", "--figure", "4", "--points", "3"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")  # t = 0
     assert abs(float(row[2]) - total_info_closed(0.0)) > cli.TOTAL_TOL
+
+
+def test_marginal_and_trigger_info_checks_can_fail(monkeypatch, capsys):
+    # with the two above, every one of the eight verify lines has a test that makes it fail
+    extract = cli.extract_choi
+    shift = 1e-8 * np.kron(np.diag([1.0, -1.0]), np.eye(2)) / 2  # reference marginal I/2 + 1e-8 Z, trace kept
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "extract_choi", lambda *args: extract(*args) + shift)
+        failed = failed_checks(capsys)
+    assert {"independent reference marginal vs I/2", "common reference marginal vs I/2"} <= failed
+    aux = cli.aux_info_closed
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "aux_info_closed", lambda t: aux(t) + 1e-9)
+        assert failed_checks(capsys) == {"trigger info closed form vs table"}
 
 
 def test_fig4_sweep_memory_budget(capsys):

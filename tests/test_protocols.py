@@ -214,6 +214,12 @@ def test_apply_channel_from_choi():
         assert max_abs(out - expected) <= 1e-12
 
 
+def test_apply_channel_from_choi_rejects_a_stack_of_channel_states():
+    choi = np.array([projector(bell_state()), MAX_MIXED_PAIR, MAX_MIXED_PAIR])
+    with pytest.raises(ValueError, match=r"one 4x4 matrix, got shape \(3, 4, 4\)"):
+        apply_channel_from_choi(choi, np.eye(2) / 2)
+
+
 def _corrupt_corrections(circuit):
     m_qubits = {circuit.index(label) for label in circuit.labels if label.startswith("M_")}
     gates = []
@@ -264,6 +270,21 @@ def test_sampling_rejects_unnormalized_input():
     circuit = build_scheme_independent(SchemeParams())
     with pytest.raises(ValueError):
         sample_trajectories(circuit, "Q_A", "C_B", np.array([1.0, 1.0]), trials=4, seed=0)
+
+
+def test_samplers_reject_a_stack_before_any_draw():
+    psi = bloch_state(0.8, 2.1)
+    stacked = build_scheme_independent([SchemeParams(theta1=0.3), SchemeParams(theta1=1.0)])
+    single = build_scheme_independent(SchemeParams(theta1=0.3))
+    common = build_scheme_common(SchemeParams())
+    for circuit, psi_in, shape in ((stacked, psi, r"\(2,\)"), (single, np.array([psi] * 3), r"\(3,\)")):
+        message = rf"sampler takes one register, got a stack of shape {shape}"
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match=message):
+            sample_trajectories(circuit, "Q_A", "C_B", psi_in, trials=4, seed=rng)
+        assert rng.random() == np.random.default_rng(5).random()  # the generator was not drawn from
+        with pytest.raises(ValueError, match=message):  # t = 1: every trajectory picks the independent circuit
+            sample_mixed_trajectories(circuit, common, 1.0, "Q_A", "C_B", psi_in, trials=4, seed=5)
 
 
 def test_invalid_channel_state_raises_package_error():
