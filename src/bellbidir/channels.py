@@ -17,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfRange
-from .linalg import projector
-from .protocols import A_TO_B, B_TO_A, DIRECTIONS, SchemeParams
+from .infotheory import trigger_joint_distribution
+from .linalg import _scalar_or_stack, projector
+from .protocols import A_TO_B, DIRECTIONS, SchemeParams
 from .sim import bell_state
 
 SCHEMES = ("independent", "common", "mixed")
@@ -47,26 +48,19 @@ class QubitChannel:
         return self.q * rho + (1.0 - self.q) * _MAX_MIXED
 
 
-def analytic_channel(scheme: str, params: SchemeParams, direction: str) -> QubitChannel:
-    """Channel weight for a scheme and direction, from the trigger probabilities.
+def mixing_weight(scheme: str, params: SchemeParams) -> float:
+    """Weight t of the independent triggers in a scheme: 1 independent, 0 common, the point's own t mixed."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return {"independent": 1.0, "common": 0.0}.get(scheme, params.t)
 
-    Independent triggers: a transfer succeeds when the sender fires and the
-    receiver does not, so q = p1 (1 - p2) toward B and p2 (1 - p1) toward A.
-    A common trigger makes the two events exclusive: q = p toward B and
-    1 - p toward A.  The mixed scheme interpolates the two with weight t.
-    """
+
+def analytic_channel(scheme: str, params: SchemeParams, direction: str) -> QubitChannel:
+    """Closed-form channel: q is the probability that the sender fires and the receiver stays silent."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    p1, p2, p = params.p1, params.p2, params.p
-    q_ind = p1 * (1.0 - p2) if direction == A_TO_B else p2 * (1.0 - p1)
-    q_com = p if direction == A_TO_B else 1.0 - p
-    if scheme == "independent":
-        return QubitChannel(q_ind)
-    if scheme == "common":
-        return QubitChannel(q_com)
-    if scheme == "mixed":
-        return QubitChannel(params.t * q_ind + (1.0 - params.t) * q_com)
-    raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    table = trigger_joint_distribution(mixing_weight(scheme, params), params.p1, params.p2, params.p)
+    return QubitChannel(float(table[1, 0] if direction == A_TO_B else table[0, 1]))
 
 
 def choi_of_channel(channel: QubitChannel) -> np.ndarray:
@@ -75,11 +69,13 @@ def choi_of_channel(channel: QubitChannel) -> np.ndarray:
     return channel.q * bell + (1.0 - channel.q) * np.eye(4, dtype=complex) / 4
 
 
-def weight_from_choi(choi: np.ndarray) -> float:
-    """Invert :func:`choi_of_channel` via the Bell-state overlap."""
+def weight_from_choi(choi: np.ndarray):
+    """Invert :func:`choi_of_channel` via the Bell-state overlap; a ``(..., 4, 4)`` stack gives one weight per state."""
     bell = bell_state()
-    overlap = float(np.real(bell.conj() @ np.asarray(choi, dtype=complex) @ bell))
-    return (4.0 * overlap - 1.0) / 3.0
+    row = bell.conj() @ np.asarray(choi, dtype=complex)
+    # one (1, 4) @ (4, 1) product per state runs numpy's dot kernel, so each entry equals its single-state float
+    overlap = np.real(row[..., None, :] @ bell[:, None])[..., 0, 0]
+    return _scalar_or_stack((4.0 * overlap - 1.0) / 3.0)
 
 
 def fidelity_closed(channel: QubitChannel) -> float:

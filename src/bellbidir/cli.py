@@ -23,10 +23,9 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from . import __version__
-from .channels import SCHEMES, analytic_channel, choi_of_channel, fidelity_closed, weight_from_choi
+from .channels import SCHEMES, analytic_channel, choi_of_channel, mixing_weight, weight_from_choi
 from .errors import OutOfRange
 from .infotheory import (
-    InfoReport,
     aux_info_closed,
     classical_capacity_closed,
     concurrence_closed,
@@ -71,13 +70,28 @@ def simulated_choi(scheme: str, params: SchemeParams, direction: str) -> np.ndar
     return extract_choi(_scheme_circuit(scheme, params), *channel_endpoints(direction))
 
 
-def _symmetric_point_report(ts: list[float]) -> InfoReport:
-    """Every measure of the mixed scheme's simulated A-to-B channel state at p1 = p2 = p = 1/2, one entry per t.
-
-    The scheme is linear in t: the independent and common states are extracted once and mixed into one stack.
-    """
+def _symmetric_point_states(ts: list[float] | np.ndarray) -> np.ndarray:
+    """The mixed scheme's simulated A-to-B channel states at p1 = p2 = p = 1/2, one per t, from two extractions."""
     parts = [simulated_choi(name, SchemeParams(), A_TO_B) for name in ("independent", "common")]
-    return info_report_from_choi(choi_mixed(ts, *parts), ts)
+    return choi_mixed(ts, *parts)
+
+
+def _fig3_columns(scheme: str, grid: np.ndarray) -> list[np.ndarray]:
+    """Grid and fidelity columns of fig 3a (independent triggers, over p1 and p2) or 3b (a common trigger, over p).
+
+    No gate targets a trigger qubit, so a channel state mixes its corner states, each trigger angle at 0 or pi,
+    with the trigger basis probabilities [1 - p, p]; the corners are simulated in one stacked run per direction.
+    """
+    if scheme == "common":
+        corners = [SchemeParams(theta=a) for a in (0.0, math.pi)]
+    else:
+        corners = [SchemeParams(theta1=a, theta2=b) for a in (0.0, math.pi) for b in (0.0, math.pi)]
+    circuit = _scheme_circuit(scheme, corners)
+    weights = [weight_from_choi(extract_choi(circuit, *channel_endpoints(d))) for d in DIRECTIONS]
+    fire = np.array([1.0 - grid, grid])
+    if scheme == "common":
+        return [grid, *((1.0 + q @ fire) / 2.0 for q in weights)]
+    return [*np.meshgrid(grid, grid, indexing="ij"), *((1.0 + fire.T @ q.reshape(2, 2) @ fire) / 2.0 for q in weights)]
 
 
 def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> tuple[float, float]:
@@ -105,7 +119,7 @@ def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> tuple[floa
 def infotheory_deviations(points: int = 101) -> list[float]:
     """Worst deviation of i_aux, i_tot, i_class and concurrence on simulated states from their closed forms over t."""
     ts = np.linspace(0.0, 1.0, points).tolist()
-    report = _symmetric_point_report(ts)
+    report = info_report_from_choi(_symmetric_point_states(ts), ts)
     closed_forms = (aux_info_closed, total_info_closed, classical_capacity_closed, concurrence_closed)
     measured = (report.i_aux, report.i_tot, report.i_class, report.concurrence)
     return [float(np.max(np.abs([closed(t) for t in ts] - values))) for closed, values in zip(closed_forms, measured)]
@@ -196,7 +210,6 @@ def _resolve_params(args, parser: argparse.ArgumentParser) -> SchemeParams:
 def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     params = _resolve_params(args, parser)
     choi = simulated_choi(args.scheme, params, args.direction)
-    effective_t = {"independent": 1.0, "common": 0.0, "mixed": params.t}[args.scheme]
     q = weight_from_choi(choi)
     report = {
         "scheme": args.scheme,
@@ -207,7 +220,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         },
         "q": q,
         "fidelity": (1.0 + q) / 2.0,
-        "info": asdict(info_report_from_choi(choi, effective_t, params.p1, params.p2, params.p)),
+        "info": asdict(info_report_from_choi(choi, mixing_weight(args.scheme, params), params.p1, params.p2, params.p)),
         "tool_version": __version__,
     }
     return _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -223,32 +236,14 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     return 0 if all_passed else 1
 
 
-def _fidelities(scheme: str, params: SchemeParams, directions: tuple[str, ...] = DIRECTIONS) -> list[float]:
-    """Closed-form teleportation fidelity of a scheme in each direction."""
-    return [fidelity_closed(analytic_channel(scheme, params, direction)) for direction in directions]
-
-
-# figure -> (CSV header, rows over a uniform grid of [0, 1] given as Python floats)
+# figure -> (CSV header, columns over a uniform grid of [0, 1]); every value is read off simulated channel states
 _SWEEPS = {
-    "3a": (
-        ["p1", "p2", "F_ab", "F_ba"],
-        lambda grid: [
-            [p1, p2, *_fidelities("independent", SchemeParams.from_probabilities(p1=p1, p2=p2))]
-            for p1 in grid
-            for p2 in grid
-        ],
-    ),
-    "3b": (
-        ["p", "F_ab", "F_ba"],
-        lambda grid: [[p, *_fidelities("common", SchemeParams.from_probabilities(p=p))] for p in grid],
-    ),
-    "3c": (
-        ["t", "F"],
-        lambda grid: [[t, *_fidelities("mixed", SchemeParams.from_probabilities(t=t), (A_TO_B,))] for t in grid],
-    ),
+    "3a": (["p1", "p2", "F_ab", "F_ba"], lambda grid: _fig3_columns("independent", grid)),
+    "3b": (["p", "F_ab", "F_ba"], lambda grid: _fig3_columns("common", grid)),
+    "3c": (["t", "F"], lambda grid: [grid, (1.0 + weight_from_choi(_symmetric_point_states(grid))) / 2.0]),
     "4": (
         ["t", "i_aux", "i_tot", "i_class", "discord", "concurrence", "i_coh", "min_pt_eig", "entanglement_breaking"],
-        lambda grid: list(zip(*(column.tolist() for column in astuple(_symmetric_point_report(grid))))),
+        lambda grid: astuple(info_report_from_choi(_symmetric_point_states(grid), grid)),
     ),
 }
 
@@ -256,8 +251,8 @@ _SWEEPS = {
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     if args.points < 2:
         parser.error("--points must be at least 2")
-    header, build_rows = _SWEEPS[args.figure]
-    rows = build_rows(np.linspace(0.0, 1.0, args.points).tolist())
+    header, build_columns = _SWEEPS[args.figure]
+    rows = list(zip(*(np.ravel(column).tolist() for column in build_columns(np.linspace(0.0, 1.0, args.points)))))
     if args.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_format_number(value) for value in row) for row in rows]

@@ -214,6 +214,14 @@ def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("...ca,cqas->...qs", rho_in, choi.reshape(2, 2, 2, 2))
 
 
+def _reject_stacks(psi_in: np.ndarray, *circuits: Circuit) -> None:
+    """Raise ValueError if ``psi_in`` or a preparation of a circuit is a stack: a sampler runs one register."""
+    for label, psi in [("psi_in", psi_in)] + [item for circuit in circuits for item in circuit.prep.items()]:
+        if np.ndim(psi) > 1:
+            shape = np.shape(psi)[:-1]
+            raise ValueError(f"the trajectory sampler takes one register, got a stack of shape {shape} in {label}")
+
+
 def sample_trajectories(
     circuit: Circuit,
     input_label: str,
@@ -231,6 +239,7 @@ def sample_trajectories(
     ``psi_in``.  ``seed`` is an integer or a ``np.random.Generator``; a
     generator is drawn from as is, so its state advances.
     """
+    _reject_stacks(psi_in, circuit)
     rng = np.random.default_rng(seed)
     output_ix = circuit.index(output_label)
     records = {circuit.index(label) for label in circuit.labels if label.startswith("M_")}
@@ -239,8 +248,6 @@ def sample_trajectories(
     gates = [gate for gate in circuit.gates if gate not in deferred]
     stripped = Circuit(circuit.num_qubits, circuit.labels, gates, {**circuit.prep, input_label: psi_in})
     base = run_circuit(stripped, stripped.initial_state())
-    if base.ndim > 1:  # a stacked circuit or psi_in, rejected before any draw
-        raise ValueError(f"the trajectory sampler takes one register, got a stack of shape {base.shape[:-1]}")
     outputs = np.empty((trials, 2, 2), dtype=complex)
     for k in range(trials):
         psi = base
@@ -268,6 +275,7 @@ def sample_mixed_trajectories(
     circuit, otherwise the common-trigger circuit.
     """
     check_unit_interval("mixing weight t", t)
+    _reject_stacks(psi_in, circuit_ind, circuit_com)  # before any draw; at t = 0 or 1 one circuit never runs
     rng = np.random.default_rng(seed)
     picks = rng.random(trials) < t
     outputs = np.empty((trials, 2, 2), dtype=complex)

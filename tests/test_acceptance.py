@@ -15,6 +15,7 @@ from bellbidir.channels import (
     choi_of_channel,
     fidelity_closed,
     fidelity_quadrature,
+    weight_from_choi,
 )
 from bellbidir.cli import main
 from bellbidir.infotheory import (
@@ -135,6 +136,24 @@ def test_criterion_4_critical_point():
         exact and fid_ok and grid_ok,
         f"criterion 4: critical point t0 = 2/3 exactly, fidelity(t0) = 2/3 +- 1e-12, "
         f"PT sign change at {t_pt:.4f} and concurrence zero at {t_conc:.4f} within 1e-3",
+    )
+
+
+def test_critical_point_is_exact_from_simulated_states():
+    # q is affine in t, so fidelity - 2/3, the smallest PT eigenvalue (1 - 3q)/4 and the concurrence (3q - 1)/2
+    # all vanish where q(t) = 1/3: solve that from the two simulated symmetric-point states, with no grid
+    builders = (build_scheme_independent, build_scheme_common)
+    ind, com = (extract_choi(build(SchemeParams()), "Q_A", "C_B") for build in builders)
+    q_ind, q_com = weight_from_choi(ind), weight_from_choi(com)
+    t0 = (q_com - 1 / 3) / (q_com - q_ind)
+    choi = choi_mixed(t0, ind, com)
+    fid = (1 + weight_from_choi(choi)) / 2
+    pt_eig = min_partial_transpose_eigenvalue(choi)
+    deviations = (abs(t0 - CRITICAL_T), abs(fid - 2 / 3), abs(pt_eig), concurrence(choi))
+    _report(
+        max(deviations) <= 1e-12,
+        f"critical point from simulated states: t0 = {t0!r} vs CRITICAL_T, fidelity 2/3, PT eigenvalue and "
+        f"concurrence 0 (worst dev {max(deviations):.2e} <= 1e-12)",
     )
 
 

@@ -6,11 +6,13 @@ import pytest
 
 from bellbidir.channels import (
     CRITICAL_T,
+    SCHEMES,
     QubitChannel,
     analytic_channel,
     choi_of_channel,
     fidelity_closed,
     fidelity_quadrature,
+    mixing_weight,
     weight_from_choi,
 )
 from bellbidir.errors import OutOfRange
@@ -40,6 +42,21 @@ def test_analytic_channel_weights():
         analytic_channel("bogus", params, A_TO_B)
     with pytest.raises(ValueError):
         analytic_channel("mixed", params, "sideways")
+
+
+def test_analytic_channel_reads_the_trigger_table():
+    # the sender fires and the receiver stays silent: the same floats as the per-scheme formulas
+    assert [mixing_weight(scheme, SchemeParams(t=0.3)) for scheme in SCHEMES] == [1.0, 0.0, 0.3]
+    with pytest.raises(ValueError):
+        mixing_weight("bogus", SchemeParams())
+    rng = np.random.default_rng(3)
+    for theta1, theta2, theta, t in rng.uniform(0.0, [math.pi, math.pi, math.pi, 1.0], (20, 4)):
+        params = SchemeParams(theta1=theta1, theta2=theta2, theta=theta, t=t)
+        p1, p2, p = params.p1, params.p2, params.p
+        for direction, q_ind, q_com in ((A_TO_B, p1 * (1.0 - p2), p), (B_TO_A, p2 * (1.0 - p1), 1.0 - p)):
+            assert analytic_channel("independent", params, direction).q == q_ind
+            assert analytic_channel("common", params, direction).q == q_com
+            assert analytic_channel("mixed", params, direction).q == t * q_ind + (1.0 - t) * q_com
 
 
 def test_channel_apply():
@@ -79,6 +96,13 @@ def test_choi_of_channel():
 def test_weight_from_choi_roundtrip():
     for q in (0.0, 0.25, 0.8, 1.0):
         assert abs(weight_from_choi(choi_of_channel(QubitChannel(q))) - q) <= 1e-12
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(4, 25, 4, 4)) + 1j * rng.normal(size=(4, 25, 4, 4))  # the overlap takes any matrices
+    weights = weight_from_choi(stack)
+    assert weights.shape == (4, 25)
+    for index in np.ndindex(4, 25):
+        single = weight_from_choi(stack[index])
+        assert type(single) is float and weights[index] == single
 
 
 def test_fidelity_closed_golden_values():

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from bellbidir import cli, infotheory
+from bellbidir.channels import analytic_channel, fidelity_closed
 from bellbidir.cli import main, run_verification
 from bellbidir.errors import OutOfRange
 from bellbidir.infotheory import total_info_closed
-from bellbidir.protocols import SchemeParams
+from bellbidir.protocols import A_TO_B, DIRECTIONS, SchemeParams
 
 
 def run_module(*args):
@@ -26,6 +27,24 @@ def run_module(*args):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+# fig-3 figure -> (scheme, the parameter point of a row's grid cells, the directions of its fidelity cells)
+FIG3 = {
+    "3a": ("independent", lambda p1, p2: SchemeParams.from_probabilities(p1=p1, p2=p2), DIRECTIONS),
+    "3b": ("common", lambda p: SchemeParams.from_probabilities(p=p), DIRECTIONS),
+    "3c": ("mixed", lambda t: SchemeParams.from_probabilities(t=t), (A_TO_B,)),
+}
+
+
+def fig3_deviations(capsys, figure: str, points: int) -> np.ndarray:
+    """Per row of a fig-3 sweep, the largest deviation of its fidelity cells from the closed form."""
+    assert main(["sweep", "--figure", figure, "--points", str(points)]) == 0
+    rows = np.array([line.split(",") for line in capsys.readouterr().out.splitlines()[1:]], dtype=float)
+    scheme, point, directions = FIG3[figure]
+    grid = rows.shape[1] - len(directions)
+    closed = [[fidelity_closed(analytic_channel(scheme, point(*row[:grid]), d)) for d in directions] for row in rows]
+    return np.abs(rows[:, grid:] - closed).max(axis=1)
 
 
 def test_simulate_perfect_teleportation(tmp_path):
@@ -155,7 +174,7 @@ def test_io_error_exit_3(tmp_path):
     assert code == 3
 
 
-def test_sweep_3c_values(tmp_path):
+def test_sweep_3c_values(tmp_path, capsys):
     out = tmp_path / "fig3c.csv"
     assert main(["sweep", "--figure", "3c", "--points", "5", "--out", str(out)]) == 0
     raw = out.read_bytes()
@@ -167,9 +186,10 @@ def test_sweep_3c_values(tmp_path):
     assert abs(float(first[1]) - 0.75) <= 1e-12
     last = lines[-1].split(",")
     assert abs(float(last[1]) - 0.625) <= 1e-12
+    assert fig3_deviations(capsys, "3c", 11).max() <= cli.CHOI_TOL
 
 
-def test_sweep_3a_corner(tmp_path):
+def test_sweep_3a_corner(tmp_path, capsys):
     out = tmp_path / "fig3a.csv"
     assert main(["sweep", "--figure", "3a", "--points", "3", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -179,15 +199,18 @@ def test_sweep_3a_corner(tmp_path):
     f_ab, f_ba = rows[("1", "0")]
     assert abs(float(f_ab) - 1.0) <= 1e-12
     assert abs(float(f_ba) - 0.5) <= 1e-12
+    deviations = fig3_deviations(capsys, "3a", 11)
+    assert len(deviations) == 121 and deviations.max() <= cli.CHOI_TOL
 
 
-def test_sweep_3b_header(tmp_path):
+def test_sweep_3b_header(tmp_path, capsys):
     out = tmp_path / "fig3b.csv"
     assert main(["sweep", "--figure", "3b", "--points", "3", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "p,F_ab,F_ba"
     p, f_ab, f_ba = lines[-1].split(",")
     assert float(p) == 1.0 and abs(float(f_ab) - 1.0) <= 1e-12 and abs(float(f_ba) - 0.5) <= 1e-12
+    assert fig3_deviations(capsys, "3b", 11).max() <= cli.CHOI_TOL
 
 
 def test_sweep_fig4_critical_row(tmp_path):
@@ -264,7 +287,7 @@ def failed_checks(capsys) -> set[str]:
 
 
 def test_information_checks_read_simulated_states(monkeypatch, capsys):
-    # a 1% depolarized extraction must show in both channel checks, the information checks and fig 4
+    # a 1% depolarized extraction must show in both channel checks, the information checks and figs 3 and 4
     extract = cli.extract_choi
     monkeypatch.setattr(cli, "extract_choi", lambda *args: 0.99 * extract(*args) + 0.01 * np.eye(4) / 4)
     assert failed_checks(capsys) == {
@@ -277,6 +300,8 @@ def test_information_checks_read_simulated_states(monkeypatch, capsys):
     assert main(["sweep", "--figure", "4", "--points", "3"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")  # t = 0
     assert abs(float(row[2]) - total_info_closed(0.0)) > cli.TOTAL_TOL
+    for figure in FIG3:
+        assert fig3_deviations(capsys, figure, 3).max() > cli.CHOI_TOL, figure
 
 
 def test_marginal_and_trigger_info_checks_can_fail(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 from functools import reduce
 
@@ -143,6 +144,35 @@ def test_stacked_extraction_equals_per_point_on_the_verify_grids():
             assert np.array_equal(extract_choi(stacked, *endpoints), per_point)
 
 
+def test_channel_state_is_the_mixture_of_its_trigger_corners():
+    # no gate targets a trigger, so a state mixes its corner states (each trigger angle 0 or pi) with the trigger
+    # basis probabilities; the fig-3 sweeps rest on this, and an H on a trigger qubit breaks it
+    rng = np.random.default_rng(17)
+    ends = (0.0, math.pi)
+    fire = lambda p: np.array([1.0 - p, p])
+    angles = rng.uniform(0.05, math.pi - 0.05, (24, 2))
+    schemes = (
+        (
+            build_scheme_independent,
+            [SchemeParams(theta1=a, theta2=b) for a in ends for b in ends],
+            [SchemeParams(theta1=a, theta2=b) for a, b in angles],
+            lambda params: np.outer(fire(params.p1), fire(params.p2)).ravel(),
+        ),
+        (
+            build_scheme_common,
+            [SchemeParams(theta=a) for a in ends],
+            [SchemeParams(theta=a) for a in angles[:, 0]],
+            lambda params: fire(params.p),
+        ),
+    )
+    for build, corners, points, weights in schemes:
+        for direction in (A_TO_B, B_TO_A):
+            endpoints = channel_endpoints(direction)
+            corner_states = extract_choi(build(corners), *endpoints)
+            mixtures = np.array([np.tensordot(weights(params), corner_states, 1) for params in points])
+            assert max_abs(mixtures - extract_choi(build(points), *endpoints)) <= 1e-14
+
+
 def test_builders_reject_an_empty_sequence():
     for build in (build_scheme_independent, build_scheme_common):
         with pytest.raises(OutOfRange):
@@ -274,17 +304,26 @@ def test_sampling_rejects_unnormalized_input():
 
 def test_samplers_reject_a_stack_before_any_draw():
     psi = bloch_state(0.8, 2.1)
+    psi_stack = np.array([psi] * 3)
     stacked = build_scheme_independent([SchemeParams(theta1=0.3), SchemeParams(theta1=1.0)])
     single = build_scheme_independent(SchemeParams(theta1=0.3))
+    stacked_common = build_scheme_common([SchemeParams(theta=0.3), SchemeParams(theta=1.0)])
     common = build_scheme_common(SchemeParams())
-    for circuit, psi_in, shape in ((stacked, psi, r"\(2,\)"), (single, np.array([psi] * 3), r"\(3,\)")):
-        message = rf"sampler takes one register, got a stack of shape {shape}"
+    mixed = functools.partial(sample_mixed_trajectories, input_label="Q_A", output_label="C_B", trials=4)
+    single_run = functools.partial(sample_trajectories, input_label="Q_A", output_label="C_B", trials=4)
+    for sampler, where in (
+        (functools.partial(single_run, stacked, psi_in=psi), r"\(2,\) in T_A"),
+        (functools.partial(single_run, single, psi_in=psi_stack), r"\(3,\) in psi_in"),
+        (functools.partial(single_run, stacked_common, psi_in=psi_stack), r"\(3,\) in psi_in"),  # no broadcast
+        (functools.partial(mixed, stacked, common, 0.5, psi_in=psi), r"\(2,\) in T_A"),
+        (functools.partial(mixed, single, common, 0.5, psi_in=psi_stack), r"\(3,\) in psi_in"),
+        (functools.partial(mixed, single, stacked_common, 1.0, psi_in=psi), r"\(2,\) in T$"),  # common never runs
+        (functools.partial(mixed, stacked, common, 0.0, psi_in=psi), r"\(2,\) in T_A"),  # independent never runs
+    ):
         rng = np.random.default_rng(5)
-        with pytest.raises(ValueError, match=message):
-            sample_trajectories(circuit, "Q_A", "C_B", psi_in, trials=4, seed=rng)
+        with pytest.raises(ValueError, match=rf"sampler takes one register, got a stack of shape {where}"):
+            sampler(seed=rng)
         assert rng.random() == np.random.default_rng(5).random()  # the generator was not drawn from
-        with pytest.raises(ValueError, match=message):  # t = 1: every trajectory picks the independent circuit
-            sample_mixed_trajectories(circuit, common, 1.0, "Q_A", "C_B", psi_in, trials=4, seed=5)
 
 
 def test_invalid_channel_state_raises_package_error():
