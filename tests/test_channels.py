@@ -42,10 +42,7 @@ def test_analytic_channel_weights():
         analytic_channel("bogus", params, A_TO_B)
     with pytest.raises(ValueError):
         analytic_channel("mixed", params, "sideways")
-
-
-def test_analytic_channel_reads_the_trigger_table():
-    # the sender fires and the receiver stays silent: the same floats as the per-scheme formulas
+    # q is read off the trigger table, the sender firing and the receiver silent: the per-scheme formulas' floats
     assert [mixing_weight(scheme, SchemeParams(t=0.3)) for scheme in SCHEMES] == [1.0, 0.0, 0.3]
     with pytest.raises(ValueError):
         mixing_weight("bogus", SchemeParams())

@@ -1,6 +1,5 @@
-import functools
 import math
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -309,16 +308,16 @@ def test_samplers_reject_a_stack_before_any_draw():
     single = build_scheme_independent(SchemeParams(theta1=0.3))
     stacked_common = build_scheme_common([SchemeParams(theta=0.3), SchemeParams(theta=1.0)])
     common = build_scheme_common(SchemeParams())
-    mixed = functools.partial(sample_mixed_trajectories, input_label="Q_A", output_label="C_B", trials=4)
-    single_run = functools.partial(sample_trajectories, input_label="Q_A", output_label="C_B", trials=4)
+    mixed = partial(sample_mixed_trajectories, input_label="Q_A", output_label="C_B", trials=4)
+    single_run = partial(sample_trajectories, input_label="Q_A", output_label="C_B", trials=4)
     for sampler, where in (
-        (functools.partial(single_run, stacked, psi_in=psi), r"\(2,\) in T_A"),
-        (functools.partial(single_run, single, psi_in=psi_stack), r"\(3,\) in psi_in"),
-        (functools.partial(single_run, stacked_common, psi_in=psi_stack), r"\(3,\) in psi_in"),  # no broadcast
-        (functools.partial(mixed, stacked, common, 0.5, psi_in=psi), r"\(2,\) in T_A"),
-        (functools.partial(mixed, single, common, 0.5, psi_in=psi_stack), r"\(3,\) in psi_in"),
-        (functools.partial(mixed, single, stacked_common, 1.0, psi_in=psi), r"\(2,\) in T$"),  # common never runs
-        (functools.partial(mixed, stacked, common, 0.0, psi_in=psi), r"\(2,\) in T_A"),  # independent never runs
+        (partial(single_run, stacked, psi_in=psi), r"\(2,\) in T_A"),
+        (partial(single_run, single, psi_in=psi_stack), r"\(3,\) in psi_in"),
+        (partial(single_run, stacked_common, psi_in=psi_stack), r"\(3,\) in psi_in"),  # no broadcast
+        (partial(mixed, stacked, common, 0.5, psi_in=psi), r"\(2,\) in T_A"),
+        (partial(mixed, single, common, 0.5, psi_in=psi_stack), r"\(3,\) in psi_in"),
+        (partial(mixed, single, stacked_common, 1.0, psi_in=psi), r"\(2,\) in T$"),  # common never runs
+        (partial(mixed, stacked, common, 0.0, psi_in=psi), r"\(2,\) in T_A"),  # independent never runs
     ):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match=rf"sampler takes one register, got a stack of shape {where}"):
