@@ -158,12 +158,6 @@ def run_verification(grid: int = 9, points: int = 101) -> list[CheckResult]:
     ]
 
 
-def _format_number(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{value:.12g}"
-
-
 def _emit(text: str, out_path: str | None) -> int:
     if out_path is None:
         sys.stdout.write(text)
@@ -252,17 +246,18 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     if args.points < 2:
         parser.error("--points must be at least 2")
     header, build_columns = _SWEEPS[args.figure]
-    rows = list(zip(*(np.ravel(column).tolist() for column in build_columns(np.linspace(0.0, 1.0, args.points)))))
+    columns = [np.ravel(column).tolist() for column in build_columns(np.linspace(0.0, 1.0, args.points))]
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_format_number(value) for value in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        # one %-format per row; a bool column (fig 4's entanglement_breaking) prints as true/false
+        columns = [[("false", "true")[v] for v in c] if isinstance(c[0], bool) else c for c in columns]
+        row_format = ",".join("%s" if isinstance(c[0], str) else "%.12g" for c in columns)
+        text = "\n".join([",".join(header)] + [row_format % row for row in zip(*columns)]) + "\n"
     else:
         payload = {
             "figure": args.figure,
             "points": args.points,
             "columns": header,
-            "rows": rows,
+            "rows": list(zip(*columns)),
             "tool_version": __version__,
         }
         text = json.dumps(payload, indent=2) + "\n"

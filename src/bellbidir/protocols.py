@@ -214,12 +214,15 @@ def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("...ca,cqas->...qs", rho_in, choi.reshape(2, 2, 2, 2))
 
 
-def _reject_stacks(psi_in: np.ndarray, *circuits: Circuit) -> None:
-    """Raise ValueError if ``psi_in`` or a preparation of a circuit is a stack: a sampler runs one register."""
+def _check_sampler_inputs(psi_in: np.ndarray, input_label: str, output_label: str, *circuits: Circuit) -> None:
+    """Raise ValueError unless each circuit runs one register from a valid ``psi_in`` between known labels."""
     for label, psi in [("psi_in", psi_in)] + [item for circuit in circuits for item in circuit.prep.items()]:
         if np.ndim(psi) > 1:
             shape = np.shape(psi)[:-1]
             raise ValueError(f"the trajectory sampler takes one register, got a stack of shape {shape} in {label}")
+    for circuit in circuits:  # the Circuit rules check psi_in and the input label
+        circuit.index(output_label)
+        Circuit(circuit.num_qubits, circuit.labels, (), {input_label: psi_in})
 
 
 def sample_trajectories(
@@ -239,7 +242,7 @@ def sample_trajectories(
     ``psi_in``.  ``seed`` is an integer or a ``np.random.Generator``; a
     generator is drawn from as is, so its state advances.
     """
-    _reject_stacks(psi_in, circuit)
+    _check_sampler_inputs(psi_in, input_label, output_label, circuit)
     rng = np.random.default_rng(seed)
     output_ix = circuit.index(output_label)
     records = {circuit.index(label) for label in circuit.labels if label.startswith("M_")}
@@ -275,7 +278,7 @@ def sample_mixed_trajectories(
     circuit, otherwise the common-trigger circuit.
     """
     check_unit_interval("mixing weight t", t)
-    _reject_stacks(psi_in, circuit_ind, circuit_com)  # before any draw; at t = 0 or 1 one circuit never runs
+    _check_sampler_inputs(psi_in, input_label, output_label, circuit_ind, circuit_com)  # before any draw, both circuits
     rng = np.random.default_rng(seed)
     picks = rng.random(trials) < t
     outputs = np.empty((trials, 2, 2), dtype=complex)

@@ -7,6 +7,7 @@ import pytest
 from bellbidir.channels import QubitChannel, choi_of_channel
 from bellbidir.errors import DomainError, NonHermitianInput, NotPSD, OutOfRange
 from bellbidir.infotheory import (
+    _objective_over_axes,
     aux_info_closed,
     classical_accessible_info,
     classical_capacity_closed,
@@ -91,6 +92,16 @@ def test_trigger_joint_distribution():
         trigger_joint_distribution(-0.1)
     with pytest.raises(OutOfRange):
         trigger_joint_distribution(0.5, p=1.5)
+
+
+def test_trigger_table_equals_the_outer_product_formula():
+    rng = np.random.default_rng(11)
+    points = np.vstack([rng.random((1000, 4)), [[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.5]]]).tolist()
+    for t, p1, p2, p in points:
+        outer = t * np.outer([1.0 - p1, p1], [1.0 - p2, p2]) + (1.0 - t) * np.array([[0.0, 1.0 - p], [p, 0.0]])
+        table = trigger_joint_distribution(t, p1, p2, p)
+        assert table.dtype == float and table.shape == (2, 2)
+        assert np.array_equal(table, outer), (t, p1, p2, p)
 
 
 def test_shannon_mutual_information_limits():
@@ -230,6 +241,39 @@ def test_measures_on_a_stack_equal_per_state_calls(stack):
     assert np.array_equal(flatness, [spread for _, spread in singles])
     # leading axes keep their shape
     assert np.array_equal(concurrence(stack[:6].reshape(2, 3, 4, 4)), np.reshape(concurrence(stack[:6]), (2, 3)))
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 203])
+def test_accessible_info_on_a_stack_equals_per_state_calls_across_scan_blocks(count):
+    stack = random_states(count)
+    values, flatness = classical_accessible_info(stack)
+    singles = [classical_accessible_info(rho) for rho in stack]
+    assert values.shape == flatness.shape == (count,)
+    assert np.array_equal(values, [value for value, _ in singles])
+    assert np.array_equal(flatness, [spread for _, spread in singles])
+
+
+def test_objective_over_axes_matches_conditional_output_entropies():
+    # oracle: measuring R along n leaves Q in Tr_R[(P_n x I) rho] for P_n = (I +- n . sigma) / 2, a 2x2 matrix
+    rng = np.random.default_rng(3)
+    sigmas = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    states = random_states(50)
+    axes = rng.normal(size=(50, 20, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    paulis = [np.eye(2)] + sigmas
+    pauli = np.array([[[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis] for rho in states])
+    s_output = np.array([von_neumann_entropy(partial_trace(rho, 2, [1])) for rho in states])
+    objective = _objective_over_axes(pauli, s_output, axes)
+    assert objective.shape == (50, 20)
+    for rho, s_q, ns, row in zip(states, s_output, axes, objective):
+        for n, value in zip(ns, row):
+            retained = s_q
+            for sign in (1.0, -1.0):
+                proj = (np.eye(2) + sign * sum(c * sigma for c, sigma in zip(n, sigmas))) / 2.0
+                cond = partial_trace(np.kron(proj, np.eye(2)) @ rho, 2, [1])
+                prob = np.trace(cond).real
+                retained -= prob * von_neumann_entropy(cond / prob)
+            assert abs(value - retained) <= 1e-12
 
 
 def test_info_report_on_a_stack_holds_one_entry_per_state():

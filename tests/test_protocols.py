@@ -310,17 +310,26 @@ def test_samplers_reject_a_stack_before_any_draw():
     common = build_scheme_common(SchemeParams())
     mixed = partial(sample_mixed_trajectories, input_label="Q_A", output_label="C_B", trials=4)
     single_run = partial(sample_trajectories, input_label="Q_A", output_label="C_B", trials=4)
-    for sampler, where in (
-        (partial(single_run, stacked, psi_in=psi), r"\(2,\) in T_A"),
-        (partial(single_run, single, psi_in=psi_stack), r"\(3,\) in psi_in"),
-        (partial(single_run, stacked_common, psi_in=psi_stack), r"\(3,\) in psi_in"),  # no broadcast
-        (partial(mixed, stacked, common, 0.5, psi_in=psi), r"\(2,\) in T_A"),
-        (partial(mixed, single, common, 0.5, psi_in=psi_stack), r"\(3,\) in psi_in"),
-        (partial(mixed, single, stacked_common, 1.0, psi_in=psi), r"\(2,\) in T$"),  # common never runs
-        (partial(mixed, stacked, common, 0.0, psi_in=psi), r"\(2,\) in T_A"),  # independent never runs
+    stack_message = "sampler takes one register, got a stack of shape "
+    for sampler, message in (
+        (partial(single_run, stacked, psi_in=psi), stack_message + r"\(2,\) in T_A"),
+        (partial(single_run, single, psi_in=psi_stack), stack_message + r"\(3,\) in psi_in"),
+        (partial(single_run, stacked_common, psi_in=psi_stack), stack_message + r"\(3,\) in psi_in"),  # no broadcast
+        (partial(mixed, stacked, common, 0.5, psi_in=psi), stack_message + r"\(2,\) in T_A"),
+        (partial(mixed, single, common, 0.5, psi_in=psi_stack), stack_message + r"\(3,\) in psi_in"),
+        (partial(mixed, single, stacked_common, 1.0, psi_in=psi), stack_message + r"\(2,\) in T$"),  # common never runs
+        (partial(mixed, stacked, common, 0.0, psi_in=psi), stack_message + r"\(2,\) in T_A"),  # independent never runs
+        # labels and psi_in go through the Circuit rules, for both circuits of the mixed scheme
+        (partial(mixed, single, common, 0.5, psi_in=psi, input_label="Q_X"), r"prepared qubit 'Q_X' not in register"),
+        (partial(mixed, single, common, 0.5, psi_in=psi, output_label="C_X"), r"no qubit labeled 'C_X'"),
+        (partial(mixed, single, common, 1.0, psi_in=psi, output_label="T_A"), r"no qubit labeled 'T_A'"),
+        (partial(mixed, single, common, 0.5, psi_in=np.array([1.0, 0, 0])), r"'Q_A' is not a single-qubit state"),
+        (partial(mixed, single, common, 0.0, psi_in=np.array([2.0, 0])), r"'Q_A' has norm 2"),
+        (partial(single_run, single, psi_in=np.array([2.0, 0])), r"'Q_A' has norm 2"),
+        (partial(single_run, single, psi_in=psi, output_label="C_X"), r"no qubit labeled 'C_X'"),
     ):
         rng = np.random.default_rng(5)
-        with pytest.raises(ValueError, match=rf"sampler takes one register, got a stack of shape {where}"):
+        with pytest.raises(ValueError, match=message):
             sampler(seed=rng)
         assert rng.random() == np.random.default_rng(5).random()  # the generator was not drawn from
 
