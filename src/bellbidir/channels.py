@@ -63,10 +63,11 @@ def analytic_channel(scheme: str, params: SchemeParams, direction: str) -> Qubit
     return QubitChannel(float(table[1, 0] if direction == A_TO_B else table[0, 1]))
 
 
-def choi_of_channel(channel: QubitChannel) -> np.ndarray:
-    """Channel state q |bell><bell| + (1 - q) I/4 of a depolarizing-family channel."""
+def choi_of_channel(channel: QubitChannel | np.ndarray) -> np.ndarray:
+    """Channel state q |bell><bell| + (1 - q) I/4 of a depolarizing-family channel; an array of q gives a stack."""
+    q = np.asarray(channel.q if isinstance(channel, QubitChannel) else channel, dtype=float)[..., None, None]
     bell = projector(bell_state())
-    return channel.q * bell + (1.0 - channel.q) * np.eye(4, dtype=complex) / 4
+    return q * bell + (1.0 - q) * np.eye(4, dtype=complex) / 4
 
 
 def weight_from_choi(choi: np.ndarray):

@@ -109,7 +109,7 @@ def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> tuple[floa
         circuit = _scheme_circuit(scheme, row)
         for direction in DIRECTIONS:
             simulated = extract_choi(circuit, *channel_endpoints(direction))
-            reference = [choi_of_channel(analytic_channel(scheme, params, direction)) for params in row]
+            reference = choi_of_channel(np.array([analytic_channel(scheme, params, direction).q for params in row]))
             worst_choi = max(worst_choi, float(np.max(trace_distance(simulated, reference))))
             marginal = partial_trace(simulated, 2, [0]) - np.eye(2) / 2
             worst_marginal = max(worst_marginal, max_abs(marginal))

@@ -6,6 +6,7 @@ label of a :class:`Circuit` is the leftmost tensor factor.
 
 A register may carry leading stack axes, ``(..., 2**n)``: a ``prep`` holding
 ``(k, 2)`` stacks runs k registers at once; one state is a stack with no axes.
+Registers are float64 unless a preparation, or the state run, is complex.
 
 Gates are applied by slicing the amplitude array, never by building the
 full register unitary; the closed gate set {H, X, Z, CZ, CNOT, CCNOT}
@@ -25,7 +26,6 @@ from .linalg import _reject_first, split_keep
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_KET0 = np.array([1.0, 0.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,11 @@ class Circuit:
                 raise ValueError(f"preparation for {label!r} is not a single-qubit state or a stack of them")
             norm = np.linalg.norm(state, axis=-1)
             _reject_first(~(abs(norm - 1) <= 1e-10), norm, ValueError, f"preparation {label!r} has norm {{}}", "state")
-        np.broadcast_shapes(*(np.shape(state)[:-1] for state in self.prep.values()))
+        stacks = {label: np.shape(state)[:-1] for label, state in self.prep.items()}
+        try:
+            np.broadcast_shapes(*stacks.values())
+        except ValueError:
+            raise ValueError(f"preparation stacks do not broadcast, label -> stack shape: {stacks}") from None
 
     def index(self, label: str) -> int:
         try:
@@ -115,12 +119,15 @@ class Circuit:
 
     def initial_state(self) -> np.ndarray:
         """Product state of all per-qubit preparations (|0> where unlisted), ``(k, 2**n)`` for a stacked prep."""
-        state = np.ones(1, dtype=complex)
-        for label in self.labels:
-            factor = np.asarray(self.prep.get(label, _KET0), dtype=complex)
-            state = state[..., :, None] * factor[..., None, :]
-            state = state.reshape(*state.shape[:-2], -1)
-        return state
+        product = np.ones(())
+        for i, label in enumerate(filter(self.prep.__contains__, self.labels)):
+            factor = np.asarray(self.prep[label], dtype=complex)
+            factor = factor if factor.imag.any() else factor.real
+            product = product[..., None] * factor.reshape(*factor.shape[:-1], *[1] * i, 2)
+        lead = product.shape[: product.ndim - len(self.prep)]
+        state = np.zeros((*lead, *[2] * self.num_qubits), dtype=product.dtype)
+        state[(Ellipsis, *(slice(None) if label in self.prep else 0 for label in self.labels))] = product
+        return state.reshape(*lead, -1)
 
 
 def bell_state() -> np.ndarray:
@@ -177,14 +184,14 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     for q in gate.qubits:
         if q >= n:
             raise BadIndex(f"qubit {q} out of range for {n}-qubit state")
-    psi = np.array(state, dtype=complex)
+    psi = np.array(state, dtype=complex if np.iscomplexobj(state) else float)
     _apply_in_place(psi.reshape(*psi.shape[:-1], *[2] * n), gate, n)
     return psi
 
 
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply all gates of the circuit in order to a full-register state, or to each state of a stack."""
-    state = np.array(state, dtype=complex)  # a copy: the gates run in place
+    state = np.array(state, dtype=complex if np.iscomplexobj(state) else float)  # a copy: the gates run in place
     if state.shape[-1:] != (2**circuit.num_qubits,):
         raise ValueError(f"state shape {state.shape} does not match {circuit.num_qubits} qubits")
     psi = state.reshape(*state.shape[:-1], *[2] * circuit.num_qubits)  # Circuit has bounds-checked every gate
@@ -226,7 +233,8 @@ def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
     """Density matrix of the kept qubits of a pure state, or of each state of a stack, in the order listed."""
     n = num_qubits_of(state)
     keep, rest = split_keep(n, keep)
-    state = np.asarray(state, dtype=complex)
+    state = np.asarray(state)
     psi = state.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in keep + rest])
-    psi = psi.reshape(*state.shape[:-1], 2 ** len(keep), -1)
+    # cast before the product: real BLAS would round its sums differently from the complex product
+    psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), -1)
     return psi @ psi.conj().swapaxes(-1, -2)

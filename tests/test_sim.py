@@ -189,8 +189,91 @@ def test_stacked_prep_gives_a_stack_of_registers():
     bad = np.array([KET0, KET1, [1.0, 1.0], [math.nan, 0.0]])
     with pytest.raises(ValueError, match="state 2 of the stack"):
         Circuit(1, ("a",), (), prep={"a": bad})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"do not broadcast.*'a': \(2,\), 'b': \(3,\)"):
         Circuit(2, ("a", "b"), (), prep={"a": np.array([KET0, KET1]), "b": np.array([KET0, KET1, KET0])})
+    with pytest.raises(ValueError, match=r"'t': \(2, 1\), 'b': \(\), 'a': \(3, 2\)"):
+        Circuit(3, ("a", "t", "b"), (), prep={"t": np.tile(KET1, (2, 1, 1)), "b": KET0, "a": np.tile(KET0, (3, 2, 1))})
+
+
+def outer_product(factors):
+    """Broadcast outer product of single-qubit states or stacks of them, the first factor most significant."""
+    state = np.ones(1)
+    for factor in factors:
+        state = state[..., :, None] * np.asarray(factor)[..., None, :]
+        state = state.reshape(*state.shape[:-2], -1)
+    return state
+
+
+def bits(state):
+    """The IEEE bits of each amplitude's real and imaginary part, so that signed zeros count."""
+    return np.asarray(state, dtype=complex)[..., None].view(np.uint64)
+
+
+def test_initial_state_multiplies_only_the_prepared_factors():
+    rng = np.random.default_rng(8)
+    labels = ("a", "b", "c", "d", "e")
+    real = lambda *angles: np.squeeze([bloch_state(theta) for theta in angles])  # complex dtype, no imaginary part
+    phased = lambda *angles: np.squeeze([bloch_state(theta, phi) for theta, phi in zip(angles, rng.uniform(-7, 7, 9))])
+    cases = [
+        {"a": real(*rng.uniform(-7, 7, 4)), "e": real(-2.5)},  # a stack on the first label, one state on the last
+        {"c": real(5.0)},
+        {"b": real(4.4), "d": np.array([0.6, -0.8])},
+        {"a": phased(*rng.uniform(-7, 7, 3)), "e": real(*rng.uniform(-7, 7, 3))},
+        {"a": real(-4.0), "c": real(3.9), "e": phased(2.0)},
+        {"b": phased(6.5), "d": phased(*rng.uniform(-7, 7, 2))[:, None]},  # stacks (2, 1) and () broadcast
+        {},
+    ]
+    for prep in cases:
+        circuit = Circuit(5, labels, (), prep)
+        state = circuit.initial_state()
+        as_prepared = {label: v if v.imag.any() else v.real for label, v in prep.items()}  # the dtype rule
+        complex_prep = any(np.iscomplexobj(v) for v in as_prepared.values())
+        assert state.dtype == (np.complex128 if complex_prep else np.float64)
+        dense = outer_product([prep.get(label, KET0) for label in labels])  # every label, in complex128
+        assert np.array_equal(state, dense)
+        # bit for bit: the prepared amplitudes hold the product of the prepared factors in label order, and the
+        # real dense chain when every factor is real; every other amplitude is +0.0 (the dense chain has -0.0
+        # wherever the product is negative)
+        got = bits(state).reshape(*state.shape[:-1], *[2] * 5, 2)
+        prepared = (Ellipsis, *(slice(None) if label in prep else 0 for label in labels), slice(None))
+        expected = bits(outer_product([as_prepared[label] for label in labels if label in prep]))
+        assert np.array_equal(got[prepared].reshape(expected.shape), expected)
+        if not complex_prep:
+            real_dense = bits(outer_product([as_prepared.get(label, [1.0, 0.0]) for label in labels]))
+            assert np.array_equal(got[prepared], real_dense.reshape(got.shape)[prepared])
+        got[prepared] = 0
+        assert not got.any()
+
+
+def test_complex_preparation_keeps_its_imaginary_part():
+    circuit = Circuit(3, ("a", "q", "b"), (H(0), CNOT(1, 2), Z(2)), {"q": bloch_state(1.1, 0.6), "b": KET1})
+    state = circuit.initial_state()
+    assert state.dtype == np.complex128
+    assert np.array_equal(state.imag, outer_product([KET0, bloch_state(1.1, 0.6), KET1]).imag)
+    out = run_circuit(circuit, state)
+    assert out.dtype == np.complex128 and np.abs(out.imag).max() > 0.2
+    reference = reduce(np.matmul, [full_unitary(gate, 3) for gate in reversed(circuit.gates)]) @ state
+    assert np.abs(out - reference).max() <= 1e-12
+
+
+def test_real_register_runs_bit_for_bit_like_its_complex_copy():
+    rng = np.random.default_rng(13)
+    for shape in ((), (5,)):
+        for _ in range(20):
+            gates = tuple(random_gate(5, rng) for _ in range(30))
+            circuit = Circuit(5, tuple(f"q{i}" for i in range(5)), gates)
+            psi = rng.normal(size=(*shape, 32))
+            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+            real_run, complex_run = run_circuit(circuit, psi), run_circuit(circuit, psi.astype(complex))
+            assert real_run.dtype == np.float64 and complex_run.dtype == np.complex128
+            assert np.array_equal(bits(real_run)[..., 0], bits(complex_run)[..., 0])
+            assert not complex_run.imag.any()
+            one_gate = apply_gate(psi, gates[0])
+            assert one_gate.dtype == np.float64
+            assert np.array_equal(bits(one_gate)[..., 0], bits(apply_gate(psi.astype(complex), gates[0]))[..., 0])
+            rdm = reduced_density_matrix(real_run, [4, 1])
+            assert rdm.dtype == np.complex128
+            assert np.array_equal(bits(rdm), bits(reduced_density_matrix(complex_run, [4, 1])))
 
 
 def test_circuit_validation_and_labels():
