@@ -120,7 +120,7 @@ class Circuit:
     def initial_state(self) -> np.ndarray:
         """Product state of all per-qubit preparations (|0> where unlisted), ``(k, 2**n)`` for a stacked prep."""
         product = np.ones(())
-        for i, label in enumerate(filter(self.prep.__contains__, self.labels)):
+        for i, label in enumerate([label for label in self.labels if label in self.prep]):
             factor = np.asarray(self.prep[label], dtype=complex)
             factor = factor if factor.imag.any() else factor.real
             product = product[..., None] * factor.reshape(*factor.shape[:-1], *[1] * i, 2)
