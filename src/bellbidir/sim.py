@@ -8,9 +8,10 @@ A register may carry leading stack axes, ``(..., 2**n)``: a ``prep`` holding
 ``(k, 2)`` stacks runs k registers at once; one state is a stack with no axes.
 Registers are float64 unless a preparation, or the state run, is complex.
 
-Gates are applied by slicing the amplitude array, never by building the
-full register unitary; the closed gate set {H, X, Z, CZ, CNOT, CCNOT}
-consists entirely of involutions.
+``apply_gate`` slices the amplitude array; ``run_circuit`` runs a cached
+plan on a compact register of only the amplitudes its input can reach.
+Neither builds the full register unitary; the closed gate set {H, X, Z, CZ,
+CNOT, CCNOT} consists entirely of involutions.
 """
 from __future__ import annotations
 
@@ -189,17 +190,56 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     return psi
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(gates: tuple[Gate, ...], n: int, support: bytes) -> tuple:
+    """Steps that run the gates on a compact register of the amplitudes that inputs nonzero on ``support`` reach.
+
+    ``reg`` maps each amplitude to its column, or to -1 (the trailing zero column) while no gate can have made it
+    nonzero.  X, CNOT and CCNOT relabel columns; a ``(2, m)`` step is an H on column pairs, a 1-D one a negation.
+    Returns the input's columns, the steps, and the reached amplitudes with their final columns.
+    """
+    cells = np.arange(2**n).reshape([2] * n)
+    initial = np.flatnonzero(np.frombuffer(support, dtype=bool))
+    reg = np.full(2**n, -1)
+    reg[initial] = np.arange(initial.size)
+    steps = []
+    for gate in gates:
+        lo, hi = (cells[ix].ravel() for ix in _gate_ix(gate, n))
+        if gate.kind == "H":
+            live = (reg[lo] >= 0) | (reg[hi] >= 0)
+            lo, hi = lo[live], hi[live]
+            steps.append(np.stack((reg[lo], reg[hi])))
+            reg[lo], reg[hi] = np.arange(lo.size), np.arange(lo.size, 2 * lo.size)
+        elif gate.kind in ("Z", "CZ"):
+            steps.append(reg[hi][reg[hi] >= 0])
+        else:
+            _apply_in_place(reg.reshape([2] * n), gate, n)
+    final = np.flatnonzero(reg >= 0)
+    return initial, tuple(steps), final, reg[final]
+
+
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply all gates of the circuit in order to a full-register state, or to each state of a stack."""
-    state = np.array(state, dtype=complex if np.iscomplexobj(state) else float)  # a copy: the gates run in place
-    if state.shape[-1:] != (2**circuit.num_qubits,):
-        raise ValueError(f"state shape {state.shape} does not match {circuit.num_qubits} qubits")
-    psi = state.reshape(*state.shape[:-1], *[2] * circuit.num_qubits)  # Circuit has bounds-checked every gate
-    for gate in circuit.gates:
-        _apply_in_place(psi, gate, circuit.num_qubits)
-    norm = np.linalg.norm(state, axis=-1)
+    state = np.asarray(state, dtype=complex if np.iscomplexobj(state) else float)
+    n = circuit.num_qubits
+    if state.shape[-1:] != (2**n,):
+        raise ValueError(f"state shape {state.shape} does not match {n} qubits")
+    support = (state != 0).reshape(-1, 2**n).any(axis=0)
+    initial, steps, final, columns = _plan(circuit.gates, n, support.tobytes())  # Circuit has bounds-checked every gate
+    zero = np.zeros((*state.shape[:-1], 1), dtype=state.dtype)
+    amps = np.concatenate((state[..., initial], zero), axis=-1)  # a copy: the steps run in place
+    for step in steps:
+        if step.ndim == 1:
+            amps[..., step] *= -1.0
+        else:  # the kernel's H, (a0 + a1) and (a0 - a1) times 1/sqrt(2), with the zero column for an absent partner
+            pair = amps.take(step, axis=-1)
+            a0, a1 = pair[..., 0, :], pair[..., 1, :]
+            amps = np.concatenate((a0 + a1, a0 - a1, zero), axis=-1) * _INV_SQRT2
+    out = np.zeros_like(state)
+    out[..., final] = amps[..., columns]
+    norm = np.linalg.norm(out, axis=-1)
     _reject_first(~(np.abs(norm - 1.0) < 1e-10), norm, ValueError, "statevector norm {} differs from 1", "state")
-    return state
+    return out
 
 
 def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tuple[int, np.ndarray, float]:

@@ -22,7 +22,7 @@ from bellbidir.protocols import (
     sample_mixed_trajectories,
     sample_trajectories,
 )
-from bellbidir.sim import CNOT, Circuit, Gate, H, bell_state, bloch_state, run_circuit
+from bellbidir.sim import CNOT, Circuit, Gate, H, apply_gate, bell_state, bloch_state, run_circuit
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -144,7 +144,7 @@ def test_stacked_extraction_equals_per_point_on_the_verify_grids():
 
 
 def complex_extraction(circuit, input_label, output_label):
-    """Channel state by a dense complex128 product register and a complex128 run, as extraction worked before."""
+    """Channel state by a dense complex128 product register, the gates applied one by one by ``apply_gate``."""
     n, ref = circuit.num_qubits + 1, circuit.num_qubits
     gates = (H(ref), CNOT(ref, circuit.index(input_label))) + circuit.gates
     extended = Circuit(n, circuit.labels + ("R",), gates, circuit.prep)
@@ -153,7 +153,7 @@ def complex_extraction(circuit, input_label, output_label):
         factor = np.asarray(extended.prep.get(label, KET0), dtype=complex)
         state = state[..., :, None] * factor[..., None, :]
         state = state.reshape(*state.shape[:-2], -1)
-    final = run_circuit(extended, state)
+    final = reduce(apply_gate, extended.gates, state)
     keep = [ref, circuit.index(output_label)]
     psi = final.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in keep + [q for q in range(n) if q not in keep]])
     psi = psi.reshape(*final.shape[:-1], 4, -1)
@@ -165,8 +165,9 @@ def test_real_register_extraction_equals_the_complex_one_bit_for_bit():
     rng = np.random.default_rng(23)
     points = [SchemeParams(*angles) for angles in rng.uniform(-7.0, 7.0, (40, 3))]
     row = [SchemeParams(*angles) for angles in rng.uniform(-7.0, 7.0, (13, 3))]
+    zero_row = [SchemeParams(0.0, theta2, 0.0) for theta2 in rng.uniform(-7.0, 7.0, 5)]  # theta1 = 0, theta = 0
     for build in (build_scheme_independent, build_scheme_common):
-        circuits = [build(params) for params in points] + [build(row)]
+        circuits = [build(params) for params in points] + [build(row), build(zero_row)]
         assert all(circuit.initial_state().dtype == np.float64 for circuit in circuits)
         for circuit in circuits:
             for direction in (A_TO_B, B_TO_A):

@@ -276,6 +276,59 @@ def test_real_register_runs_bit_for_bit_like_its_complex_copy():
             assert np.array_equal(bits(rdm), bits(reduced_density_matrix(complex_run, [4, 1])))
 
 
+def assert_runs_like_the_gate_chain(circuit, state):
+    # the oracle is the dense one-gate kernel applied gate by gate; compared by value, because it leaves -0.0
+    # where a Z or CZ hits an amplitude that the compact run never holds
+    before = bits(state).copy()
+    out = run_circuit(circuit, state)
+    expected = reduce(apply_gate, circuit.gates, state)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+    assert np.array_equal(bits(state), before)
+
+
+def test_run_circuit_equals_the_gate_chain_on_prepared_registers():
+    rng = np.random.default_rng(41)
+    labels = tuple(f"q{i}" for i in range(6))
+    for trial in range(60):
+        gates = tuple(random_gate(6, rng) for _ in range(rng.integers(1, 40)))
+        prepared = rng.choice(labels, size=trial % 4, replace=False)
+        states = [bloch_state(0.0), bloch_state(math.pi), bloch_state(1.3), bloch_state(0.8, 2.1)]
+        prep = {label: states[rng.integers(4)] for label in prepared}  # bloch_state(0.0) has an exact zero
+        circuit = Circuit(6, labels, gates, prep)
+        assert_runs_like_the_gate_chain(circuit, circuit.initial_state())
+        if prepared.size:  # a stack whose registers have different zero patterns
+            stack = np.array([bloch_state(0.0), bloch_state(1.3), bloch_state(math.pi)])
+            stacked = Circuit(6, labels, gates, {**prep, prepared[0]: stack})
+            assert_runs_like_the_gate_chain(stacked, stacked.initial_state())
+
+
+def test_run_circuit_equals_the_gate_chain_on_dense_and_sparse_inputs():
+    rng = np.random.default_rng(43)
+    for trial in range(40):
+        gates = tuple(random_gate(5, rng) for _ in range(30))
+        circuit = Circuit(5, tuple(f"q{i}" for i in range(5)), gates)
+        shape = (4,) if trial % 2 else ()
+        psi = rng.normal(size=(*shape, 32)) + (1j * rng.normal(size=(*shape, 32)) if trial % 4 > 1 else 0)
+        psi[rng.random(psi.shape) < trial / 50] = 0.0  # zero patterns that differ across the stack
+        psi[..., trial % 32] = 1.0
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        sparse = np.zeros_like(psi)
+        sparse[..., [trial % 32, 31 - trial % 32]] = psi[..., [trial % 32, 31 - trial % 32]]
+        sparse /= np.linalg.norm(sparse, axis=-1, keepdims=True)
+        for state in (sparse, psi, sparse):  # one gate tuple, back to back on different supports
+            assert_runs_like_the_gate_chain(circuit, state)
+
+
+def test_run_circuit_rejects_a_zero_or_nan_register():
+    circuit = Circuit(3, ("a", "b", "c"), (H(0), CNOT(0, 1), CZ(1, 2)))
+    nan = np.zeros(8)
+    nan[[0, 5]] = 1.0, math.nan
+    for state in (np.zeros(8), np.zeros(8, dtype=complex), nan, np.array([np.eye(8)[0], np.zeros(8)])):
+        with pytest.raises(ValueError, match="norm"):
+            run_circuit(circuit, state)
+
+
 def test_circuit_validation_and_labels():
     with pytest.raises(ValueError):
         Circuit(2, ("a", "a"), ())
