@@ -22,13 +22,14 @@ the circuit's ``prep`` map rather than in the gate list.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadChannelState, BadIndex, BadLabel, NonHermitianInput, NotPSD, OutOfRange, check_unit_interval
-from .linalg import _reject_first, partial_trace, psd_eigenvalues
+from .linalg import _reject_first, psd_eigenvalues
 from .sim import (
     CCNOT,
     CNOT,
@@ -118,7 +119,8 @@ def build_indirect_bell_block(q: int, c: int, trig: int, m1: int, m2: int) -> li
     ]
 
 
-def _wire_scheme(labels: tuple[str, ...], alice: str, bob: str, prep: dict, flip: tuple = ()) -> Circuit:
+@functools.cache
+def _scheme_gates(labels: tuple[str, ...], alice: str, bob: str, flip: tuple) -> tuple[Gate, ...]:
     """Bell pair, Alice's block under trigger ``alice``, X on each ``flip`` qubit, Bob's block, corrections."""
     ix = {label: i for i, label in enumerate(labels)}
     gates = [H(ix["C_A"]), CNOT(ix["C_A"], ix["C_B"])]
@@ -126,7 +128,12 @@ def _wire_scheme(labels: tuple[str, ...], alice: str, bob: str, prep: dict, flip
     gates += [X(ix[label]) for label in flip]
     gates += build_indirect_bell_block(ix["Q_B"], ix["C_B"], ix[bob], ix["M_B1"], ix["M_B2"])
     gates += [Gate(kind, (ix[source], ix[target])) for source, kind, target in _CORRECTIONS]
-    return Circuit(len(labels), labels, tuple(gates), prep)
+    return tuple(gates)
+
+
+def _wire_scheme(labels: tuple[str, ...], alice: str, bob: str, prep: dict, flip: tuple = ()) -> Circuit:
+    """The scheme circuit on one gate tuple, shared by every build of the same wiring."""
+    return Circuit(len(labels), labels, _scheme_gates(labels, alice, bob, flip), prep)
 
 
 def _trigger_prep(params: SchemeParams | list[SchemeParams], angles: dict[str, str]) -> dict[str, np.ndarray]:
@@ -165,8 +172,16 @@ def _validate_choi(choi: np.ndarray) -> None:
         raise BadChannelState(f"extracted state is not a density matrix: {err}") from err
     trace = np.trace(choi, axis1=-2, axis2=-1).real
     _reject_first(np.abs(trace - 1.0) > 1e-10, trace, BadChannelState, "extracted state has trace {:.12g}, not 1")
-    defect = np.abs(partial_trace(choi, 2, [0]) - np.eye(2) / 2).max(axis=(-2, -1))
+    marginal = np.trace(choi.reshape(*choi.shape[:-2], 2, 2, 2, 2), axis1=-3, axis2=-1)  # (R, out, R', out') -> R
+    defect = np.abs(marginal - np.eye(2) / 2).max(axis=(-2, -1))
     _reject_first(defect > 1e-10, defect, BadChannelState, "reference marginal off I/2 by {:.3e}: not trace preserving")
+
+
+@functools.lru_cache(maxsize=64)
+def _extended_circuit(gates: tuple[Gate, ...], labels: tuple[str, ...], input_ix: int) -> Circuit:
+    """The prep-less circuit with a reference qubit R appended and Bell-paired with the input before ``gates``."""
+    ref = len(labels)
+    return Circuit(ref + 1, labels + ("R",), (H(ref), CNOT(ref, input_ix)) + gates)
 
 
 def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.ndarray:
@@ -182,15 +197,10 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
     output_ix = circuit.index(output_label)
     if input_label in circuit.prep:
         raise BadLabel(f"input qubit {input_label!r} has a fixed preparation; it must start in |0>")
-    ref = circuit.num_qubits
-    extended = Circuit(
-        circuit.num_qubits + 1,
-        circuit.labels + ("R",),
-        (H(ref), CNOT(ref, input_ix)) + circuit.gates,
-        circuit.prep,
-    )
-    final = run_circuit(extended, extended.initial_state())
-    choi = reduced_density_matrix(final, [ref, output_ix])
+    extended = _extended_circuit(circuit.gates, circuit.labels, input_ix)
+    state = circuit.initial_state()  # the circuit has checked its preps; R = |0> is the new last factor
+    final = run_circuit(extended, np.stack((state, np.zeros_like(state)), axis=-1).reshape(*state.shape[:-1], -1))
+    choi = reduced_density_matrix(final, [circuit.num_qubits, output_ix])
     _validate_choi(choi)
     return choi
 

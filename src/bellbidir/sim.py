@@ -11,13 +11,18 @@ Registers are float64 unless a preparation, or the state run, is complex.
 ``apply_gate`` slices the amplitude array; ``run_circuit`` runs a cached
 plan on a compact register of only the amplitudes its input can reach.
 Neither builds the full register unitary; the closed gate set {H, X, Z, CZ,
-CNOT, CCNOT} consists entirely of involutions.
+CNOT, CCNOT} consists entirely of involutions.  In the plan, an H on m live
+column pairs is two gathers of ``2m + 1`` columns, ``(a0, a0, 0)`` and
+``(a1, -a1, 0)`` with the second half negated exactly, then one add and one
+multiply by 1/sqrt(2): the kernel's ``(a0 + a1, a0 - a1)`` bit for bit.
 """
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -80,13 +85,15 @@ class Circuit:
     ``prep`` optionally assigns a single-qubit state, or a ``(k, 2)`` stack of
     them, to a label; unlisted qubits start in |0>.  This covers preparations
     (trigger angles) that the closed gate set cannot express.  The stacks of
-    one ``prep`` broadcast together into a stack of registers.
+    one ``prep`` broadcast together into a stack of registers.  A built
+    circuit holds ``prep`` as a read-only mapping of read-only complex copies,
+    so what its construction checked stays true for its lifetime.
     """
 
     num_qubits: int
     labels: tuple[str, ...]
     gates: tuple[Gate, ...]
-    prep: dict[str, np.ndarray] = field(default_factory=dict)
+    prep: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -98,15 +105,18 @@ class Circuit:
         for gate in self.gates:
             if any(q >= self.num_qubits for q in gate.qubits):
                 raise BadIndex(f"gate {gate} exceeds register of {self.num_qubits} qubits")
+        prep = {}
         for label, state in self.prep.items():
             if label not in self.labels:
                 raise BadLabel(f"prepared qubit {label!r} not in register")
-            state = np.asarray(state, dtype=complex)
+            state = prep[label] = np.array(state, dtype=complex)
+            state.flags.writeable = False
             if state.shape[-1:] != (2,):
                 raise ValueError(f"preparation for {label!r} is not a single-qubit state or a stack of them")
             norm = np.linalg.norm(state, axis=-1)
             _reject_first(~(abs(norm - 1) <= 1e-10), norm, ValueError, f"preparation {label!r} has norm {{}}", "state")
-        stacks = {label: np.shape(state)[:-1] for label, state in self.prep.items()}
+        object.__setattr__(self, "prep", MappingProxyType(prep))
+        stacks = {label: state.shape[:-1] for label, state in prep.items()}
         try:
             np.broadcast_shapes(*stacks.values())
         except ValueError:
@@ -122,7 +132,7 @@ class Circuit:
         """Product state of all per-qubit preparations (|0> where unlisted), ``(k, 2**n)`` for a stacked prep."""
         product = np.ones(())
         for i, label in enumerate([label for label in self.labels if label in self.prep]):
-            factor = np.asarray(self.prep[label], dtype=complex)
+            factor = self.prep[label]
             factor = factor if factor.imag.any() else factor.real
             product = product[..., None] * factor.reshape(*factor.shape[:-1], *[1] * i, 2)
         lead = product.shape[: product.ndim - len(self.prep)]
@@ -195,8 +205,9 @@ def _plan(gates: tuple[Gate, ...], n: int, support: bytes) -> tuple:
     """Steps that run the gates on a compact register of the amplitudes that inputs nonzero on ``support`` reach.
 
     ``reg`` maps each amplitude to its column, or to -1 (the trailing zero column) while no gate can have made it
-    nonzero.  X, CNOT and CCNOT relabel columns; a ``(2, m)`` step is an H on column pairs, a 1-D one a negation.
-    Returns the input's columns, the steps, and the reached amplitudes with their final columns.
+    nonzero.  X, CNOT and CCNOT relabel columns; a ``(2, 2m + 1)`` step is an H on m column pairs, gathering
+    ``(lo, lo, -1)`` and ``(hi, hi, -1)``, and a 1-D one a negation.  Returns the input's columns, the steps, and
+    the reached amplitudes with their final columns.
     """
     cells = np.arange(2**n).reshape([2] * n)
     initial = np.flatnonzero(np.frombuffer(support, dtype=bool))
@@ -208,7 +219,7 @@ def _plan(gates: tuple[Gate, ...], n: int, support: bytes) -> tuple:
         if gate.kind == "H":
             live = (reg[lo] >= 0) | (reg[hi] >= 0)
             lo, hi = lo[live], hi[live]
-            steps.append(np.stack((reg[lo], reg[hi])))
+            steps.append(np.stack([np.concatenate((reg[half], reg[half], [-1])) for half in (lo, hi)]))
             reg[lo], reg[hi] = np.arange(lo.size), np.arange(lo.size, 2 * lo.size)
         elif gate.kind in ("Z", "CZ"):
             steps.append(reg[hi][reg[hi] >= 0])
@@ -232,9 +243,12 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         if step.ndim == 1:
             amps[..., step] *= -1.0
         else:  # the kernel's H, (a0 + a1) and (a0 - a1) times 1/sqrt(2), with the zero column for an absent partner
-            pair = amps.take(step, axis=-1)
-            a0, a1 = pair[..., 0, :], pair[..., 1, :]
-            amps = np.concatenate((a0 + a1, a0 - a1, zero), axis=-1) * _INV_SQRT2
+            m = step.shape[1] // 2
+            a1 = amps.take(step[1], axis=-1)
+            np.negative(a1[..., m:-1], out=a1[..., m:-1])  # exact, so a0 + (-a1) is a0 - a1 bit for bit
+            amps = amps.take(step[0], axis=-1)
+            amps += a1
+            amps *= _INV_SQRT2
     out = np.zeros_like(state)
     out[..., final] = amps[..., columns]
     norm = np.linalg.norm(out, axis=-1)
@@ -275,6 +289,7 @@ def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
     keep, rest = split_keep(n, keep)
     state = np.asarray(state)
     psi = state.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in keep + rest])
-    # cast before the product: real BLAS would round its sums differently from the complex product
+    # cast before the product: real BLAS would round its sums differently from the complex product.  A real
+    # register is its own conjugate, so it skips the conj() copy; its product keeps the same bits
     psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), -1)
-    return psi @ psi.conj().swapaxes(-1, -2)
+    return psi @ (psi.conj() if np.iscomplexobj(state) else psi).swapaxes(-1, -2)

@@ -22,7 +22,7 @@ from bellbidir.protocols import (
     sample_mixed_trajectories,
     sample_trajectories,
 )
-from bellbidir.sim import CNOT, Circuit, Gate, H, apply_gate, bell_state, bloch_state, run_circuit
+from bellbidir.sim import CCNOT, CNOT, CZ, Circuit, Gate, H, X, apply_gate, bell_state, bloch_state, run_circuit
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -174,6 +174,41 @@ def test_real_register_extraction_equals_the_complex_one_bit_for_bit():
                 endpoints = channel_endpoints(direction)
                 expected = complex_extraction(circuit, *endpoints).view(np.uint64)
                 assert np.array_equal(extract_choi(circuit, *endpoints).view(np.uint64), expected)
+
+
+def test_extraction_of_each_input_equals_the_complex_one_bit_for_bit():
+    # one circuit, its inputs in turn and back: each extraction runs the extended circuit of its own input
+    rng = np.random.default_rng(29)
+    stack = np.array([bloch_state(theta, phi) for theta, phi in rng.uniform(-7.0, 7.0, (4, 2))])
+    block = Circuit(5, ("q", "c", "trig", "m1", "m2"), build_indirect_bell_block(0, 1, 2, 3, 4), {"trig": stack})
+    independent = build_scheme_independent(SchemeParams(*rng.uniform(-7.0, 7.0, 3)))
+    common = build_scheme_common([SchemeParams(*angles) for angles in rng.uniform(-7.0, 7.0, (6, 3))])
+    ab, ba = channel_endpoints(A_TO_B), channel_endpoints(B_TO_A)
+    block_endpoints = [("q", "m1"), ("c", "q"), ("m2", "c"), ("q", "m1")]
+    cases = [(independent, [ab, ba, ab]), (common, [ba, ab, ba]), (block, block_endpoints)]
+    for circuit, endpoints in cases:
+        for input_label, output_label in endpoints:
+            expected = complex_extraction(circuit, input_label, output_label).view(np.uint64)
+            assert np.array_equal(extract_choi(circuit, input_label, output_label).view(np.uint64), expected)
+
+
+def test_builders_share_one_gate_tuple():
+    # Q_A, C_A, C_B, Q_B, M_A1, M_A2, M_B1, M_B2 are qubits 0-7; T_A, T_B (independent) or T (common) follow
+    def wiring(alice, bob, flip):
+        return (
+            [H(1), CNOT(1, 2)]
+            + [CNOT(0, 1), H(0), CCNOT(alice, 1, 4), CCNOT(alice, 0, 5), H(0), CNOT(0, 1)]
+            + [X(q) for q in flip]
+            + [CNOT(3, 2), H(3), CCNOT(bob, 2, 6), CCNOT(bob, 3, 7), H(3), CNOT(3, 2)]
+            + [CNOT(4, 2), CZ(5, 2), CNOT(6, 1), CZ(7, 1)]
+        )
+
+    stack = [SchemeParams(theta1=th, theta=th) for th in (0.1, 1.0, 3.0)]
+    points = [SchemeParams(), SchemeParams(0.3, 2.9, 1.7), stack]
+    for build, expected in ((build_scheme_independent, wiring(8, 9, [])), (build_scheme_common, wiring(8, 8, [8]))):
+        circuits = [build(params) for params in points]
+        assert all(circuit.gates is circuits[0].gates for circuit in circuits)
+        assert circuits[0].gates == tuple(expected)
 
 
 def test_channel_state_is_the_mixture_of_its_trigger_corners():

@@ -320,6 +320,22 @@ def test_run_circuit_equals_the_gate_chain_on_dense_and_sparse_inputs():
             assert_runs_like_the_gate_chain(circuit, state)
 
 
+def test_run_circuit_h_keeps_the_signed_zeros_of_a_complex_register():
+    # every amplitude is held, so the compact H steps must give the kernel's (a0 + a1, a0 - a1) bits exactly,
+    # the signs of zero imaginary parts included; a few gates only, as more H steps turn those signs to +0
+    rng = np.random.default_rng(19)
+    labels = tuple(f"q{i}" for i in range(4))
+    for shape in ((), (3,)):
+        for trial in range(24):
+            gates = (H(int(rng.integers(4))),) + tuple(random_gate(4, rng) for _ in range(trial % 3))
+            real = rng.uniform(0.5, 1.0, (*shape, 16)) * rng.choice([-1.0, 1.0], (*shape, 16))
+            state = np.empty((*shape, 16), dtype=complex)
+            state.real = real / np.linalg.norm(real, axis=-1, keepdims=True)
+            state.imag = rng.choice([-0.0, 0.0], (*shape, 16))
+            out = run_circuit(Circuit(4, labels, gates), state)
+            assert np.array_equal(bits(out), bits(reduce(apply_gate, gates, state)))
+
+
 def test_run_circuit_rejects_a_zero_or_nan_register():
     circuit = Circuit(3, ("a", "b", "c"), (H(0), CNOT(0, 1), CZ(1, 2)))
     nan = np.zeros(8)
@@ -360,6 +376,27 @@ def test_circuit_initial_state_with_prep():
     for circuit in (prepared, single):
         chain = reduce(np.kron, [circuit.prep.get(label, KET0) for label in circuit.labels], np.ones(1, dtype=complex))
         assert np.array_equal(circuit.initial_state(), chain)
+
+
+def test_built_circuit_prep_is_read_only():
+    # a built circuit keeps the checked preparations: neither the mapping nor its arrays can change afterwards
+    theta = bloch_state(0.7)
+    stack = np.array([KET0, KET1, bloch_state(2.1, 0.4)])
+    circuit = Circuit(3, ("a", "t", "b"), (CNOT(1, 0),), {"t": theta, "b": stack})
+    with pytest.raises(TypeError):
+        circuit.prep["a"] = KET1
+    with pytest.raises(TypeError):
+        del circuit.prep["t"]
+    for label in ("t", "b"):
+        with pytest.raises(ValueError, match="read-only"):
+            circuit.prep[label][..., 0] = 0.0
+    theta[0] = 0.0  # the caller's arrays stay writable and are not shared with the circuit
+    stack[0] = KET1
+    assert np.array_equal(circuit.prep["t"], bloch_state(0.7))
+    assert np.array_equal(circuit.prep["b"][0], KET0)
+    widened = Circuit(3, circuit.labels, circuit.gates, {**circuit.prep, "a": KET1})  # the sampler's pattern
+    assert sorted(widened.prep) == ["a", "b", "t"]
+    assert np.array_equal(widened.initial_state()[:, 4:], circuit.initial_state()[:, :4])
 
 
 def test_measure_deterministic():
