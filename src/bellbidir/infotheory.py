@@ -13,17 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_unit_interval
-from .linalg import _scalar_or_stack, matrix_sqrt_psd, partial_trace, psd_eigenvalues
+from .linalg import _reject_first, _scalar_or_stack, matrix_sqrt_psd, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _FLIP = np.kron(_PAULIS[2], _PAULIS[2])
 _PT_EIG_TOL = 1e-10  # entanglement breaking: no partial-transpose eigenvalue below -_PT_EIG_TOL
-_SCAN_GRID = 32  # the accessible-information scan covers _SCAN_GRID**2 lattice axes
+_SCAN_LATTICE = 512  # points of the Fibonacci lattice whose z > 0 half the accessible-information scan covers
 _SCAN_BLOCK = 8  # states scored together on the scan lattice
-_ZOOM_POINTS = 7  # candidate angles per coordinate in each refinement pass
-_ZOOM_PASSES = 12
+_ZOOM_POINTS = 7  # candidate tangent-plane coordinates per direction in each refinement pass
+# the cells of np.meshgrid(u offsets, v offsets).ravel(), in units of the window's half-width: u tiled, v repeated
+_ZOOM_U = np.tile(np.linspace(-1.0, 1.0, _ZOOM_POINTS), _ZOOM_POINTS)
+_ZOOM_V = np.repeat(np.linspace(-1.0, 1.0, _ZOOM_POINTS), _ZOOM_POINTS)
+_ZOOM_PASSES = 15
+_ZOOM_START = 2.0 * math.sqrt(4.0 * math.pi / _SCAN_LATTICE)  # half-width of the first window: two lattice spacings
+_ZOOM_SHRINK = 0.4  # the next window reaches 1.2 grid steps either side of the best point
 
 
 def _plog2(p: float) -> float:
@@ -70,18 +75,19 @@ def trigger_joint_distribution(t: float, p1: float = 0.5, p2: float = 0.5, p: fl
     return np.array([[t * (a * b) + (1.0 - t) * c for b, c in zip(cols, line)] for a, line in zip(rows, anti)])
 
 
-def shannon_mutual_information(m: np.ndarray) -> float:
-    """Mutual information of a 2x2 joint probability table, in bits."""
+def shannon_mutual_information(m: np.ndarray):
+    """Mutual information of a 2x2 joint probability table, or of each table of a ``(..., 2, 2)`` stack, in bits."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 table, got {m.shape}")
-    if not (m.min() >= -_DOMAIN_SLACK and abs(m.sum() - 1.0) <= _DOMAIN_SLACK):
-        raise ValueError("entries must be nonnegative and sum to 1")
-    row, col = m.sum(axis=1), m.sum(axis=0)
-    info = sum(m[i, j] * math.log2(m[i, j] / (row[i] * col[j])) for i, j in np.ndindex(2, 2) if m[i, j] > _PROB_FLOOR)
-    if info < -_DOMAIN_SLACK:
-        raise DomainError(f"mutual information {info} is negative")
-    return max(info, 0.0)  # rounding can leave a few ulps below 0
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 table or a stack of them, got {m.shape}")
+    bad = ~((m.min(axis=(-2, -1)) >= -_DOMAIN_SLACK) & (np.abs(m.sum(axis=(-2, -1)) - 1.0) <= _DOMAIN_SLACK))
+    _reject_first(bad, bad, ValueError, "entries must be nonnegative and sum to 1", "table")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = m * np.log2(m / (m.sum(axis=-1, keepdims=True) * m.sum(axis=-2, keepdims=True)))
+    terms = np.where(m > _PROB_FLOOR, terms, 0.0).reshape(*m.shape[:-2], 4)
+    info = ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
+    _reject_first(info < -_DOMAIN_SLACK, info, DomainError, "mutual information {} is negative", "table")
+    return _scalar_or_stack(np.maximum(info, 0.0))  # rounding can leave a few ulps below 0
 
 
 def aux_info_closed(t: float) -> float:
@@ -113,7 +119,7 @@ def total_info_closed(t: float) -> float:
 
 
 def _fibonacci_axes(count: int) -> np.ndarray:
-    """Deterministic, nearly uniform unit vectors on the sphere."""
+    """Deterministic, nearly uniform unit vectors on the sphere, in descending z."""
     i = np.arange(count)
     z = 1.0 - (2.0 * i + 1.0) / count
     azimuth = math.pi * (3.0 - math.sqrt(5.0)) * i
@@ -121,69 +127,97 @@ def _fibonacci_axes(count: int) -> np.ndarray:
     return np.stack([radius * np.cos(azimuth), radius * np.sin(azimuth), z], axis=1)
 
 
-def _weighted_entropies(trace: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p * S(m / p) per unnormalized qubit state m = (p I + (x, y, z) . sigma) / 2, given on planes of one shape."""
-    radius = np.sqrt(x * x + y * y + z * z)
-    lam = np.array([trace + radius, np.maximum(trace - radius, 0.0)]) / 2.0
-    total = lam[0] + lam[1]
-    ratio = np.divide(lam, total, out=np.zeros_like(lam), where=total > _PROB_FLOOR)
-    terms = lam * np.log2(ratio, out=np.zeros_like(ratio), where=ratio > _PROB_FLOOR)
-    return -(terms[0] + terms[1])
+def _monomials(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The linear and quadratic monomials of an axis (x, y, z), stacked on axis -2."""
+    return np.stack([x, y, z, x * x, y * y, z * z, 2.0 * x * y, 2.0 * x * z, 2.0 * y * z], axis=-2)
+
+
+# The objective is even in the axis (n and -n swap the two outcomes), so the scan needs only the z > 0 half
+_SCAN_AXES = _fibonacci_axes(_SCAN_LATTICE)[: _SCAN_LATTICE // 2]
+_SCAN_MONOMIALS = _monomials(*_SCAN_AXES.T)
+_OUTCOMES = np.array([1.0, -1.0])[:, None, None]
+
+
+def _forms(pauli: np.ndarray) -> np.ndarray:
+    """Per state, n . r, 2 n . T s and |s|^2 + |T^T n|^2 of a unit axis n, as coefficients of its _monomials."""
+    r, s, t = pauli[:, 1:, 0], pauli[:, 0, 1:], pauli[:, 1:, 1:]
+    forms = np.zeros((len(pauli), 3, 9))
+    forms[:, 0, :3], forms[:, 1, :3] = r, 2.0 * (t @ s[:, :, None])[:, :, 0]
+    quadratic = t @ t.swapaxes(1, 2) + np.sum(s * s, axis=1)[:, None, None] * np.eye(3)  # |s|^2 = |s|^2 |n|^2
+    forms[:, 2, 3:] = quadratic[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+    return forms
+
+
+def _objective(pauli: np.ndarray, s_output: np.ndarray, at_axes: np.ndarray) -> np.ndarray:
+    """Retained information per axis, per state, from ``at_axes = _forms(pauli) @ _monomials(axes)``.
+
+    ``pauli[:, i, j] = Tr[rho (sigma_i x sigma_j)]`` holds the reference
+    Bloch vector r (column 0), the output Bloch vector s (row 0) and the
+    correlation matrix T.  Outcome +-1 along axis n leaves the output in
+    (p I + v . sigma) / 2 with p = (1 +- n . r) / 2 and v = (s +- w) / 2,
+    w = T^T n, whose eigenvalues are (p +- |v|) / 2.  Both outcomes are
+    scored on one leading axis, with |s +- w|^2 = |s|^2 + |w|^2 +- 2 s . w.
+    """
+    trace = pauli[:, :1, 0] + _OUTCOMES * at_axes[:, 0]
+    radius = np.sqrt(np.maximum(at_axes[:, 2] + _OUTCOMES * at_axes[:, 1], 0.0))
+    lam = np.array([trace + radius, np.maximum(trace - radius, 0.0)])  # 4x the eigenvalues, which the ratio drops
+    with np.errstate(invalid="ignore"):
+        ratio = lam / (lam[0] + lam[1])
+    terms = lam[0] * np.log2(np.where(ratio[0] > _PROB_FLOOR, ratio[0], 1.0))  # -4 p S per outcome
+    terms += lam[1] * np.log2(np.where(ratio[1] > _PROB_FLOOR, ratio[1], 1.0))
+    return s_output[:, None] + (terms[0] + terms[1]) / 4.0
 
 
 def _objective_over_axes(pauli: np.ndarray, s_output: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Retained-information objective of a projective measurement per axis, per state of a stack.
 
-    ``pauli[..., i, j] = Tr[rho (sigma_i x sigma_j)]`` holds the reference
-    Bloch vector r (column 0), the output Bloch vector s (row 0) and the
-    correlation matrix T.  Outcome +-1 along axis n leaves the output in
-    (p I + v . sigma) / 2 with p = (1 +- n . r) / 2 and v = (s +- T^T n) / 2,
-    whose eigenvalues are (p +- |v|) / 2.  The Pauli component axis is moved
-    to the front, so every step works on contiguous planes.
+    ``axes`` holds unit vectors, shape ``(m, 3)`` for all states or ``(k, m, 3)`` per state.
     """
-    shift = np.ascontiguousarray(np.moveaxis(axes @ pauli[..., 1:, :], -1, 0))
-    row = np.moveaxis(pauli[..., 0, :], -1, 0)[..., None]
-    plus = _weighted_entropies(*((row + shift) / 2.0))  # outcome +1
-    minus = _weighted_entropies(*((row - shift) / 2.0))  # outcome -1
-    return np.asarray(s_output)[..., None] - plus - minus
+    return _objective(pauli, s_output, _forms(pauli) @ _monomials(*np.moveaxis(axes, -1, 0)))
 
 
 def classical_accessible_info(rho_rq: np.ndarray):
     """Best projective-measurement information about Q from measuring R.
 
     Maximizes S[rho_Q] - sum_j p_j S[rho_Q | outcome j] over rank-1
-    projective measurements on the reference.  A Fibonacci lattice of
-    _SCAN_GRID**2 axes is scanned, then the best axis is refined in the
-    polar and azimuthal angles: each pass scores a _ZOOM_POINTS**2 grid of
-    axes around it in one batch and narrows the window to one grid step.
-    Returns ``(value, flatness)`` where flatness is the max-min spread of
-    the objective over the lattice; for the channel states produced here
-    the objective is axis-independent, so the flatness doubles as a
-    self-check.  A ``(..., 4, 4)`` stack gives both per state, and each
-    zoom pass scores the whole stack in one batch.
+    projective measurements on the reference.  The objective is even in the
+    measurement axis, so the scan covers the z > 0 half of a Fibonacci
+    lattice of _SCAN_LATTICE axes.  The best lattice axis c is then refined
+    in the plane tangent to the sphere at c, on axes proportional to
+    c + u e1 + v e2, which has no coordinate pole: each pass scores a
+    _ZOOM_POINTS**2 grid of (u, v) around the best point in one batch and
+    shrinks the window by _ZOOM_SHRINK.  Returns ``(value, flatness)``
+    where flatness is the max-min spread of the objective over the half
+    lattice; for the channel states produced here the objective is
+    axis-independent, so the flatness doubles as a self-check.  A
+    ``(..., 4, 4)`` stack gives both per state, and each zoom pass scores
+    the whole stack in one batch.
     """
     choi = _two_qubit(rho_rq)
     psd_eigenvalues(choi)
     pauli = np.einsum("naqbr,iba,jrq->nij", choi.reshape(-1, 2, 2, 2, 2), _PAULIS, _PAULIS).real
     s_output = np.reshape(von_neumann_entropy(partial_trace(choi, 2, [1])), -1)
-    axes = _fibonacci_axes(_SCAN_GRID * _SCAN_GRID)
-    # the lattice is scored _SCAN_BLOCK states at a time: its intermediates take ~0.15 MiB per state
+    forms = _forms(pauli)
+    # the lattice is scored _SCAN_BLOCK states at a time: its intermediates take ~0.04 MiB per state
     blocks = [slice(i, i + _SCAN_BLOCK) for i in range(0, len(pauli), _SCAN_BLOCK)]
-    values = np.concatenate([_objective_over_axes(pauli[block], s_output[block], axes) for block in blocks])
-    best, flatness, states = values.max(axis=1), np.ptp(values, axis=1), np.arange(len(values))
-    x, y, z = axes[np.argmax(values, axis=1)].T
-    theta, phi = np.arccos(z), np.arctan2(y, x)
-    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    half = math.pi / _SCAN_GRID  # polar half-width; the azimuthal window is twice as wide
+    scan = np.concatenate([_objective(pauli[b], s_output[b], forms[b] @ _SCAN_MONOMIALS) for b in blocks])
+    best, flatness = scan.max(axis=1), np.ptp(scan, axis=1)
+    # the reference Bloch axes re-expressed in an orthonormal frame (c, e1, e2) at the best lattice axis c,
+    # regular for every c with z > -1; the frame axis (1, u, v) / |(1, u, v)| is c + u e1 + v e2 normalized
+    x, y, z = _SCAN_AXES[np.argmax(scan, axis=1)].T
+    a, b = -x / (1.0 + z), -y / (1.0 + z)
+    frame = np.stack([x, y, z, 1.0 + a * x, a * y, -x, a * y, 1.0 + b * y, -y], axis=1).reshape(-1, 3, 3)
+    forms = _forms(np.concatenate([pauli[:, :1], frame @ pauli[:, 1:]], axis=1))
+    u = v = np.zeros((len(pauli), 1))
+    states, half = np.arange(len(pauli)), _ZOOM_START
     for _ in range(_ZOOM_PASSES):
-        # the cells of np.meshgrid(theta window, phi window).ravel(): theta tiled, phi repeated
-        thetas = np.tile(theta[:, None] + half * offsets, _ZOOM_POINTS)
-        phis = np.repeat(phi[:, None] + 2.0 * half * offsets, _ZOOM_POINTS, axis=1)
-        zoom_axes = np.stack([np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)], axis=-1)
-        candidates = _objective_over_axes(pauli, s_output, zoom_axes)
+        us, vs = u + half * _ZOOM_U, v + half * _ZOOM_V
+        scale = 1.0 / np.sqrt(1.0 + us * us + vs * vs)
+        candidates = _objective(pauli, s_output, forms @ _monomials(scale, us * scale, vs * scale))
         ix = np.argmax(candidates, axis=1)
-        best, theta, phi = np.maximum(best, candidates.max(axis=1)), thetas[states, ix], phis[states, ix]
-        half *= 2.0 / (_ZOOM_POINTS - 1)  # the next window reaches one grid step either side
+        best = np.maximum(best, candidates[states, ix])
+        u, v = us[states, ix, None], vs[states, ix, None]
+        half *= _ZOOM_SHRINK
     return _scalar_or_stack(best.reshape(choi.shape[:-2])), _scalar_or_stack(flatness.reshape(choi.shape[:-2]))
 
 
@@ -191,12 +225,6 @@ def classical_capacity_closed(t: float) -> float:
     """Closed form of the accessible information, 1 - h2(3/4 - t/8)."""
     check_unit_interval("mixing weight t", t)
     return 1.0 - h2(3.0 / 4.0 - t / 8.0)
-
-
-def quantum_discord(rho_rq: np.ndarray):
-    """Mutual information minus its classically accessible part."""
-    accessible, _ = classical_accessible_info(rho_rq)
-    return quantum_mutual_information(rho_rq) - accessible
 
 
 def _two_qubit(rho: np.ndarray) -> np.ndarray:
@@ -269,13 +297,13 @@ def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5,
     of :func:`trigger_joint_distribution`.
     """
     ts = np.broadcast_to(np.asarray(t, dtype=float), np.shape(choi)[:-2])
-    i_aux = [shannon_mutual_information(trigger_joint_distribution(x, p1, p2, p)) for x in ts.ravel().tolist()]
+    tables = np.reshape([trigger_joint_distribution(x, p1, p2, p) for x in ts.ravel().tolist()], (*ts.shape, 2, 2))
     i_tot = quantum_mutual_information(choi)
     i_class, _ = classical_accessible_info(choi)
     min_pt = min_partial_transpose_eigenvalue(choi)
     return InfoReport(
         t=_scalar_or_stack(ts.copy()),
-        i_aux=_scalar_or_stack(np.reshape(i_aux, ts.shape)),
+        i_aux=shannon_mutual_information(tables),
         i_tot=i_tot,
         i_class=i_class,
         discord=i_tot - i_class,

@@ -336,8 +336,9 @@ def test_marginal_and_trigger_info_checks_can_fail(monkeypatch, capsys):
 
 
 def test_fig4_sweep_memory_budget(capsys):
-    # the accessible-information lattice is scored in blocks of 8 states, a traced peak of about 2.2 MiB
-    # cold and 2.0 MiB warm in this test; scoring the whole 101-state stack at once traces about 14 MiB
+    # the accessible-information lattice is scored in blocks of 8 states, a traced peak of about 1.5 MiB
+    # cold and 1.3 MiB warm in this test, set by the zoom passes over the whole 101-state stack; scanning the
+    # lattice for the whole stack at once traces about 4.2 MiB in the optimizer alone
     tracemalloc.start()
     try:
         assert main(["sweep", "--figure", "4"]) == 0
@@ -349,8 +350,8 @@ def test_fig4_sweep_memory_budget(capsys):
 
 
 def test_verify_memory_budget(capsys):
-    # verify runs one grid row per stacked circuit. The traced peak is about 2.25 MiB cold (the run plans are
-    # built then) and 2.0 MiB warm, set by the accessible-information scan; extracting the 9x9 grid row by row
+    # verify runs one grid row per stacked circuit. The traced peak is about 1.3 MiB cold and warm, set by the
+    # accessible-information zoom over the 101-state stack; extracting the 9x9 grid row by row
     # peaks at about 0.77 MiB cold and 0.72 MiB warm. Stacking the whole 81-point grid would still not fit: its
     # extraction alone peaks at about 6.4 MiB, in the dense prepared and final registers and the complex128
     # copies of reduced_density_matrix, which the compact circuit run does not shrink

@@ -19,7 +19,6 @@ from bellbidir.infotheory import (
     h4_31,
     info_report_from_choi,
     min_partial_transpose_eigenvalue,
-    quantum_discord,
     quantum_mutual_information,
     shannon_mutual_information,
     total_info_closed,
@@ -47,8 +46,8 @@ def info_report(t):
     return info_report_from_choi(symmetric_mixed_choi(t), t)
 
 
-def random_state(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def random_state(rng, rank=4):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -119,6 +118,20 @@ def test_shannon_mutual_information_validation():
         shannon_mutual_information(np.ones(4) / 4)
     with pytest.raises(ValueError):
         shannon_mutual_information(np.array([[0.5, np.nan], [0.25, 0.25]]))
+    tables = np.array([trigger_joint_distribution(t) for t in (0.0, 0.5, 1.0)])
+    tables[2, 1, 0] = -0.1
+    with pytest.raises(ValueError, match="table 2 of the stack"):
+        shannon_mutual_information(tables)
+
+
+def test_shannon_mutual_information_on_a_stack_equals_per_table_calls():
+    rng = np.random.default_rng(13)
+    tables = np.array([trigger_joint_distribution(*point) for point in rng.random((300, 4)).tolist()])
+    singles = [shannon_mutual_information(table) for table in tables]
+    assert all(type(value) is float for value in singles)
+    stacked = shannon_mutual_information(tables.reshape(3, 100, 2, 2))
+    assert stacked.shape == (3, 100)
+    assert np.array_equal(stacked.ravel(), singles)
 
 
 def test_aux_info_closed_matches_table():
@@ -179,20 +192,27 @@ def test_classical_capacity_closed():
         assert abs(classical_capacity_closed(float(t)) - value) <= 1e-12
 
 
+def discord(rho):
+    return info_report_from_choi(rho, 0.5).discord
+
+
 def test_quantum_discord():
-    assert abs(quantum_discord(PRODUCT)) <= 1e-9
-    assert abs(quantum_discord(symmetric_mixed_choi(0.0)) - 0.262) <= 2e-3
-    assert abs(quantum_discord(symmetric_mixed_choi(1.0)) - 0.0744) <= 2e-3
+    assert abs(discord(PRODUCT)) <= 1e-9
+    assert abs(discord(symmetric_mixed_choi(0.0)) - 0.262) <= 2e-3
+    assert abs(discord(symmetric_mixed_choi(1.0)) - 0.0744) <= 2e-3
     for t in (0.0, 0.5, 1.0):
-        assert quantum_discord(symmetric_mixed_choi(t)) >= -1e-9
+        assert discord(symmetric_mixed_choi(t)) >= -1e-9
     # classical-quantum states 1/2 |n><n| x rho0 + 1/2 |-n><-n| x rho1 have zero
-    # discord; the optimum axis n lies off the scan lattice
+    # discord; the optimum axis n lies off the scan lattice, and in the last four
+    # cases within 0.1 rad of the z axis, where a zoom in polar angles degenerates
     rho0 = 0.7 * projector(bloch_state(0.4, 0.2)) + 0.15 * np.eye(2)
     rho1 = 0.6 * projector(bloch_state(2.0, -1.0)) + 0.2 * np.eye(2)
-    for theta, phi in ((1.234, 0.567), (0.3, 2.9), (2.2, -1.3), (1.0, 1.0)):
+    off_lattice = ((1.234, 0.567), (0.3, 2.9), (2.2, -1.3), (1.0, 1.0))
+    near_pole = ((0.03, 1.0), (0.05, -2.0), (0.1, 0.3), (math.pi - 0.03, 2.0))
+    for theta, phi in off_lattice + near_pole:
         n = projector(bloch_state(theta, phi))
         rho = 0.5 * np.kron(n, rho0) + 0.5 * np.kron(np.eye(2) - n, rho1)
-        assert abs(quantum_discord(rho)) <= 1e-10, (theta, phi)
+        assert abs(discord(rho)) <= 1e-10, (theta, phi)
 
 
 def test_classical_accessible_info_on_random_states():
@@ -214,6 +234,38 @@ def test_classical_accessible_info_on_random_states():
                 retained -= prob * von_neumann_entropy(cond / prob)
             assert accessible >= retained - 1e-12
         assert accessible <= quantum_mutual_information(rho) + 1e-12
+
+
+def haar_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_accessible_info_is_invariant_under_unitaries_on_the_reference(seed):
+    # a unitary on R maps each projective measurement on R to another one, so the optimum cannot move
+    rng = np.random.default_rng(seed)
+    states = np.array([random_state(rng, int(rng.integers(2, 5))) for _ in range(200)])
+    rotated = [states]
+    for _ in range(4):
+        u = np.array([np.kron(haar_unitary(rng), np.eye(2)) for _ in states])
+        rotated.append(u @ states @ u.conj().swapaxes(-1, -2))
+    values = np.array([classical_accessible_info(stack)[0] for stack in rotated])
+    spread = np.ptp(values, axis=0)
+    assert spread.max() <= 1e-12, (np.count_nonzero(spread > 1e-12), spread.max())
+
+
+def test_objective_is_even_in_the_axis():
+    # outcomes +1 and -1 along n are outcomes -1 and +1 along -n, so the scan needs only half the sphere
+    rng = np.random.default_rng(5)
+    states = np.array([random_state(rng, int(rng.integers(1, 5))) for _ in range(200)])
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    pauli = np.array([[[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis] for rho in states])
+    s_output = np.array([von_neumann_entropy(partial_trace(rho, 2, [1])) for rho in states])
+    axes = rng.normal(size=(200, 30, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    objective = _objective_over_axes(pauli, s_output, axes)
+    assert np.abs(objective - _objective_over_axes(pauli, s_output, -axes)).max() <= 1e-14
 
 
 def random_states(count):
@@ -293,7 +345,6 @@ MEASURES = (
     matrix_sqrt_psd,
     concurrence,
     coherent_information,
-    quantum_discord,
     lambda state: info_report_from_choi(state, 0.5),
 )
 
