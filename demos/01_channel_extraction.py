@@ -27,9 +27,9 @@ params = SchemeParams(theta1=math.pi / 2, theta2=math.pi / 2)
 circuit = build_scheme_independent(params)
 for direction in (A_TO_B, B_TO_A):
     choi = extract_choi(circuit, *channel_endpoints(direction))
-    model = analytic_channel("independent", params, direction)
-    distance = trace_distance(choi, choi_of_channel(model))
-    print(f"  {direction}: simulated q = {weight_from_choi(choi):.6f}, model q = {model.q:.6f}, "
+    q = analytic_channel("independent", params, direction)
+    distance = trace_distance(choi, choi_of_channel(q))
+    print(f"  {direction}: simulated q = {weight_from_choi(choi):.6f}, model q = {q:.6f}, "
           f"trace distance = {distance:.2e}")
 
 print("\nChannel state at the symmetric point (A to B):")

@@ -6,10 +6,12 @@ line.  The independent-trigger scheme never clears it in both directions at
 once; the common trigger does; the mixture crosses the boundary at
 t = 2/3.
 """
+from functools import partial
+
 import numpy as np
 
-from bellbidir.channels import CRITICAL_T, analytic_channel, fidelity_closed, fidelity_quadrature
-from bellbidir.protocols import A_TO_B, B_TO_A, SchemeParams
+from bellbidir.channels import CRITICAL_T, analytic_channel, choi_of_channel, fidelity_closed, fidelity_quadrature
+from bellbidir.protocols import A_TO_B, B_TO_A, SchemeParams, apply_channel_from_choi
 
 CLASSICAL_BOUND = 2 / 3
 
@@ -38,7 +40,7 @@ for t in np.linspace(0, 1, 9):
 t0 = CRITICAL_T
 print(f"\nCritical mixing weight t0 = {t0} (fidelity there = {0.75 - t0 / 8:.6f})")
 
-channel = analytic_channel("mixed", SchemeParams.from_probabilities(t=0.4), A_TO_B)
-quadrature = fidelity_quadrature(channel.apply, nodes=32)
-print(f"\nQuadrature cross-check at t = 0.4: closed form {fidelity_closed(channel):.12f}, "
+q = analytic_channel("mixed", SchemeParams.from_probabilities(t=0.4), A_TO_B)
+quadrature = fidelity_quadrature(partial(apply_channel_from_choi, choi_of_channel(q)), nodes=32)
+print(f"\nQuadrature cross-check at t = 0.4: closed form {fidelity_closed(q):.12f}, "
       f"32x32-node Bloch average {quadrature:.12f}")

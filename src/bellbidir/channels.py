@@ -4,21 +4,21 @@ Every channel the protocol produces has the one-parameter form
 
     E[rho] = q * rho + (1 - q) * I/2,
 
-so a channel is fully described by the weight q of the input-preserving
-term.  Fidelity is available both in closed form and through independent
-Bloch-sphere quadrature.
+so a channel is its weight q of the input-preserving term: a float, or an
+array of them for a stack.  Its action on a state is
+``apply_channel_from_choi(choi_of_channel(q), rho)``.  Fidelity is available
+both in closed form and through independent Bloch-sphere quadrature.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import OutOfRange
 from .infotheory import trigger_joint_distribution
-from .linalg import _scalar_or_stack, projector
+from .linalg import _reject_first, _scalar_or_stack, projector
 from .protocols import A_TO_B, DIRECTIONS, SchemeParams
 from .sim import bell_state
 
@@ -28,24 +28,12 @@ SCHEMES = ("independent", "common", "mixed")
 # at p1 = p2 = p = 1/2 the fidelity is 3/4 - t/8, which equals 2/3 at t = 2/3.
 CRITICAL_T = 2.0 / 3.0
 
-_IDENTITY2 = np.eye(2, dtype=complex)
-_MAX_MIXED = _IDENTITY2 / 2
 
-
-@dataclass(frozen=True)
-class QubitChannel:
-    """Depolarizing-family channel with input-preserving weight ``q``."""
-
-    q: float
-
-    def __post_init__(self):
-        if not -1e-12 <= self.q <= 1.0 + 1e-12:
-            raise OutOfRange(f"channel weight q={self.q} outside [0, 1]")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """q * rho + (1 - q) * maximally mixed."""
-        rho = np.asarray(rho, dtype=complex)
-        return self.q * rho + (1.0 - self.q) * _MAX_MIXED
+def _checked_weight(q) -> np.ndarray:
+    """``q`` as a float array; :class:`OutOfRange` names the first weight outside [0, 1] beyond rounding."""
+    q = np.asarray(q, dtype=float)
+    _reject_first(~((q >= -1e-12) & (q <= 1.0 + 1e-12)), q, OutOfRange, "channel weight q={} outside [0, 1]", "weight")
+    return q
 
 
 def mixing_weight(scheme: str, params: SchemeParams) -> float:
@@ -55,17 +43,17 @@ def mixing_weight(scheme: str, params: SchemeParams) -> float:
     return {"independent": 1.0, "common": 0.0}.get(scheme, params.t)
 
 
-def analytic_channel(scheme: str, params: SchemeParams, direction: str) -> QubitChannel:
-    """Closed-form channel: q is the probability that the sender fires and the receiver stays silent."""
+def analytic_channel(scheme: str, params: SchemeParams, direction: str) -> float:
+    """Closed-form channel weight q: the probability that the sender fires and the receiver stays silent."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     table = trigger_joint_distribution(mixing_weight(scheme, params), params.p1, params.p2, params.p)
-    return QubitChannel(float(table[1, 0] if direction == A_TO_B else table[0, 1]))
+    return float(table[1, 0] if direction == A_TO_B else table[0, 1])
 
 
-def choi_of_channel(channel: QubitChannel | np.ndarray) -> np.ndarray:
+def choi_of_channel(q) -> np.ndarray:
     """Channel state q |bell><bell| + (1 - q) I/4 of a depolarizing-family channel; an array of q gives a stack."""
-    q = np.asarray(channel.q if isinstance(channel, QubitChannel) else channel, dtype=float)[..., None, None]
+    q = _checked_weight(q)[..., None, None]
     bell = projector(bell_state())
     return q * bell + (1.0 - q) * np.eye(4, dtype=complex) / 4
 
@@ -79,17 +67,17 @@ def weight_from_choi(choi: np.ndarray):
     return _scalar_or_stack((4.0 * overlap - 1.0) / 3.0)
 
 
-def fidelity_closed(channel: QubitChannel) -> float:
-    """Bloch-sphere-averaged teleportation fidelity, (1 + q) / 2."""
-    return (1.0 + channel.q) / 2.0
+def fidelity_closed(q):
+    """Bloch-sphere-averaged teleportation fidelity, (1 + q) / 2; an array of q gives one per weight."""
+    return _scalar_or_stack((1.0 + _checked_weight(q)) / 2.0)
 
 
 def fidelity_quadrature(channel_apply: Callable[[np.ndarray], np.ndarray], nodes: int = 32) -> float:
     """Average output-vs-input overlap over the Bloch sphere by quadrature.
 
     ``channel_apply`` maps a ``(..., 2, 2)`` stack of input density matrices
-    to the output ones, as ``QubitChannel.apply`` does; it is called once on
-    all nodes**2 node states.  The polar integral uses Gauss-Legendre
+    to the output ones, as ``partial(apply_channel_from_choi, choi)`` does;
+    it is called once on all nodes**2 node states.  The polar integral uses Gauss-Legendre
     nodes in cos(theta); the azimuthal one a uniform trapezoid rule, exact
     for periodic integrands.  For depolarizing-family channels the integrand
     is constant and the result matches :func:`fidelity_closed` to machine

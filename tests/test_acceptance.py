@@ -3,6 +3,7 @@
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all
 on success).  Tolerances are pinned here and never loosened at runtime.
 """
+import functools
 import math
 import time
 
@@ -10,7 +11,6 @@ import numpy as np
 
 from bellbidir.channels import (
     CRITICAL_T,
-    QubitChannel,
     analytic_channel,
     choi_of_channel,
     fidelity_closed,
@@ -48,7 +48,7 @@ from bellbidir.sim import Circuit, Gate, bell_state, bloch_state, run_circuit
 
 def symmetric_mixed_choi(t):
     """Closed-form channel state of the mixed scheme at p1 = p2 = p = 1/2."""
-    return choi_of_channel(QubitChannel(0.5 - 0.25 * t))
+    return choi_of_channel(0.5 - 0.25 * t)
 
 
 def _report(ok: bool, label: str) -> None:
@@ -86,10 +86,10 @@ def test_criterion_2_common_channel_equality():
     params_list = [SchemeParams(theta=t) for t in thetas]
     worst = _grid_deviation(build_scheme_common, params_list, "17")
     exact_limits = (
-        analytic_channel("common", SchemeParams(theta=0.0), A_TO_B).q == 0.0
-        and analytic_channel("common", SchemeParams(theta=math.pi), A_TO_B).q == 1.0
-        and analytic_channel("common", SchemeParams(theta=0.0), B_TO_A).q == 1.0
-        and analytic_channel("common", SchemeParams(theta=math.pi), B_TO_A).q == 0.0
+        analytic_channel("common", SchemeParams(theta=0.0), A_TO_B) == 0.0
+        and analytic_channel("common", SchemeParams(theta=math.pi), A_TO_B) == 1.0
+        and analytic_channel("common", SchemeParams(theta=0.0), B_TO_A) == 1.0
+        and analytic_channel("common", SchemeParams(theta=math.pi), B_TO_A) == 0.0
     )
     _report(
         worst <= 1e-10 and exact_limits,
@@ -105,15 +105,15 @@ def test_criterion_3_fidelity_golden_numbers():
     worst_golden = max(abs(fidelity_closed(ind) - 0.625), abs(fidelity_closed(com) - 0.75))
     worst_mix = 0.0
     worst_quad = 0.0
-    for channel in (ind, com):
-        quad = fidelity_quadrature(channel.apply, nodes=32)
-        worst_quad = max(worst_quad, abs(quad - fidelity_closed(channel)))
+    for q in (ind, com):
+        quad = fidelity_quadrature(functools.partial(apply_channel_from_choi, choi_of_channel(q)), nodes=32)
+        worst_quad = max(worst_quad, abs(quad - fidelity_closed(q)))
     for t in np.linspace(0.0, 1.0, 101):
         params = SchemeParams.from_probabilities(t=float(t))
-        channel = analytic_channel("mixed", params, A_TO_B)
-        worst_mix = max(worst_mix, abs(fidelity_closed(channel) - (0.75 - t / 8)))
-        quad = fidelity_quadrature(channel.apply, nodes=32)
-        worst_quad = max(worst_quad, abs(quad - fidelity_closed(channel)))
+        q = analytic_channel("mixed", params, A_TO_B)
+        worst_mix = max(worst_mix, abs(fidelity_closed(q) - (0.75 - t / 8)))
+        quad = fidelity_quadrature(functools.partial(apply_channel_from_choi, choi_of_channel(q)), nodes=32)
+        worst_quad = max(worst_quad, abs(quad - fidelity_closed(q)))
     _report(
         worst_golden <= 1e-12 and worst_mix <= 1e-12 and worst_quad <= 1e-12,
         f"criterion 3: fidelity golden numbers 0.625 / 0.75 / (3/4 - t/8) "

@@ -7,7 +7,6 @@ import pytest
 from bellbidir.channels import (
     CRITICAL_T,
     SCHEMES,
-    QubitChannel,
     analytic_channel,
     choi_of_channel,
     fidelity_closed,
@@ -17,7 +16,7 @@ from bellbidir.channels import (
 )
 from bellbidir.errors import OutOfRange
 from bellbidir.linalg import projector
-from bellbidir.protocols import A_TO_B, B_TO_A, SchemeParams
+from bellbidir.protocols import A_TO_B, B_TO_A, SchemeParams, apply_channel_from_choi
 from bellbidir.sim import bell_state
 
 
@@ -27,17 +26,22 @@ def random_density_matrix(rng):
     return rho / np.trace(rho)
 
 
+def depolarize(q):
+    """The channel of weight q as a map on a qubit state, or a stack of them, through its channel state."""
+    return functools.partial(apply_channel_from_choi, choi_of_channel(q))
+
+
 def test_analytic_channel_weights():
     params = SchemeParams.from_probabilities(p1=1.0, p2=0.0)
-    assert analytic_channel("independent", params, A_TO_B).q == 1.0
-    assert analytic_channel("independent", params, B_TO_A).q == 0.0
+    assert analytic_channel("independent", params, A_TO_B) == 1.0
+    assert analytic_channel("independent", params, B_TO_A) == 0.0
     params = SchemeParams.from_probabilities(p=0.5)
-    assert abs(analytic_channel("common", params, A_TO_B).q - 0.5) <= 1e-12
-    assert abs(analytic_channel("common", params, B_TO_A).q - 0.5) <= 1e-12
+    assert abs(analytic_channel("common", params, A_TO_B) - 0.5) <= 1e-12
+    assert abs(analytic_channel("common", params, B_TO_A) - 0.5) <= 1e-12
     for t in (0.0, 0.3, 1.0):
         params = SchemeParams.from_probabilities(t=t)
         for direction in (A_TO_B, B_TO_A):
-            assert abs(analytic_channel("mixed", params, direction).q - (0.5 - t / 4)) <= 1e-12
+            assert abs(analytic_channel("mixed", params, direction) - (0.5 - t / 4)) <= 1e-12
     with pytest.raises(ValueError):
         analytic_channel("bogus", params, A_TO_B)
     with pytest.raises(ValueError):
@@ -51,17 +55,17 @@ def test_analytic_channel_weights():
         params = SchemeParams(theta1=theta1, theta2=theta2, theta=theta, t=t)
         p1, p2, p = params.p1, params.p2, params.p
         for direction, q_ind, q_com in ((A_TO_B, p1 * (1.0 - p2), p), (B_TO_A, p2 * (1.0 - p1), 1.0 - p)):
-            assert analytic_channel("independent", params, direction).q == q_ind
-            assert analytic_channel("common", params, direction).q == q_com
-            assert analytic_channel("mixed", params, direction).q == t * q_ind + (1.0 - t) * q_com
+            assert analytic_channel("independent", params, direction) == q_ind
+            assert analytic_channel("common", params, direction) == q_com
+            assert analytic_channel("mixed", params, direction) == t * q_ind + (1.0 - t) * q_com
 
 
 def test_channel_apply():
     rng = np.random.default_rng(1)
     rho = random_density_matrix(rng)
-    assert np.abs(QubitChannel(1.0).apply(rho) - rho).max() <= 1e-15
-    assert np.abs(QubitChannel(0.0).apply(rho) - np.eye(2) / 2).max() <= 1e-15
-    out = QubitChannel(0.5).apply(np.diag([1.0, 0.0]).astype(complex))
+    assert np.abs(depolarize(1.0)(rho) - rho).max() <= 1e-15
+    assert np.abs(depolarize(0.0)(rho) - np.eye(2) / 2).max() <= 1e-15
+    out = depolarize(0.5)(np.diag([1.0, 0.0]).astype(complex))
     assert np.abs(out - np.diag([0.75, 0.25])).max() <= 1e-15
 
 
@@ -69,30 +73,35 @@ def test_channel_output_is_a_state():
     rng = np.random.default_rng(6)
     for _ in range(20):
         rho = random_density_matrix(rng)
-        out = QubitChannel(rng.random()).apply(rho)
+        out = depolarize(rng.random())(rho)
         assert abs(np.trace(out).real - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(out).min() >= -1e-12
 
 
 def test_channel_weight_validation():
-    with pytest.raises(OutOfRange):
-        QubitChannel(1.5)
-    with pytest.raises(OutOfRange):
-        QubitChannel(-0.2)
+    for function in (choi_of_channel, fidelity_closed):
+        for q in (1.5, -0.2, math.nan):
+            with pytest.raises(OutOfRange):
+                function(q)
+        with pytest.raises(OutOfRange, match=r"q=1\.5 outside \[0, 1\] \(weight 1 of the stack\)"):
+            function(np.array([0.2, 1.5]))
+        # a weight within 1e-12 of [0, 1] is rounding, and passes
+        function(np.array([-1e-13, 1.0 + 1e-13]))
+    assert np.array_equal(fidelity_closed(np.array([0.25, 0.5, 1.0])), [0.625, 0.75, 1.0])
 
 
 def test_choi_of_channel():
     bell = projector(bell_state())
-    assert np.abs(choi_of_channel(QubitChannel(1.0)) - bell).max() <= 1e-15
-    assert np.abs(choi_of_channel(QubitChannel(0.0)) - np.eye(4) / 4).max() <= 1e-15
-    choi = choi_of_channel(QubitChannel(0.5 - (2 / 3) / 4))
+    assert np.abs(choi_of_channel(1.0) - bell).max() <= 1e-15
+    assert np.abs(choi_of_channel(0.0) - np.eye(4) / 4).max() <= 1e-15
+    choi = choi_of_channel(0.5 - (2 / 3) / 4)
     expected = (1 / 3) * bell + (2 / 3) * np.eye(4) / 4
     assert np.abs(choi - expected).max() <= 1e-15
 
 
 def test_weight_from_choi_roundtrip():
     for q in (0.0, 0.25, 0.8, 1.0):
-        assert abs(weight_from_choi(choi_of_channel(QubitChannel(q))) - q) <= 1e-12
+        assert abs(weight_from_choi(choi_of_channel(q)) - q) <= 1e-12
     rng = np.random.default_rng(11)
     stack = rng.normal(size=(4, 25, 4, 4)) + 1j * rng.normal(size=(4, 25, 4, 4))  # the overlap takes any matrices
     weights = weight_from_choi(stack)
@@ -103,9 +112,9 @@ def test_weight_from_choi_roundtrip():
 
 
 def test_fidelity_closed_golden_values():
-    assert fidelity_closed(QubitChannel(0.25)) == 0.625
-    assert fidelity_closed(QubitChannel(0.5)) == 0.75
-    assert fidelity_closed(QubitChannel(1.0)) == 1.0
+    assert fidelity_closed(0.25) == 0.625
+    assert fidelity_closed(0.5) == 0.75
+    assert fidelity_closed(1.0) == 1.0
 
 
 def test_fidelity_exchange_symmetry():
@@ -124,8 +133,7 @@ def test_quadrature_identity_channel():
 
 
 def test_quadrature_constant_integrand_node_invariance():
-    channel = QubitChannel(0.5)
-    values = [fidelity_quadrature(channel.apply, nodes=n) for n in (4, 8, 32)]
+    values = [fidelity_quadrature(depolarize(0.5), nodes=n) for n in (4, 8, 32)]
     for value in values:
         assert abs(value - 0.75) <= 1e-12
     assert max(values) - min(values) <= 1e-12
@@ -178,7 +186,6 @@ def test_closed_fidelity_matches_simulated_choi_quadrature():
     # the same grids the channel-equality checks use; fidelity is recomputed
     # from the simulated channel state by Bloch-sphere quadrature
     from bellbidir.protocols import (
-        apply_channel_from_choi,
         build_scheme_common,
         build_scheme_independent,
         channel_endpoints,

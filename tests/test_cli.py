@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellbidir import cli, infotheory
+from bellbidir import cli, infotheory, protocols
 from bellbidir.channels import analytic_channel, fidelity_closed
 from bellbidir.cli import main, run_verification
-from bellbidir.errors import OutOfRange
+from bellbidir.errors import DomainError, OutOfRange
 from bellbidir.infotheory import total_info_closed
 from bellbidir.protocols import A_TO_B, DIRECTIONS, SchemeParams
 
@@ -333,6 +334,34 @@ def test_marginal_and_trigger_info_checks_can_fail(monkeypatch, capsys):
     with monkeypatch.context() as patch:
         patch.setattr(cli, "aux_info_closed", lambda t: aux(t) + 1e-9)
         assert failed_checks(capsys) == {"trigger info closed form vs table"}
+
+
+def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):
+    # a defect that the extraction's own validation rejects fails the lines it feeds, without a traceback
+    names = [result.name for result in run_verification(grid=3, points=5)]
+    reduced = protocols.reduced_density_matrix
+    shift = 1e-8 * np.kron(np.diag([1.0, -1.0]), np.eye(2)) / 2  # reference marginal I/2 + 1e-8 Z, trace kept
+    with monkeypatch.context() as patch:
+        patch.setattr(protocols, "reduced_density_matrix", lambda *args: reduced(*args) + shift)
+        assert main(["verify", "--grid", "3", "--points", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9 and lines[-1] == "VERIFY: FAIL"
+    for name, line in zip(names, lines):
+        assert line.startswith(name) and " BadChannelState: " in line and line.endswith("FAIL"), line
+        assert "max dev" not in line
+    assert not re.search(r"\b(nan|inf)\b", "\n".join(lines), re.IGNORECASE)
+
+    # an error inside one computation fails only the lines that computation feeds
+    def raise_domain_error(*args):
+        raise DomainError("entropy of a negative probability")
+
+    monkeypatch.setattr(cli, "info_report_from_choi", raise_domain_error)
+    assert failed_checks(capsys) == {
+        "trigger info closed form vs table",
+        "total info closed form vs channel state",
+        "classical capacity closed form vs optimizer",
+        "concurrence closed form vs spectrum",
+    }
 
 
 def test_fig4_sweep_memory_budget(capsys):

@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from bellbidir.channels import QubitChannel, choi_of_channel
+from bellbidir.channels import choi_of_channel
 from bellbidir.errors import DomainError, NonHermitianInput, NotPSD, OutOfRange
 from bellbidir.infotheory import (
     _objective_over_axes,
@@ -39,7 +39,7 @@ H4_31_AT_EIGHTH = 3 - (5 / 8) * math.log2(5)
 
 def symmetric_mixed_choi(t):
     """Closed-form channel state of the mixed scheme at p1 = p2 = p = 1/2."""
-    return choi_of_channel(QubitChannel(0.5 - 0.25 * t))
+    return choi_of_channel(0.5 - 0.25 * t)
 
 
 def info_report(t):
@@ -401,7 +401,7 @@ def test_concurrence_matches_werner_closed_form():
     # independent oracle: for q |bell><bell| + (1-q) I/4 the spin-flipped
     # spectrum gives max(0, (3q - 1)/2)
     for q in np.linspace(0.0, 1.0, 21):
-        value = concurrence(choi_of_channel(QubitChannel(float(q))))
+        value = concurrence(choi_of_channel(float(q)))
         assert abs(value - max(0.0, (3 * q - 1) / 2)) <= 1e-9
 
 

@@ -23,7 +23,7 @@ PARAMS = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(PARAMS, st.sampled_from(SCHEMES), st.sampled_from(DIRECTIONS))
 def test_closed_form_weight_matches_simulation(params, scheme, direction):
-    q = analytic_channel(scheme, params, direction).q
+    q = analytic_channel(scheme, params, direction)
     assert 0.0 <= q <= 1.0
     assert abs(weight_from_choi(simulated_choi(scheme, params, direction)) - q) <= CHOI_TOL
 

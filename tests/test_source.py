@@ -1,10 +1,16 @@
-"""The package keeps no check in an ``assert``, which ``python -O`` strips out, and one import path per name."""
+"""The package keeps no check in an ``assert``, which ``python -O`` strips out, one import path per name, and no
+public name that nothing uses."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "bellbidir").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "bellbidir").glob("*.py"))
+# files outside src/ whose text may use a public name; the tests do not count as a use
+USER_TEXTS = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "benchmarks").glob("*.py"))]
+USER_TEXTS += [ROOT / "README.md", ROOT / "pyproject.toml"]
 
 
 def test_sources_are_found():
@@ -25,3 +31,46 @@ def test_package_module_binds_only_the_version():
     bound = [node for node in body if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
     assert len(bound) == 1 and isinstance(bound[0], ast.Assign), [ast.unparse(node) for node in bound]
     assert [ast.unparse(target) for target in bound[0].targets] == ["__version__"]
+
+
+def public_definitions(tree: ast.Module):
+    """(name, statement) of each top-level function, class and assigned name of a module not starting with _."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def used_names(node: ast.AST) -> set[str]:
+    """Names that a statement reads, as a name, an attribute or an import."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    # a name that only the tests call is dead code: delete it, or use it
+    trees = [ast.parse(source.read_text(encoding="utf-8")) for source in SOURCES]
+    statements = [(node, used_names(node)) for tree in trees for node in tree.body]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in USER_TEXTS)
+    definitions = [(source.name, *found) for source, tree in zip(SOURCES, trees) for found in public_definitions(tree)]
+    assert {"CRITICAL_T", "CheckResult", "choi_of_channel"} <= {name for _, name, _ in definitions}
+    unused = [
+        f"{module}:{name}"
+        for module, name, definition in definitions
+        if not any(name in used for node, used in statements if node is not definition)
+        and not re.search(rf"\b{re.escape(name)}\b", text)
+    ]
+    assert not unused, f"public names that nothing outside the tests uses: {unused}"
