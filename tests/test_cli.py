@@ -244,7 +244,15 @@ def per_value_format(value) -> str:
     return f"{value:.12g}"
 
 
-@pytest.mark.parametrize("points", [2, 7, 41])
+def test_csv_cells_format_each_value_by_its_bits():
+    values = [0.0, -0.0, 1 / 3, 1 / 3, 1e-300, 0.5]
+    cells = cli._csv_cells(np.array(values))
+    assert cells == ["%.12g" % v for v in values]
+    assert cells[:2] == ["0", "-0"] and cells[2] == cells[3]
+    assert cli._csv_cells(np.array([True, False, True])) == ["true", "false", "true"]
+
+
+@pytest.mark.parametrize("points", [2, 7, 41, 101])
 @pytest.mark.parametrize("figure", ["3a", "3b", "3c", "4"])
 def test_sweep_csv_equals_the_per_value_format_of_the_json_rows(capsys, figure, points):
     assert main(["sweep", "--figure", figure, "--points", str(points), "--format", "json"]) == 0
@@ -347,8 +355,12 @@ def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9 and lines[-1] == "VERIFY: FAIL"
     for name, line in zip(names, lines):
-        assert line.startswith(name) and " BadChannelState: " in line and line.endswith("FAIL"), line
-        assert "max dev" not in line
+        assert line.startswith(name), line
+        if name.startswith("trigger info"):  # reads no simulated state, so no extraction error can fail it
+            assert " max dev " in line and line.endswith("PASS"), line
+        else:
+            assert " BadChannelState: " in line and line.endswith("FAIL") and "max dev" not in line, line
+    assert sum(" BadChannelState: " in line for line in lines) == 7
     assert not re.search(r"\b(nan|inf)\b", "\n".join(lines), re.IGNORECASE)
 
     # an error inside one computation fails only the lines that computation feeds
@@ -357,7 +369,6 @@ def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "info_report_from_choi", raise_domain_error)
     assert failed_checks(capsys) == {
-        "trigger info closed form vs table",
         "total info closed form vs channel state",
         "classical capacity closed form vs optimizer",
         "concurrence closed form vs spectrum",
@@ -375,6 +386,20 @@ def test_fig4_sweep_memory_budget(capsys):
     finally:
         tracemalloc.stop()
     assert len(capsys.readouterr().out.splitlines()) == 102
+    assert peak <= 4 * 2**20
+
+
+def test_fig3a_sweep_memory_budget(capsys):
+    # four corner states per direction and 10,201 rows of CSV cells. Each column's distinct floats are formatted
+    # once and its cells share those strings: a traced peak of about 2.0 MiB cold and 1.8 MiB warm, set by the
+    # joined rows and the text; formatting every cell on its own peaks at about 2.5 MiB cold and 2.3 MiB warm
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--figure", "3a"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out.splitlines()) == 101**2 + 1
     assert peak <= 4 * 2**20
 
 

@@ -5,24 +5,43 @@ import numpy as np
 import pytest
 
 from bellbidir.channels import analytic_channel, choi_of_channel
+from bellbidir.cli import simulated_choi
 from bellbidir.errors import BadChannelState, BadIndex, BadLabel, OutOfRange
+from bellbidir.infotheory import trigger_joint_distribution
 from bellbidir.linalg import max_abs, partial_trace, projector, trace_distance
 from bellbidir.protocols import (
     A_TO_B,
     B_TO_A,
+    DIRECTIONS,
+    INDEPENDENT_LABELS,
     SchemeParams,
     apply_channel_from_choi,
     build_indirect_bell_block,
     build_scheme_common,
     build_scheme_independent,
     channel_endpoints,
+    _extended_circuit,
+    _scheme_gates,
     _validate_choi,
     choi_mixed,
     extract_choi,
     sample_mixed_trajectories,
     sample_trajectories,
 )
-from bellbidir.sim import CCNOT, CNOT, CZ, Circuit, Gate, H, X, apply_gate, bell_state, bloch_state, run_circuit
+from bellbidir.sim import (
+    CCNOT,
+    CNOT,
+    CZ,
+    Circuit,
+    Gate,
+    H,
+    X,
+    apply_gate,
+    bell_state,
+    bloch_state,
+    reduced_density_matrix,
+    run_circuit,
+)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -238,6 +257,30 @@ def test_channel_state_is_the_mixture_of_its_trigger_corners():
             corner_states = extract_choi(build(corners), *endpoints)
             mixtures = np.array([np.tensordot(weights(params), corner_states, 1) for params in points])
             assert max_abs(mixtures - extract_choi(build(points), *endpoints)) <= 1e-14
+
+
+def test_mixed_and_common_schemes_equal_the_independent_wiring_on_a_correlated_trigger_pair():
+    # a register whose (T_A, T_B) pair holds the amplitudes sqrt(P(a, b)) of the trigger table runs the independent
+    # wiring with correlated triggers; no gate targets a trigger, so its channel is the table's mixture of corners
+    rng = np.random.default_rng(29)
+    points = [SchemeParams.from_probabilities(*rng.uniform(0.0, 1.0, 4)) for _ in range(40)]
+    points += [SchemeParams.from_probabilities(p1=p1, p2=p2, p=p) for p1, p2, p in rng.uniform(0.0, 1.0, (8, 3))]
+    tables = np.array([trigger_joint_distribution(params.t, params.p1, params.p2, params.p) for params in points])
+    n = len(INDEPENDENT_LABELS)
+    ix = {label: i for i, label in enumerate(INDEPENDENT_LABELS)}
+    assert INDEPENDENT_LABELS[-2:] == ("T_A", "T_B")  # the trigger pair, then the reference R in |0>, end the register
+    registers = np.zeros((len(points), 2 ** (n - 2), 4, 2))
+    registers[:, 0, :, 0] = np.sqrt(tables).reshape(-1, 4)
+    gates = _scheme_gates(INDEPENDENT_LABELS, "T_A", "T_B", ())
+    for direction in DIRECTIONS:
+        source, target = channel_endpoints(direction)
+        extended = _extended_circuit(gates, INDEPENDENT_LABELS, ix[source])
+        correlated = reduced_density_matrix(run_circuit(extended, registers.reshape(len(points), -1)), [n, ix[target]])
+        for params, state in zip(points[:40], correlated):
+            assert max_abs(state - simulated_choi("mixed", params, direction)) <= 1e-14, (params, direction)
+        for params, state in zip(points[40:], correlated[40:]):  # t = 0: the literal one-trigger circuit
+            common = extract_choi(build_scheme_common(params), source, target)
+            assert max_abs(state - common) <= 1e-14, (params, direction)
 
 
 def test_builders_reject_an_empty_sequence():
