@@ -43,12 +43,18 @@ def mixing_weight(scheme: str, params: SchemeParams) -> float:
     return {"independent": 1.0, "common": 0.0}.get(scheme, params.t)
 
 
-def analytic_channel(scheme: str, params: SchemeParams, direction: str) -> float:
-    """Closed-form channel weight q: the probability that the sender fires and the receiver stays silent."""
+def analytic_channel(scheme: str, params: SchemeParams | list[SchemeParams], direction: str):
+    """Closed-form channel weight q: the probability that the sender fires and the receiver stays silent.
+
+    A sequence of SchemeParams gives one weight per point, from one stack of trigger tables.
+    """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    table = trigger_joint_distribution(mixing_weight(scheme, params), params.p1, params.p2, params.p)
-    return float(table[1, 0] if direction == A_TO_B else table[0, 1])
+    points = [params] if isinstance(params, SchemeParams) else params
+    columns = np.reshape([[mixing_weight(scheme, x), x.p1, x.p2, x.p] for x in points], (-1, 4)).T
+    table = trigger_joint_distribution(*columns)
+    q = table[:, 1, 0] if direction == A_TO_B else table[:, 0, 1]
+    return float(q[0]) if isinstance(params, SchemeParams) else q
 
 
 def choi_of_channel(q) -> np.ndarray:

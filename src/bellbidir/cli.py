@@ -27,9 +27,12 @@ from .channels import SCHEMES, analytic_channel, choi_of_channel, mixing_weight,
 from .errors import OutOfRange
 from .infotheory import (
     aux_info_closed,
+    classical_accessible_info,
     classical_capacity_closed,
+    concurrence,
     concurrence_closed,
     info_report_from_choi,
+    quantum_mutual_information,
     shannon_mutual_information,
     total_info_closed,
     trigger_joint_distribution,
@@ -111,7 +114,7 @@ def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> tuple[floa
         circuit = _scheme_circuit(scheme, row)
         for direction in DIRECTIONS:
             simulated = extract_choi(circuit, *channel_endpoints(direction))
-            reference = choi_of_channel([analytic_channel(scheme, params, direction) for params in row])
+            reference = choi_of_channel(analytic_channel(scheme, row, direction))
             worst_choi = max(worst_choi, float(np.max(trace_distance(simulated, reference))))
             marginal = partial_trace(simulated, 2, [0]) - np.eye(2) / 2
             worst_marginal = max(worst_marginal, max_abs(marginal))
@@ -125,16 +128,16 @@ def trigger_info_deviation(points: int = 101) -> list[float]:
     simulated state enters it, so its line checks the oracle's own table, and no extraction error can fail it.
     """
     ts = np.linspace(0.0, 1.0, points).tolist()
-    info = shannon_mutual_information([trigger_joint_distribution(t) for t in ts])
+    info = shannon_mutual_information(trigger_joint_distribution(ts))
     return [float(np.max(np.abs([aux_info_closed(t) for t in ts] - info)))]
 
 
 def infotheory_deviations(points: int = 101) -> list[float]:
     """Worst deviation of i_tot, i_class and concurrence of simulated channel states from their closed forms over t."""
     ts = np.linspace(0.0, 1.0, points).tolist()
-    report = info_report_from_choi(_symmetric_point_states(ts), ts)
+    states = _symmetric_point_states(ts)
     closed_forms = (total_info_closed, classical_capacity_closed, concurrence_closed)
-    measured = (report.i_tot, report.i_class, report.concurrence)
+    measured = (quantum_mutual_information(states), classical_accessible_info(states)[0], concurrence(states))
     return [float(np.max(np.abs([closed(t) for t in ts] - values))) for closed, values in zip(closed_forms, measured)]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_unit_interval
+from .errors import DomainError, OutOfRange, check_unit_interval
 from .linalg import _reject_first, _scalar_or_stack, matrix_sqrt_psd, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
@@ -29,6 +29,9 @@ _ZOOM_V = np.repeat(np.linspace(-1.0, 1.0, _ZOOM_POINTS), _ZOOM_POINTS)
 _ZOOM_PASSES = 15
 _ZOOM_START = 2.0 * math.sqrt(4.0 * math.pi / _SCAN_LATTICE)  # half-width of the first window: two lattice spacings
 _ZOOM_SHRINK = 0.4  # the next window reaches 1.2 grid steps either side of the best point
+# t, row, column, 1 - t and anti-diagonal factor of each trigger-table entry t * (row * col) + (1 - t) * anti, as
+# indices into (t, p1, p2, p, 0, 1 - t, 1 - p1, 1 - p2, 1 - p, 1)
+_TABLE_OPERANDS = np.array([[[0, 0], [0, 0]], [[6, 6], [1, 1]], [[7, 2], [7, 2]], [[5, 5], [5, 5]], [[4, 8], [3, 4]]])
 
 
 def _plog2(p: float) -> float:
@@ -61,18 +64,22 @@ def h4_31(x: float) -> float:
     return 3.0 * _plog2(x) + _plog2(1.0 - 3.0 * x)
 
 
-def trigger_joint_distribution(t: float, p1: float = 0.5, p2: float = 0.5, p: float = 0.5) -> np.ndarray:
+def trigger_joint_distribution(t, p1=0.5, p2=0.5, p=0.5) -> np.ndarray:
     """Joint distribution of the two parties' don't-fire / fire decisions.
 
     Rows index Alice's decision, columns Bob's.  Weight t goes to independent
     triggers firing with probabilities p1 and p2; weight 1 - t sits on the
     anti-diagonal, where a common trigger fires Alice with probability p and
-    Bob otherwise.
+    Bob otherwise.  Arrays broadcast together into a ``(..., 2, 2)`` stack of tables.
     """
-    for name, value in (("mixing weight t", t), ("p1", p1), ("p2", p2), ("p", p)):
-        check_unit_interval(name, value)
-    rows, cols, anti = (1.0 - p1, p1), (1.0 - p2, p2), ((0.0, 1.0 - p), (p, 0.0))  # entrywise, in np.outer's order
-    return np.array([[t * (a * b) + (1.0 - t) * c for b, c in zip(cols, line)] for a, line in zip(rows, anti)])
+    x = np.array(np.broadcast_arrays(t, p1, p2, p, 0.0), dtype=float)
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        for name, value in zip(("mixing weight t", "p1", "p2", "p"), (t, p1, p2, p)):
+            value = np.asarray(value, dtype=float)
+            _reject_first(~((value >= 0.0) & (value <= 1.0)), value, OutOfRange, f"{name}={{}} outside [0, 1]", "entry")
+    t, rows, cols, s, anti = np.concatenate((x, 1.0 - x))[_TABLE_OPERANDS]
+    table = t * (rows * cols) + s * anti  # entrywise in np.outer's order
+    return table.transpose(*range(2, table.ndim), 0, 1)
 
 
 def shannon_mutual_information(m: np.ndarray):
@@ -297,7 +304,7 @@ def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5,
     of :func:`trigger_joint_distribution`.
     """
     ts = np.broadcast_to(np.asarray(t, dtype=float), np.shape(choi)[:-2])
-    tables = np.reshape([trigger_joint_distribution(x, p1, p2, p) for x in ts.ravel().tolist()], (*ts.shape, 2, 2))
+    tables = trigger_joint_distribution(ts, p1, p2, p)
     i_tot = quantum_mutual_information(choi)
     i_class, _ = classical_accessible_info(choi)
     min_pt = min_partial_transpose_eigenvalue(choi)

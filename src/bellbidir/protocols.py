@@ -42,6 +42,7 @@ from .sim import (
     measure_qubit,
     reduced_density_matrix,
     run_circuit,
+    run_reduced,
 )
 
 A_TO_B = "ab"
@@ -180,6 +181,8 @@ def _validate_choi(choi: np.ndarray) -> None:
 @functools.lru_cache(maxsize=64)
 def _extended_circuit(gates: tuple[Gate, ...], labels: tuple[str, ...], input_ix: int) -> Circuit:
     """The prep-less circuit with a reference qubit R appended and Bell-paired with the input before ``gates``."""
+    if "R" in labels:
+        raise BadLabel("qubit label 'R' is reserved for the reference qubit of a channel state")
     ref = len(labels)
     return Circuit(ref + 1, labels + ("R",), (H(ref), CNOT(ref, input_ix)) + gates)
 
@@ -191,16 +194,17 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
     with the input qubit; after running the circuit, everything except
     (R, output) is traced out.  The reference is the first tensor factor of
     the returned 4x4 density matrix.  A stacked circuit gives a ``(k, 4, 4)``
-    stack of channel states from one run.
+    stack of channel states from one run.  The run starts from the circuit's
+    own checked preparations with R = |0> and keeps only the amplitudes they
+    reach, never the full register (:func:`sim.run_reduced`); the states are
+    the bits of the dense run.
     """
     input_ix = circuit.index(input_label)
     output_ix = circuit.index(output_label)
     if input_label in circuit.prep:
         raise BadLabel(f"input qubit {input_label!r} has a fixed preparation; it must start in |0>")
     extended = _extended_circuit(circuit.gates, circuit.labels, input_ix)
-    state = circuit.initial_state()  # the circuit has checked its preps; R = |0> is the new last factor
-    final = run_circuit(extended, np.stack((state, np.zeros_like(state)), axis=-1).reshape(*state.shape[:-1], -1))
-    choi = reduced_density_matrix(final, [circuit.num_qubits, output_ix])
+    choi = run_reduced(extended, [circuit.num_qubits, output_ix], circuit.prep)
     _validate_choi(choi)
     return choi
 

@@ -10,7 +10,10 @@ Registers are float64 unless a preparation, or the state run, is complex.
 
 ``apply_gate`` slices the amplitude array; ``run_circuit`` runs a cached
 plan on a compact register of only the amplitudes its input can reach.
-Neither builds the full register unitary; the closed gate set {H, X, Z, CZ,
+``run_reduced`` starts that plan from the nonzero entries of a product of
+preparations and writes the reached amplitudes straight into the operand of
+``reduced_density_matrix``, the same bits without the full register.  None
+builds the full register unitary; the closed gate set {H, X, Z, CZ,
 CNOT, CCNOT} consists entirely of involutions.  In the plan, an H on m live
 column pairs is two gathers of ``2m + 1`` columns, ``(a0, a0, 0)`` and
 ``(a1, -a1, 0)`` with the second half negated exactly, then one add and one
@@ -130,15 +133,30 @@ class Circuit:
 
     def initial_state(self) -> np.ndarray:
         """Product state of all per-qubit preparations (|0> where unlisted), ``(k, 2**n)`` for a stacked prep."""
-        product = np.ones(())
-        for i, label in enumerate([label for label in self.labels if label in self.prep]):
-            factor = self.prep[label]
-            factor = factor if factor.imag.any() else factor.real
-            product = product[..., None] * factor.reshape(*factor.shape[:-1], *[1] * i, 2)
-        lead = product.shape[: product.ndim - len(self.prep)]
-        state = np.zeros((*lead, *[2] * self.num_qubits), dtype=product.dtype)
-        state[(Ellipsis, *(slice(None) if label in self.prep else 0 for label in self.labels))] = product
-        return state.reshape(*lead, -1)
+        prepped, product = _prep_product(self.labels, self.prep)
+        state = np.zeros((*product.shape[:-1], 2**self.num_qubits), dtype=product.dtype)
+        state[..., _product_cells(self.num_qubits, prepped)] = product
+        return state
+
+
+def _prep_product(labels: tuple[str, ...], prep: Mapping[str, np.ndarray]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The prepared qubits of a register in order, and the product of their states, ``(*stack, 2**k)`` for k of them.
+
+    A factor without an imaginary part enters as float64, so the product is complex only if a state is.
+    """
+    prepped = tuple(q for q, label in enumerate(labels) if label in prep)
+    product = np.ones(())
+    for i, q in enumerate(prepped):
+        factor = prep[labels[q]]
+        factor = factor if factor.imag.any() else factor.real
+        product = product[..., None] * factor.reshape(*factor.shape[:-1], *[1] * i, 2)
+    return prepped, product.reshape(*product.shape[: product.ndim - len(prepped)], 2 ** len(prepped))
+
+
+@functools.lru_cache(maxsize=64)
+def _product_cells(n: int, prepped: tuple[int, ...]) -> np.ndarray:
+    """Register index of each entry of a product over the qubits ``prepped``, every other qubit at 0, ascending."""
+    return np.arange(2**n).reshape([2] * n)[tuple(slice(None) if q in prepped else 0 for q in range(n))].ravel()
 
 
 def bell_state() -> np.ndarray:
@@ -229,16 +247,10 @@ def _plan(gates: tuple[Gate, ...], n: int, support: bytes) -> tuple:
     return initial, tuple(steps), final, reg[final]
 
 
-def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply all gates of the circuit in order to a full-register state, or to each state of a stack."""
-    state = np.asarray(state, dtype=complex if np.iscomplexobj(state) else float)
-    n = circuit.num_qubits
-    if state.shape[-1:] != (2**n,):
-        raise ValueError(f"state shape {state.shape} does not match {n} qubits")
-    support = (state != 0).reshape(-1, 2**n).any(axis=0)
-    initial, steps, final, columns = _plan(circuit.gates, n, support.tobytes())  # Circuit has bounds-checked every gate
-    zero = np.zeros((*state.shape[:-1], 1), dtype=state.dtype)
-    amps = np.concatenate((state[..., initial], zero), axis=-1)  # a copy: the steps run in place
+def _run_plan(amps: np.ndarray, steps: tuple, columns: np.ndarray) -> np.ndarray:
+    """Run a plan's steps on the input's compact ``(..., m)`` amplitudes; return the reached ones, norm-checked."""
+    zero = np.zeros((*amps.shape[:-1], 1), dtype=amps.dtype)
+    amps = np.concatenate((amps, zero), axis=-1)  # a copy: the steps run in place
     for step in steps:
         if step.ndim == 1:
             amps[..., step] *= -1.0
@@ -249,10 +261,22 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
             amps = amps.take(step[0], axis=-1)
             amps += a1
             amps *= _INV_SQRT2
-    out = np.zeros_like(state)
-    out[..., final] = amps[..., columns]
-    norm = np.linalg.norm(out, axis=-1)
+    amps = amps[..., columns]
+    norm = np.linalg.norm(amps, axis=-1)
     _reject_first(~(np.abs(norm - 1.0) < 1e-10), norm, ValueError, "statevector norm {} differs from 1", "state")
+    return amps
+
+
+def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """Apply all gates of the circuit in order to a full-register state, or to each state of a stack."""
+    state = np.asarray(state, dtype=complex if np.iscomplexobj(state) else float)
+    n = circuit.num_qubits
+    if state.shape[-1:] != (2**n,):
+        raise ValueError(f"state shape {state.shape} does not match {n} qubits")
+    support = (state != 0).reshape(-1, 2**n).any(axis=0)
+    initial, steps, final, columns = _plan(circuit.gates, n, support.tobytes())  # Circuit has bounds-checked every gate
+    out = np.zeros_like(state)
+    out[..., final] = _run_plan(state[..., initial], steps, columns)
     return out
 
 
@@ -283,13 +307,52 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     return outcome, collapsed.reshape(-1), prob
 
 
+def _gram(psi: np.ndarray, real: bool) -> np.ndarray:
+    """``psi @ psi^H`` of a complex ``(..., 2**k, m)`` operand, which is its own conjugate if ``real``.
+
+    The operand is complex even for a real register: real BLAS would round its sums differently from the complex
+    product.  A real one skips the conj() copy; its product keeps the same bits.  ``reduced_density_matrix`` and
+    ``run_reduced`` both form their product here, so they agree bit for bit.
+    """
+    return psi @ (psi if real else psi.conj()).swapaxes(-1, -2)
+
+
 def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
     """Density matrix of the kept qubits of a pure state, or of each state of a stack, in the order listed."""
     n = num_qubits_of(state)
     keep, rest = split_keep(n, keep)
     state = np.asarray(state)
     psi = state.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in keep + rest])
-    # cast before the product: real BLAS would round its sums differently from the complex product.  A real
-    # register is its own conjugate, so it skips the conj() copy; its product keeps the same bits
     psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), -1)
-    return psi @ (psi.conj() if np.iscomplexobj(state) else psi).swapaxes(-1, -2)
+    return _gram(psi, not np.iscomplexobj(state))
+
+
+@functools.lru_cache(maxsize=64)
+def _operand_position(n: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Flat position of each register index in the ``(2**len(keep), -1)`` operand of :func:`reduced_density_matrix`."""
+    keep, rest = split_keep(n, list(keep))
+    position = np.empty(2**n, dtype=np.intp)
+    position[np.arange(2**n).reshape([2] * n).transpose(keep + rest).ravel()] = np.arange(2**n)
+    return position
+
+
+def run_reduced(circuit: Circuit, keep: list[int], prep: Mapping[str, np.ndarray]) -> np.ndarray:
+    """``reduced_density_matrix(run_circuit(circuit, state), keep)`` without the full register, bit for bit.
+
+    ``state`` is the product of a built circuit's checked ``prep``, its labels among the circuit's, with every other
+    qubit |0>; a stacked prep gives a stack.  The product's nonzero entries start the cached plan, and the reached
+    amplitudes are written straight into the complex operand that ``reduced_density_matrix`` forms.
+    """
+    n = circuit.num_qubits
+    prepped, product = _prep_product(circuit.labels, prep)
+    if len(prepped) != len(prep):
+        raise BadLabel(f"prepared qubits {sorted(set(prep) - set(circuit.labels))} not in register")
+    position = _operand_position(n, tuple(keep))  # checks keep
+    nonzero = (product != 0).reshape(-1, product.shape[-1]).any(axis=0)
+    support = np.zeros(2**n, dtype=bool)
+    support[_product_cells(n, prepped)] = nonzero
+    _, steps, final, columns = _plan(circuit.gates, n, support.tobytes())
+    amps = _run_plan(product[..., nonzero], steps, columns)
+    psi = np.zeros((*product.shape[:-1], 2**n), dtype=complex)
+    psi[..., position[final]] = amps
+    return _gram(psi.reshape(*product.shape[:-1], 2 ** len(keep), -1), not np.iscomplexobj(amps))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellbidir import cli, infotheory, protocols
+from bellbidir import cli, protocols
 from bellbidir.channels import analytic_channel, fidelity_closed
 from bellbidir.cli import main, run_verification
 from bellbidir.errors import DomainError, OutOfRange
@@ -295,8 +295,8 @@ def test_run_verification_results(monkeypatch):
     results = run_verification(grid=3, points=11)
     assert all(result.passed for result in results)
     assert any("independent" in result.name for result in results)
-    optimizer = infotheory.classical_accessible_info
-    monkeypatch.setattr(infotheory, "classical_accessible_info", lambda rho: (optimizer(rho)[0] + 1e-9, 0.0))
+    optimizer = cli.classical_accessible_info
+    monkeypatch.setattr(cli, "classical_accessible_info", lambda rho: (optimizer(rho)[0] + 1e-9, 0.0))
     failed = [result.name for result in run_verification(grid=3, points=11) if not result.passed]
     assert len(failed) == 1 and failed[0].startswith("classical capacity")
     for grid, points in ((1, 11), (3, 0)):
@@ -347,10 +347,10 @@ def test_marginal_and_trigger_info_checks_can_fail(monkeypatch, capsys):
 def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):
     # a defect that the extraction's own validation rejects fails the lines it feeds, without a traceback
     names = [result.name for result in run_verification(grid=3, points=5)]
-    reduced = protocols.reduced_density_matrix
+    reduced = protocols.run_reduced
     shift = 1e-8 * np.kron(np.diag([1.0, -1.0]), np.eye(2)) / 2  # reference marginal I/2 + 1e-8 Z, trace kept
     with monkeypatch.context() as patch:
-        patch.setattr(protocols, "reduced_density_matrix", lambda *args: reduced(*args) + shift)
+        patch.setattr(protocols, "run_reduced", lambda *args: reduced(*args) + shift)
         assert main(["verify", "--grid", "3", "--points", "5"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9 and lines[-1] == "VERIFY: FAIL"
@@ -367,7 +367,7 @@ def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):
     def raise_domain_error(*args):
         raise DomainError("entropy of a negative probability")
 
-    monkeypatch.setattr(cli, "info_report_from_choi", raise_domain_error)
+    monkeypatch.setattr(cli, "classical_accessible_info", raise_domain_error)
     assert failed_checks(capsys) == {
         "total info closed form vs channel state",
         "classical capacity closed form vs optimizer",
@@ -404,11 +404,11 @@ def test_fig3a_sweep_memory_budget(capsys):
 
 
 def test_verify_memory_budget(capsys):
-    # verify runs one grid row per stacked circuit. The traced peak is about 1.3 MiB cold and warm, set by the
-    # accessible-information zoom over the 101-state stack; extracting the 9x9 grid row by row
-    # peaks at about 0.77 MiB cold and 0.72 MiB warm. Stacking the whole 81-point grid would still not fit: its
-    # extraction alone peaks at about 6.4 MiB, in the dense prepared and final registers and the complex128
-    # copies of reduced_density_matrix, which the compact circuit run does not shrink
+    # verify runs one grid row per stacked circuit. The traced peak is about 1.3 MiB warm, set by the
+    # accessible-information zoom over the 101-state stack; the independent grid's rows, extracted and checked,
+    # peak at about 0.3 MiB. Extraction writes the reached amplitudes straight into the complex (4, 512) operands,
+    # so even the whole 81-point grid as one stacked circuit extracts within about 2.7 MiB, against about 4.6 MiB
+    # for the dense 2**11 registers (the stacked verify-grid budget in test_protocols)
     tracemalloc.start()
     try:
         assert main(["verify"]) == 0

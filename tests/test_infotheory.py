@@ -89,8 +89,10 @@ def test_trigger_joint_distribution():
     assert np.abs(table - np.array([[0.12, 0.33], [0.48, 0.07]])).max() <= 1e-15
     with pytest.raises(OutOfRange):
         trigger_joint_distribution(-0.1)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=r"^p=1.5 outside \[0, 1\]$"):
         trigger_joint_distribution(0.5, p=1.5)
+    with pytest.raises(OutOfRange, match=r"^p2=nan outside \[0, 1\] \(entry 2 of the stack\)$"):
+        trigger_joint_distribution([0.1, 0.2, 0.3, 0.4], 0.5, [0.1, 1.0, np.nan, 2.0])
 
 
 def test_trigger_table_equals_the_outer_product_formula():
@@ -101,6 +103,12 @@ def test_trigger_table_equals_the_outer_product_formula():
         table = trigger_joint_distribution(t, p1, p2, p)
         assert table.dtype == float and table.shape == (2, 2)
         assert np.array_equal(table, outer), (t, p1, p2, p)
+    # one call on a stack, or on a column broadcast against scalars, gives each table's bits
+    singles = np.array([trigger_joint_distribution(*point) for point in points])
+    assert np.array_equal(trigger_joint_distribution(*np.array(points).T).view(np.uint64), singles.view(np.uint64))
+    column = [trigger_joint_distribution(t, 0.2, 0.7, 0.9) for t, *_ in points[:50]]
+    stacked = trigger_joint_distribution(np.reshape(points, (-1, 4))[:50, 0].reshape(5, 10), 0.2, 0.7, 0.9)
+    assert np.array_equal(stacked.reshape(50, 2, 2).view(np.uint64), np.array(column).view(np.uint64))
 
 
 def test_shannon_mutual_information_limits():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial, reduce
 
 import numpy as np
@@ -211,6 +212,56 @@ def test_extraction_of_each_input_equals_the_complex_one_bit_for_bit():
             assert np.array_equal(extract_choi(circuit, input_label, output_label).view(np.uint64), expected)
 
 
+def test_compact_extraction_edge_cases_equal_the_complex_one_bit_for_bit():
+    # the extraction starts from the prep product's nonzero entries alone: preps on qubits ahead of the triggers,
+    # complex preps, corner angles whose state has an exact zero, and stacks whose points reach different supports
+    def with_prep(circuit, **prep):
+        return Circuit(circuit.num_qubits, circuit.labels, circuit.gates, {**circuit.prep, **prep})
+
+    ends = (0.0, math.pi)  # bloch_state(0.0) = |0> exactly
+    independent = build_scheme_independent(SchemeParams(1.1, 0.7))
+    common = build_scheme_common(SchemeParams(theta=2.3))
+    corners = build_scheme_independent([SchemeParams(theta1=a, theta2=b) for a in ends for b in ends])
+    mixed_stack = [bloch_state(0.0), bloch_state(math.pi), bloch_state(1.0, 2.0), bloch_state(2.5)]
+    cases = [
+        (with_prep(independent, Q_B=bloch_state(0.9)), [A_TO_B]),
+        (with_prep(common, Q_B=bloch_state(2.2)), [A_TO_B]),
+        (with_prep(independent, M_A1=bloch_state(0.4)), DIRECTIONS),
+        (with_prep(common, M_A1=bloch_state(0.0)), DIRECTIONS),
+        (with_prep(independent, Q_B=bloch_state(1.2, 0.5)), [A_TO_B]),  # complex
+        (with_prep(common, T=bloch_state(2.0, -1.1)), DIRECTIONS),  # a complex trigger
+        (corners, DIRECTIONS),
+        (build_scheme_common([SchemeParams(theta=a) for a in ends]), DIRECTIONS),
+        (build_scheme_independent([SchemeParams(0.0, 0.0), SchemeParams(0.0, 1.3), SchemeParams(2.0, 0.0)]), DIRECTIONS),
+        (with_prep(corners, Q_B=np.array(mixed_stack)), [A_TO_B]),  # complex, zeros in some points only
+        (with_prep(corners, M_A1=np.array(mixed_stack)), DIRECTIONS),
+    ]
+    for circuit, directions in cases:
+        for direction in directions:
+            endpoints = channel_endpoints(direction)
+            expected = complex_extraction(circuit, *endpoints).view(np.uint64)
+            assert np.array_equal(extract_choi(circuit, *endpoints).view(np.uint64), expected), (circuit.prep, direction)
+    supports = (corners.initial_state() != 0).reshape(4, -1)
+    assert len({row.tobytes() for row in supports}) == 4  # the corner stack's points reach different supports
+
+
+def test_stacked_verify_grid_extraction_memory_budget():
+    # the whole 81-point verify grid in one stacked circuit: the reached amplitudes are written straight into the
+    # 81 complex (4, 512) operands, a traced peak of about 2.7 MiB; building the dense 2**11 registers, as
+    # run_circuit and reduced_density_matrix do, peaks at about 4.6 MiB
+    thetas = np.linspace(0.0, math.pi, 9)
+    circuit = build_scheme_independent([SchemeParams(theta1=a, theta2=b) for a in thetas for b in thetas])
+    for direction in DIRECTIONS:
+        tracemalloc.start()
+        try:
+            choi = extract_choi(circuit, *channel_endpoints(direction))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert choi.shape == (81, 4, 4)
+        assert peak <= 3.5 * 2**20
+
+
 def test_builders_share_one_gate_tuple():
     # Q_A, C_A, C_B, Q_B, M_A1, M_A2, M_B1, M_B2 are qubits 0-7; T_A, T_B (independent) or T (common) follow
     def wiring(alice, bob, flip):
@@ -312,6 +363,12 @@ def test_extract_choi_label_errors():
         extract_choi(circuit, "nope", "C_B")
     with pytest.raises(BadLabel):
         extract_choi(circuit, "T_A", "C_B")  # trigger has a fixed preparation
+
+
+def test_extract_choi_rejects_a_qubit_labelled_with_the_reference_label():
+    circuit = Circuit(3, ("Q", "R", "O"), (CNOT(0, 2),))
+    with pytest.raises(BadLabel, match="'R' is reserved for the reference"):
+        extract_choi(circuit, "Q", "O")
 
 
 def test_choi_mixed_endpoints_and_range():

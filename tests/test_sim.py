@@ -20,6 +20,7 @@ from bellbidir.sim import (
     measure_qubit,
     reduced_density_matrix,
     run_circuit,
+    run_reduced,
 )
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -458,3 +459,34 @@ def test_reduced_density_matrix_orders_like_keep():
     swapped = reduced_density_matrix(psi, [1, 0])
     direct = reduced_density_matrix(np.kron(bloch_state(1.0), KET0), [0, 1])
     assert np.abs(swapped - direct).max() <= 1e-12
+
+
+def test_run_reduced_equals_the_reduced_state_of_the_full_run_bit_for_bit():
+    # the prep covers leading qubits of the run circuit, every other qubit starts in |0>, as in extract_choi
+    rng = np.random.default_rng(47)
+    labels = tuple(f"q{i}" for i in range(7))
+    states = [bloch_state(0.0), bloch_state(math.pi), bloch_state(1.3), bloch_state(0.8, 2.1)]
+    for trial in range(60):
+        gates = tuple(random_gate(7, rng) for _ in range(rng.integers(1, 40)))
+        circuit = Circuit(7, labels, gates)
+        prepared = rng.choice(labels[:5], size=trial % 4, replace=False)
+        prep = {label: states[rng.integers(4)] for label in prepared}  # bloch_state(0.0) has an exact zero
+        if prepared.size and trial % 3:  # a stack whose registers have different zero patterns
+            prep[prepared[0]] = np.array([bloch_state(0.0), bloch_state(1.3, 0.4 * (trial % 2)), bloch_state(math.pi)])
+        prepared_circuit = Circuit(5, labels[:5], (), prep)
+        head = prepared_circuit.initial_state()
+        state = np.zeros((*head.shape[:-1], 2**7), dtype=head.dtype)
+        state[..., ::4] = head  # q5 = q6 = |0>
+        keep = [int(q) for q in rng.choice(7, size=1 + trial % 3, replace=False)]
+        expected = reduced_density_matrix(run_circuit(circuit, state), keep)
+        got = run_reduced(circuit, keep, prepared_circuit.prep)
+        assert got.shape == expected.shape
+        assert np.array_equal(bits(got), bits(expected)), (trial, keep)
+
+
+def test_run_reduced_rejects_a_prep_outside_the_register():
+    circuit = Circuit(2, ("a", "b"), (H(0), CNOT(0, 1)))
+    with pytest.raises(BadLabel, match="'c'"):
+        run_reduced(circuit, [0], Circuit(3, ("a", "b", "c"), (), {"c": KET1}).prep)
+    with pytest.raises(BadIndex):
+        run_reduced(circuit, [0, 2], {})
