@@ -37,7 +37,7 @@ from .infotheory import (
     total_info_closed,
     trigger_joint_distribution,
 )
-from .linalg import max_abs, partial_trace, trace_distance
+from .linalg import trace_distance
 from .protocols import (
     A_TO_B,
     DIRECTIONS,
@@ -52,6 +52,7 @@ from .protocols import (
 from .sim import Circuit
 
 CHOI_TOL = 1e-10
+# the channel_grid benchmark reads this; protocols._validate_choi enforces the same bound on every extraction
 MARGINAL_TOL = 1e-10
 AUX_TOL = 1e-12
 TOTAL_TOL = 1e-10
@@ -99,26 +100,23 @@ def _fig3_columns(scheme: str, grid: np.ndarray) -> list[np.ndarray]:
     return [*np.meshgrid(grid, grid, indexing="ij"), *((1.0 + fire.T @ q.reshape(2, 2) @ fire) / 2.0 for q in weights)]
 
 
-def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> tuple[float, float]:
-    """Worst simulated-vs-closed-form deviation of a scheme over rows of parameter points.
+def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> list[float]:
+    """Worst trace distance between simulated and closed-form channel states of a scheme, per direction.
 
-    Returns the maximum trace distance between channel states and the maximum
-    deviation of the reference marginal from I/2, over the points and both
-    directions.  Each row is one stacked circuit run: memory grows with its length.
+    Returns ``[A to B, B to A]``, each the maximum over the points of the rows.  Trace preservation needs no check
+    here: ``extract_choi`` raises ``BadChannelState`` on a reference marginal off I/2 by more than MARGINAL_TOL.
+    Each row is one stacked circuit run: memory grows with its length.
     """
     if not rows:
         raise OutOfRange("channel_deviation needs at least one row of parameter points")
-    worst_choi = 0.0
-    worst_marginal = 0.0
+    worst = [0.0] * len(DIRECTIONS)
     for row in rows:
         circuit = _scheme_circuit(scheme, row)
-        for direction in DIRECTIONS:
+        for k, direction in enumerate(DIRECTIONS):
             simulated = extract_choi(circuit, *channel_endpoints(direction))
             reference = choi_of_channel(analytic_channel(scheme, row, direction))
-            worst_choi = max(worst_choi, float(np.max(trace_distance(simulated, reference))))
-            marginal = partial_trace(simulated, 2, [0]) - np.eye(2) / 2
-            worst_marginal = max(worst_marginal, max_abs(marginal))
-    return worst_choi, worst_marginal
+            worst[k] = max(worst[k], float(np.max(trace_distance(simulated, reference))))
+    return worst
 
 
 def trigger_info_deviation(points: int = 101) -> list[float]:
@@ -158,20 +156,23 @@ _CHECK_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type) an
 
 
 def run_verification(grid: int = 9, points: int = 101) -> list[CheckResult]:
-    """All verification checks at the given grid sizes (each at least 2); a raised check fails with its error."""
+    """All verification checks at the given grid sizes (each at least 2); a raised check fails with its error.
+
+    Each scheme has one channel line per direction.  Every extraction checks trace preservation, so a marginal
+    defect has no line of its own: it fails the lines its extraction feeds with ``BadChannelState``.
+    """
     if grid < 2 or points < 2:
         raise OutOfRange(f"grid and points must be at least 2, got grid={grid}, points={points}")
     thetas = np.linspace(0.0, math.pi, grid)
     ind_rows = [[SchemeParams(theta1=theta1, theta2=theta2) for theta2 in thetas] for theta1 in thetas]
     com_row = [SchemeParams(theta=theta) for theta in np.linspace(0.0, math.pi, max(17, grid))]
+    directions = [" to ".join(direction.upper()) for direction in DIRECTIONS]  # "ab" -> "A to B"
     checks = [  # one computation, and the name and tolerance of each line it feeds
         (lambda: channel_deviation("independent", ind_rows), [
-            (f"independent choi vs closed form ({grid}x{grid}, both dirs)", CHOI_TOL),
-            ("independent reference marginal vs I/2", MARGINAL_TOL),
+            (f"independent choi vs closed form ({grid}x{grid}, {direction})", CHOI_TOL) for direction in directions
         ]),
         (lambda: channel_deviation("common", [com_row]), [
-            (f"common choi vs closed form ({len(com_row)} angles, both dirs)", CHOI_TOL),
-            ("common reference marginal vs I/2", MARGINAL_TOL),
+            (f"common choi vs closed form ({len(com_row)} angles, {direction})", CHOI_TOL) for direction in directions
         ]),
         (lambda: trigger_info_deviation(points), [(f"trigger info closed form vs table ({points} t)", AUX_TOL)]),
         (lambda: infotheory_deviations(points), [

@@ -175,14 +175,6 @@ def _objective(pauli: np.ndarray, s_output: np.ndarray, at_axes: np.ndarray) -> 
     return s_output[:, None] + (terms[0] + terms[1]) / 4.0
 
 
-def _objective_over_axes(pauli: np.ndarray, s_output: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Retained-information objective of a projective measurement per axis, per state of a stack.
-
-    ``axes`` holds unit vectors, shape ``(m, 3)`` for all states or ``(k, m, 3)`` per state.
-    """
-    return _objective(pauli, s_output, _forms(pauli) @ _monomials(*np.moveaxis(axes, -1, 0)))
-
-
 def classical_accessible_info(rho_rq: np.ndarray):
     """Best projective-measurement information about Q from measuring R.
 

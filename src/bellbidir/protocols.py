@@ -228,8 +228,12 @@ def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("...ca,cqas->...qs", rho_in, choi.reshape(2, 2, 2, 2))
 
 
-def _check_sampler_inputs(psi_in: np.ndarray, input_label: str, output_label: str, *circuits: Circuit) -> None:
-    """Raise ValueError unless each circuit runs one register from a valid ``psi_in`` between known labels."""
+def _check_sampler_inputs(
+    psi_in: np.ndarray, trials: int, input_label: str, output_label: str, *circuits: Circuit
+) -> None:
+    """Raise ValueError unless ``trials`` is an int >= 0 and each circuit runs one register from a valid ``psi_in``."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise OutOfRange(f"trials must be a non-negative integer, got {trials!r}")
     for label, psi in [("psi_in", psi_in)] + [item for circuit in circuits for item in circuit.prep.items()]:
         if np.ndim(psi) > 1:
             shape = np.shape(psi)[:-1]
@@ -256,7 +260,7 @@ def sample_trajectories(
     ``psi_in``.  ``seed`` is an integer or a ``np.random.Generator``; a
     generator is drawn from as is, so its state advances.
     """
-    _check_sampler_inputs(psi_in, input_label, output_label, circuit)
+    _check_sampler_inputs(psi_in, trials, input_label, output_label, circuit)
     rng = np.random.default_rng(seed)
     output_ix = circuit.index(output_label)
     records = {circuit.index(label) for label in circuit.labels if label.startswith("M_")}
@@ -292,7 +296,7 @@ def sample_mixed_trajectories(
     circuit, otherwise the common-trigger circuit.
     """
     check_unit_interval("mixing weight t", t)
-    _check_sampler_inputs(psi_in, input_label, output_label, circuit_ind, circuit_com)  # before any draw, both circuits
+    _check_sampler_inputs(psi_in, trials, input_label, output_label, circuit_ind, circuit_com)  # before any draw
     rng = np.random.default_rng(seed)
     picks = rng.random(trials) < t
     outputs = np.empty((trials, 2, 2), dtype=complex)

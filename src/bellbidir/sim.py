@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadIndex, BadLabel, ZeroNorm
+from .errors import BadIndex, BadLabel, OutOfRange, ZeroNorm
 from .linalg import _reject_first, split_keep
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
@@ -116,6 +116,8 @@ class Circuit:
             state.flags.writeable = False
             if state.shape[-1:] != (2,):
                 raise ValueError(f"preparation for {label!r} is not a single-qubit state or a stack of them")
+            if 0 in state.shape:
+                raise OutOfRange(f"preparation stack for {label!r} is empty, shape {state.shape}")
             norm = np.linalg.norm(state, axis=-1)
             _reject_first(~(abs(norm - 1) <= 1e-10), norm, ValueError, f"preparation {label!r} has norm {{}}", "state")
         object.__setattr__(self, "prep", MappingProxyType(prep))

@@ -305,11 +305,17 @@ def test_run_verification_results(monkeypatch):
 
 
 def failed_checks(capsys) -> set[str]:
-    """Names, without their grid suffix, of the checks a small verify run fails; the run must fail."""
+    """Names of the checks a small verify run fails, each without its grid size; the run must fail.
+
+    A channel line keeps its direction: ``independent choi vs closed form (3x3, A to B)`` gives
+    ``independent choi vs closed form A to B``.
+    """
     assert main(["verify", "--grid", "3", "--points", "5"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "VERIFY: FAIL"
-    return {line.split(" max dev")[0].split(" (")[0].rstrip() for line in lines[:-1] if line.endswith("FAIL")}
+    failed = [line for line in lines[:-1] if line.endswith("FAIL")]
+    failed = [re.match(r"(.+?) \([^,)]*(?:, (A to B|B to A))?\)", line).groups() for line in failed]
+    return {f"{name} {direction}" if direction else name for name, direction in failed}
 
 
 def test_information_checks_read_simulated_states(monkeypatch, capsys):
@@ -317,8 +323,10 @@ def test_information_checks_read_simulated_states(monkeypatch, capsys):
     extract = cli.extract_choi
     monkeypatch.setattr(cli, "extract_choi", lambda *args: 0.99 * extract(*args) + 0.01 * np.eye(4) / 4)
     assert failed_checks(capsys) == {
-        "independent choi vs closed form",
-        "common choi vs closed form",
+        "independent choi vs closed form A to B",
+        "independent choi vs closed form B to A",
+        "common choi vs closed form A to B",
+        "common choi vs closed form B to A",
         "total info closed form vs channel state",
         "classical capacity closed form vs optimizer",
         "concurrence closed form vs spectrum",
@@ -330,18 +338,23 @@ def test_information_checks_read_simulated_states(monkeypatch, capsys):
         assert fig3_deviations(capsys, figure, 3).max() > cli.CHOI_TOL, figure
 
 
-def test_marginal_and_trigger_info_checks_can_fail(monkeypatch, capsys):
-    # with the two above, every one of the eight verify lines has a test that makes it fail
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_each_channel_line_checks_one_direction(monkeypatch, capsys, direction):
+    # a marginal defect that reaches the CLI in one direction's states fails that direction's two channel lines and
+    # no other line: the information checks read the A-to-B states, but this shift stays within their tolerances
     extract = cli.extract_choi
+    output = protocols.channel_endpoints(direction)[1]
     shift = 1e-8 * np.kron(np.diag([1.0, -1.0]), np.eye(2)) / 2  # reference marginal I/2 + 1e-8 Z, trace kept
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "extract_choi", lambda *args: extract(*args) + shift)
-        failed = failed_checks(capsys)
-    assert {"independent reference marginal vs I/2", "common reference marginal vs I/2"} <= failed
+    monkeypatch.setattr(cli, "extract_choi", lambda *args: extract(*args) + (args[2] == output) * shift)
+    name = " to ".join(direction.upper())
+    assert failed_checks(capsys) == {f"independent choi vs closed form {name}", f"common choi vs closed form {name}"}
+
+
+def test_trigger_info_check_can_fail(monkeypatch, capsys):
+    # with the tests above, every one of the eight verify lines has a test that makes it fail
     aux = cli.aux_info_closed
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "aux_info_closed", lambda t: aux(t) + 1e-9)
-        assert failed_checks(capsys) == {"trigger info closed form vs table"}
+    monkeypatch.setattr(cli, "aux_info_closed", lambda t: aux(t) + 1e-9)
+    assert failed_checks(capsys) == {"trigger info closed form vs table"}
 
 
 def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):

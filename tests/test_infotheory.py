@@ -7,7 +7,9 @@ import pytest
 from bellbidir.channels import choi_of_channel
 from bellbidir.errors import DomainError, NonHermitianInput, NotPSD, OutOfRange
 from bellbidir.infotheory import (
-    _objective_over_axes,
+    _forms,
+    _monomials,
+    _objective,
     aux_info_closed,
     classical_accessible_info,
     classical_capacity_closed,
@@ -263,6 +265,11 @@ def test_accessible_info_is_invariant_under_unitaries_on_the_reference(seed):
     assert spread.max() <= 1e-12, (np.count_nonzero(spread > 1e-12), spread.max())
 
 
+def objective_over_axes(pauli, s_output, axes):
+    """The retained-information objective per state of a stack and per axis of its ``(k, m, 3)`` unit ``axes``."""
+    return _objective(pauli, s_output, _forms(pauli) @ _monomials(*np.moveaxis(axes, -1, 0)))
+
+
 def test_objective_is_even_in_the_axis():
     # outcomes +1 and -1 along n are outcomes -1 and +1 along -n, so the scan needs only half the sphere
     rng = np.random.default_rng(5)
@@ -272,8 +279,8 @@ def test_objective_is_even_in_the_axis():
     s_output = np.array([von_neumann_entropy(partial_trace(rho, 2, [1])) for rho in states])
     axes = rng.normal(size=(200, 30, 3))
     axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-    objective = _objective_over_axes(pauli, s_output, axes)
-    assert np.abs(objective - _objective_over_axes(pauli, s_output, -axes)).max() <= 1e-14
+    objective = objective_over_axes(pauli, s_output, axes)
+    assert np.abs(objective - objective_over_axes(pauli, s_output, -axes)).max() <= 1e-14
 
 
 def random_states(count):
@@ -323,7 +330,7 @@ def test_objective_over_axes_matches_conditional_output_entropies():
     paulis = [np.eye(2)] + sigmas
     pauli = np.array([[[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis] for rho in states])
     s_output = np.array([von_neumann_entropy(partial_trace(rho, 2, [1])) for rho in states])
-    objective = _objective_over_axes(pauli, s_output, axes)
+    objective = objective_over_axes(pauli, s_output, axes)
     assert objective.shape == (50, 20)
     for rho, s_q, ns, row in zip(states, s_output, axes, objective):
         for n, value in zip(ns, row):

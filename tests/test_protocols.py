@@ -495,11 +495,22 @@ def test_samplers_reject_a_stack_before_any_draw():
         (partial(mixed, single, common, 0.0, psi_in=np.array([2.0, 0])), r"'Q_A' has norm 2"),
         (partial(single_run, single, psi_in=np.array([2.0, 0])), r"'Q_A' has norm 2"),
         (partial(single_run, single, psi_in=psi, output_label="C_X"), r"no qubit labeled 'C_X'"),
+        # trials is a non-negative int, checked before the circuit runs or the mixed scheme draws its picks
+        (partial(single_run, single, psi_in=psi, trials=-1), r"trials must be a non-negative integer, got -1$"),
+        (partial(single_run, single, psi_in=psi, trials=2.5), r"non-negative integer, got 2\.5$"),
+        (partial(single_run, single, psi_in=psi, trials=True), r"non-negative integer, got True$"),
+        (partial(mixed, single, common, 0.5, psi_in=psi, trials=-1), r"non-negative integer, got -1$"),
+        (partial(mixed, single, common, 0.5, psi_in=psi, trials=np.int64(-3)), r"non-negative integer, got .*-3"),
+        (partial(mixed, single, common, 0.5, psi_in=psi, trials=4.0), r"non-negative integer, got 4\.0$"),
+        (partial(mixed, single, common, 0.5, psi_in=psi, trials=np.True_), r"non-negative integer, got .*True"),
     ):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match=message):
             sampler(seed=rng)
         assert rng.random() == np.random.default_rng(5).random()  # the generator was not drawn from
+    for trials in (0, np.int64(2)):
+        assert single_run(single, psi_in=psi, trials=trials, seed=1).shape == (trials, 2, 2)
+        assert mixed(single, common, 0.5, psi_in=psi, trials=trials, seed=1).shape == (trials, 2, 2)
 
 
 def test_invalid_channel_state_raises_package_error():

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from bellbidir.errors import BadIndex, BadLabel
+from bellbidir.errors import BadIndex, BadLabel, OutOfRange
 from bellbidir.sim import (
     CCNOT,
     CNOT,
@@ -194,6 +194,16 @@ def test_stacked_prep_gives_a_stack_of_registers():
         Circuit(2, ("a", "b"), (), prep={"a": np.array([KET0, KET1]), "b": np.array([KET0, KET1, KET0])})
     with pytest.raises(ValueError, match=r"'t': \(2, 1\), 'b': \(\), 'a': \(3, 2\)"):
         Circuit(3, ("a", "t", "b"), (), prep={"t": np.tile(KET1, (2, 1, 1)), "b": KET0, "a": np.tile(KET0, (3, 2, 1))})
+
+
+def test_circuit_rejects_an_empty_prep_stack():
+    # the builders reject an empty row of points with OutOfRange; a hand-built empty stack fails the same way
+    from bellbidir.protocols import SchemeParams, build_scheme_independent
+
+    scheme = build_scheme_independent(SchemeParams())
+    for label, shape in (("T_A", (0, 2)), ("Q_A", (3, 0, 2)), ("T_B", (0, 1, 2))):
+        with pytest.raises(OutOfRange, match=rf"stack for '{label}' is empty, shape \({shape[0]}, "):
+            Circuit(scheme.num_qubits, scheme.labels, scheme.gates, {**scheme.prep, label: np.zeros(shape)})
 
 
 def outer_product(factors):

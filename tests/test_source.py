@@ -1,5 +1,5 @@
-"""The package keeps no check in an ``assert``, which ``python -O`` strips out, one import path per name, and no
-public name that nothing uses."""
+"""The package keeps no check in an ``assert``, which ``python -O`` strips out, one import path per name, no
+public name that nothing uses and no private name that the package itself does not use."""
 import ast
 import re
 from pathlib import Path
@@ -33,8 +33,8 @@ def test_package_module_binds_only_the_version():
     assert [ast.unparse(target) for target in bound[0].targets] == ["__version__"]
 
 
-def public_definitions(tree: ast.Module):
-    """(name, statement) of each top-level function, class and assigned name of a module not starting with _."""
+def definitions(tree: ast.Module):
+    """(name, statement) of each top-level function, class and assigned name of a module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -44,7 +44,7 @@ def public_definitions(tree: ast.Module):
             names = [node.target.id]
         else:
             names = []
-        yield from ((name, node) for name in names if not name.startswith("_"))
+        yield from ((name, node) for name in names)
 
 
 def used_names(node: ast.AST) -> set[str]:
@@ -60,17 +60,30 @@ def used_names(node: ast.AST) -> set[str]:
     return used
 
 
-def test_every_public_name_is_used_outside_its_definition():
-    # a name that only the tests call is dead code: delete it, or use it
+def unused_definitions(private: bool, text: str = "") -> list[str]:
+    """``module:name`` of each public (or private) definition that neither ``text`` nor another statement uses."""
     trees = [ast.parse(source.read_text(encoding="utf-8")) for source in SOURCES]
     statements = [(node, used_names(node)) for tree in trees for node in tree.body]
-    text = "\n".join(path.read_text(encoding="utf-8") for path in USER_TEXTS)
-    definitions = [(source.name, *found) for source, tree in zip(SOURCES, trees) for found in public_definitions(tree)]
-    assert {"CRITICAL_T", "CheckResult", "choi_of_channel"} <= {name for _, name, _ in definitions}
-    unused = [
+    found = [(source.name, *item) for source, tree in zip(SOURCES, trees) for item in definitions(tree)]
+    known = {"CRITICAL_T", "CheckResult", "choi_of_channel", "_CHECK_ERRORS", "_objective"}
+    assert known <= {name for _, name, _ in found}
+    return [
         f"{module}:{name}"
-        for module, name, definition in definitions
-        if not any(name in used for node, used in statements if node is not definition)
+        for module, name, definition in found
+        if name.startswith("_") == private
+        and not any(name in used for node, used in statements if node is not definition)
         and not re.search(rf"\b{re.escape(name)}\b", text)
     ]
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    # a name that only the tests call is dead code: delete it, or use it
+    text = "\n".join(path.read_text(encoding="utf-8") for path in USER_TEXTS)
+    unused = unused_definitions(private=False, text=text)
     assert not unused, f"public names that nothing outside the tests uses: {unused}"
+
+
+def test_every_private_name_is_used_by_the_package():
+    # a private name is the package's own: if no other statement of the package uses it, delete it
+    unused = unused_definitions(private=True)
+    assert not unused, f"private names that no other statement of the package uses: {unused}"
