@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, is_integer
 from .infotheory import trigger_joint_distribution
 from .linalg import _reject_first, _scalar_or_stack, projector
 from .protocols import A_TO_B, DIRECTIONS, SchemeParams
@@ -89,8 +89,8 @@ def fidelity_quadrature(channel_apply: Callable[[np.ndarray], np.ndarray], nodes
     is constant and the result matches :func:`fidelity_closed` to machine
     precision at any node count.
     """
-    if nodes < 4:
-        raise OutOfRange(f"need at least 4 quadrature nodes, got {nodes}")
+    if not is_integer(nodes) or nodes < 4:
+        raise OutOfRange(f"need an integer of at least 4 quadrature nodes, got {nodes!r}")
     cos_nodes, weights = np.polynomial.legendre.leggauss(nodes)
     half_thetas = np.arccos(cos_nodes)[:, None] / 2  # polar nodes down the rows, uniform azimuths along them
     phases = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))

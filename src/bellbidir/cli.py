@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, errors
 from .channels import SCHEMES, analytic_channel, choi_of_channel, mixing_weight, weight_from_choi
-from .errors import OutOfRange
+from .errors import OutOfRange, is_integer
 from .infotheory import (
     aux_info_closed,
     classical_accessible_info,
@@ -119,20 +119,27 @@ def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> list[float
     return worst
 
 
+def _t_grid(points: int) -> list[float]:
+    """``points`` evenly spaced t in [0, 1], for an integer ``points`` of at least 2."""
+    if not is_integer(points) or points < 2:
+        raise OutOfRange(f"points must be an integer of at least 2, got {points!r}")
+    return np.linspace(0.0, 1.0, points).tolist()
+
+
 def trigger_info_deviation(points: int = 101) -> list[float]:
     """Worst deviation of the trigger mutual information from ``aux_info_closed`` over t.
 
     The information is that of ``trigger_joint_distribution(t)``, the table that ``analytic_channel`` reads: no
     simulated state enters it, so its line checks the oracle's own table, and no extraction error can fail it.
     """
-    ts = np.linspace(0.0, 1.0, points).tolist()
+    ts = _t_grid(points)
     info = shannon_mutual_information(trigger_joint_distribution(ts))
     return [float(np.max(np.abs([aux_info_closed(t) for t in ts] - info)))]
 
 
 def infotheory_deviations(points: int = 101) -> list[float]:
     """Worst deviation of i_tot, i_class and concurrence of simulated channel states from their closed forms over t."""
-    ts = np.linspace(0.0, 1.0, points).tolist()
+    ts = _t_grid(points)
     states = _symmetric_point_states(ts)
     closed_forms = (total_info_closed, classical_capacity_closed, concurrence_closed)
     measured = (quantum_mutual_information(states), classical_accessible_info(states)[0], concurrence(states))
@@ -161,8 +168,8 @@ def run_verification(grid: int = 9, points: int = 101) -> list[CheckResult]:
     Each scheme has one channel line per direction.  Every extraction checks trace preservation, so a marginal
     defect has no line of its own: it fails the lines its extraction feeds with ``BadChannelState``.
     """
-    if grid < 2 or points < 2:
-        raise OutOfRange(f"grid and points must be at least 2, got grid={grid}, points={points}")
+    if not (is_integer(grid) and is_integer(points)) or grid < 2 or points < 2:
+        raise OutOfRange(f"grid and points must be integers of at least 2, got grid={grid!r}, points={points!r}")
     thetas = np.linspace(0.0, math.pi, grid)
     ind_rows = [[SchemeParams(theta1=theta1, theta2=theta2) for theta2 in thetas] for theta1 in thetas]
     com_row = [SchemeParams(theta=theta) for theta in np.linspace(0.0, math.pi, max(17, grid))]

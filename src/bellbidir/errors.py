@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import numpy as np
 
 
 class NonHermitianInput(ValueError):
@@ -23,6 +24,11 @@ class ZeroNorm(ValueError):
 
 class OutOfRange(ValueError):
     """Scalar parameter outside its documented range."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool: the rule for every qubit index and count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_unit_interval(name: str, value: float) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadIndex, NonHermitianInput, NotPSD
+from .errors import BadIndex, NonHermitianInput, NotPSD, is_integer
 
 # The validity rule of every density matrix, or of each matrix of a stack: finite, Hermitian within
 # HERMITIAN_TOL, no eigenvalue below EIG_NOISE_FLOOR; eigenvalues in [EIG_NOISE_FLOOR, 0) are rounding
@@ -71,6 +71,8 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
 
 def split_keep(num_qubits: int, keep: list[int]) -> tuple[list[int], list[int]]:
     """``keep`` as distinct qubit indices in range, and the other qubits in order; :class:`BadIndex` otherwise."""
+    if not all(map(is_integer, keep)):
+        raise BadIndex(f"qubit indices in keep must be integers, got keep={keep!r}")
     keep = [int(k) for k in keep]
     if len(set(keep)) != len(keep):
         raise BadIndex(f"repeated qubit index in keep={keep}")

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadChannelState, BadIndex, BadLabel, NonHermitianInput, NotPSD, OutOfRange, check_unit_interval
+from .errors import BadChannelState, BadIndex, BadLabel, NonHermitianInput, NotPSD, OutOfRange
+from .errors import check_unit_interval, is_integer
 from .linalg import _reject_first, psd_eigenvalues
 from .sim import (
     CCNOT,
@@ -232,7 +233,7 @@ def _check_sampler_inputs(
     psi_in: np.ndarray, trials: int, input_label: str, output_label: str, *circuits: Circuit
 ) -> None:
     """Raise ValueError unless ``trials`` is an int >= 0 and each circuit runs one register from a valid ``psi_in``."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 0:
+    if not is_integer(trials) or trials < 0:
         raise OutOfRange(f"trials must be a non-negative integer, got {trials!r}")
     for label, psi in [("psi_in", psi_in)] + [item for circuit in circuits for item in circuit.prep.items()]:
         if np.ndim(psi) > 1:

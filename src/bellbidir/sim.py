@@ -8,12 +8,14 @@ A register may carry leading stack axes, ``(..., 2**n)``: a ``prep`` holding
 ``(k, 2)`` stacks runs k registers at once; one state is a stack with no axes.
 Registers are float64 unless a preparation, or the state run, is complex.
 
-``apply_gate`` slices the amplitude array; ``run_circuit`` runs a cached
-plan on a compact register of only the amplitudes its input can reach.
-``run_reduced`` starts that plan from the nonzero entries of a product of
-preparations and writes the reached amplitudes straight into the operand of
-``reduced_density_matrix``, the same bits without the full register.  None
-builds the full register unitary; the closed gate set {H, X, Z, CZ,
+``apply_gate`` slices the amplitude array.  A plan cached per gate list,
+prepared qubits, input pattern and kept qubits runs a compact register of
+the amplitudes its input can reach, and names the operand cell each lands
+in: ``run_reduced`` starts it from the nonzero entries of a product of
+preparations and writes straight into the operand of
+``reduced_density_matrix``, the same bits without the full register;
+``run_circuit`` keeps every qubit in order, so each lands in its own cell.
+None builds the full register unitary; the closed gate set {H, X, Z, CZ,
 CNOT, CCNOT} consists entirely of involutions.  In the plan, an H on m live
 column pairs is two gathers of ``2m + 1`` columns, ``(a0, a0, 0)`` and
 ``(a1, -a1, 0)`` with the second half negated exactly, then one add and one
@@ -29,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadIndex, BadLabel, OutOfRange, ZeroNorm
+from .errors import BadIndex, BadLabel, OutOfRange, ZeroNorm, is_integer
 from .linalg import _reject_first, split_keep
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
@@ -47,6 +49,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if not all(map(is_integer, self.qubits)):
+            raise BadIndex(f"qubit indices must be integers, got {self.qubits!r}")
         qubits = tuple(int(q) for q in self.qubits)
         object.__setattr__(self, "qubits", qubits)
         if len(qubits) != GATE_ARITY[self.kind]:
@@ -155,7 +159,6 @@ def _prep_product(labels: tuple[str, ...], prep: Mapping[str, np.ndarray]) -> tu
     return prepped, product.reshape(*product.shape[: product.ndim - len(prepped)], 2 ** len(prepped))
 
 
-@functools.lru_cache(maxsize=64)
 def _product_cells(n: int, prepped: tuple[int, ...]) -> np.ndarray:
     """Register index of each entry of a product over the qubits ``prepped``, every other qubit at 0, ascending."""
     return np.arange(2**n).reshape([2] * n)[tuple(slice(None) if q in prepped else 0 for q in range(n))].ravel()
@@ -221,16 +224,17 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(gates: tuple[Gate, ...], n: int, support: bytes) -> tuple:
-    """Steps that run the gates on a compact register of the amplitudes that inputs nonzero on ``support`` reach.
+def _plan(gates: tuple[Gate, ...], n: int, prepped: tuple[int, ...], pattern: bytes, keep: tuple[int, ...]) -> tuple:
+    """Steps that run the gates on a compact register of the amplitudes an input can reach, and where those land.
 
-    ``reg`` maps each amplitude to its column, or to -1 (the trailing zero column) while no gate can have made it
-    nonzero.  X, CNOT and CCNOT relabel columns; a ``(2, 2m + 1)`` step is an H on m column pairs, gathering
-    ``(lo, lo, -1)`` and ``(hi, hi, -1)``, and a 1-D one a negation.  Returns the input's columns, the steps, and
-    the reached amplitudes with their final columns.
+    The input is a product over the qubits ``prepped``, every other qubit at 0, nonzero where the bool ``pattern``
+    is.  ``reg`` maps each amplitude to its column, or to -1 (the trailing zero column) while no gate can have made
+    it nonzero.  X, CNOT and CCNOT relabel columns; a ``(2, 2m + 1)`` step is an H on m column pairs, gathering
+    ``(lo, lo, -1)`` and ``(hi, hi, -1)``, and a 1-D one a negation.  Returns the steps, the reached amplitudes'
+    final columns, and their flat positions in the ``(2**len(keep), -1)`` operand of ``reduced_density_matrix``.
     """
     cells = np.arange(2**n).reshape([2] * n)
-    initial = np.flatnonzero(np.frombuffer(support, dtype=bool))
+    initial = _product_cells(n, prepped)[np.frombuffer(pattern, dtype=bool)]
     reg = np.full(2**n, -1)
     reg[initial] = np.arange(initial.size)
     steps = []
@@ -245,8 +249,10 @@ def _plan(gates: tuple[Gate, ...], n: int, support: bytes) -> tuple:
             steps.append(reg[hi][reg[hi] >= 0])
         else:
             _apply_in_place(reg.reshape([2] * n), gate, n)
-    final = np.flatnonzero(reg >= 0)
-    return initial, tuple(steps), final, reg[final]
+    keep, rest = split_keep(n, keep)
+    operand = reg.reshape([2] * n).transpose(keep + rest).ravel()  # the column of each operand cell
+    landing = np.flatnonzero(operand >= 0)
+    return tuple(steps), operand[landing], landing
 
 
 def _run_plan(amps: np.ndarray, steps: tuple, columns: np.ndarray) -> np.ndarray:
@@ -275,10 +281,11 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     n = circuit.num_qubits
     if state.shape[-1:] != (2**n,):
         raise ValueError(f"state shape {state.shape} does not match {n} qubits")
-    support = (state != 0).reshape(-1, 2**n).any(axis=0)
-    initial, steps, final, columns = _plan(circuit.gates, n, support.tobytes())  # Circuit has bounds-checked every gate
+    nonzero = (state != 0).reshape(-1, 2**n).any(axis=0)
+    every = tuple(range(n))  # the whole register is the input and is kept in order; Circuit has checked the gates
+    steps, columns, landing = _plan(circuit.gates, n, every, nonzero.tobytes(), every)
     out = np.zeros_like(state)
-    out[..., final] = _run_plan(state[..., initial], steps, columns)
+    out[..., landing] = _run_plan(state[..., nonzero], steps, columns)
     return out
 
 
@@ -292,8 +299,8 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     the kept half scaled to unit norm.
     """
     n = num_qubits_of(state)
-    if not 0 <= index < n:
-        raise BadIndex(f"qubit {index} out of range for {n}-qubit state")
+    if not is_integer(index) or not 0 <= index < n:
+        raise BadIndex(f"qubit {index!r} is not an index of the {n}-qubit state")
     psi = np.asarray(state, dtype=complex).reshape([2] * n)
     halves = [psi[_ix(n, {index: k})] for k in (0, 1)]
     weights = [np.vdot(half, half).real for half in halves]
@@ -329,15 +336,6 @@ def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
     return _gram(psi, not np.iscomplexobj(state))
 
 
-@functools.lru_cache(maxsize=64)
-def _operand_position(n: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Flat position of each register index in the ``(2**len(keep), -1)`` operand of :func:`reduced_density_matrix`."""
-    keep, rest = split_keep(n, list(keep))
-    position = np.empty(2**n, dtype=np.intp)
-    position[np.arange(2**n).reshape([2] * n).transpose(keep + rest).ravel()] = np.arange(2**n)
-    return position
-
-
 def run_reduced(circuit: Circuit, keep: list[int], prep: Mapping[str, np.ndarray]) -> np.ndarray:
     """``reduced_density_matrix(run_circuit(circuit, state), keep)`` without the full register, bit for bit.
 
@@ -349,12 +347,12 @@ def run_reduced(circuit: Circuit, keep: list[int], prep: Mapping[str, np.ndarray
     prepped, product = _prep_product(circuit.labels, prep)
     if len(prepped) != len(prep):
         raise BadLabel(f"prepared qubits {sorted(set(prep) - set(circuit.labels))} not in register")
-    position = _operand_position(n, tuple(keep))  # checks keep
+    keep = tuple(keep)
+    if not all(map(is_integer, keep)):  # ahead of the cache, where (0, 1.0) == (0, 1); _plan checks the rest
+        raise BadIndex(f"qubit indices in keep must be integers, got keep={keep!r}")
     nonzero = (product != 0).reshape(-1, product.shape[-1]).any(axis=0)
-    support = np.zeros(2**n, dtype=bool)
-    support[_product_cells(n, prepped)] = nonzero
-    _, steps, final, columns = _plan(circuit.gates, n, support.tobytes())
+    steps, columns, landing = _plan(circuit.gates, n, prepped, nonzero.tobytes(), keep)
     amps = _run_plan(product[..., nonzero], steps, columns)
     psi = np.zeros((*product.shape[:-1], 2**n), dtype=complex)
-    psi[..., position[final]] = amps
+    psi[..., landing] = amps
     return _gram(psi.reshape(*product.shape[:-1], 2 ** len(keep), -1), not np.iscomplexobj(amps))

@@ -217,3 +217,10 @@ def test_closed_fidelity_matches_simulated_choi_quadrature():
             choi = extract_choi(circuit, *channel_endpoints(direction))
             closed = fidelity_closed(analytic_channel("common", params, direction))
             assert abs(quadrature_fidelity(choi) - closed) <= 1e-9
+
+
+@pytest.mark.parametrize("nodes", [5.5, 8.0, np.float64(8.0), True, "8"], ids=repr)
+def test_quadrature_rejects_a_node_count_that_is_not_an_integer(nodes):
+    with pytest.raises(OutOfRange):
+        fidelity_quadrature(lambda rho: rho, nodes=nodes)
+    assert fidelity_quadrature(lambda rho: rho, nodes=np.int64(8)) == pytest.approx(1.0)

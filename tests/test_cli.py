@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellbidir import cli, protocols
-from bellbidir.channels import analytic_channel, fidelity_closed
+from bellbidir import cli, protocols, sim
+from bellbidir.channels import SCHEMES, analytic_channel, fidelity_closed
 from bellbidir.cli import main, run_verification
 from bellbidir.errors import DomainError, OutOfRange
 from bellbidir.infotheory import total_info_closed
@@ -302,6 +302,48 @@ def test_run_verification_results(monkeypatch):
     for grid, points in ((1, 11), (3, 0)):
         with pytest.raises(OutOfRange):
             run_verification(grid=grid, points=points)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_verification(grid=2.5),
+        lambda: run_verification(grid=9.0),
+        lambda: run_verification(grid=True, points=5),
+        lambda: run_verification(points=5.5),
+        lambda: cli.trigger_info_deviation(2.5),
+        lambda: cli.trigger_info_deviation(1),
+        lambda: cli.infotheory_deviations(2.5),
+        lambda: cli.infotheory_deviations(np.float64(5.0)),
+    ],
+    ids=["grid-2.5", "grid-9.0", "grid-True", "points-5.5", "trigger-2.5", "trigger-1", "info-2.5", "info-float64"],
+)
+def test_a_count_that_is_not_an_integer_of_at_least_two_raises_out_of_range(call):
+    with pytest.raises(OutOfRange):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert all(result.passed for result in run_verification(grid=np.int64(3), points=np.int32(5)))
+    assert cli.trigger_info_deviation(np.int64(5)) == cli.trigger_info_deviation(5)
+
+
+def test_a_second_paper_session_adds_no_plan():
+    # a per-call value in the plan key would pass every other test and show only as a slowdown
+    def session():
+        run_verification()
+        for _, build_columns in cli._SWEEPS.values():
+            build_columns(np.linspace(0.0, 1.0, 101))
+        for scheme in SCHEMES:
+            cli.simulated_choi(scheme, SchemeParams(t=0.5), A_TO_B)
+
+    sim._plan.cache_clear()
+    session()
+    first = sim._plan.cache_info()
+    session()
+    second = sim._plan.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
+    assert second.currsize <= 8
 
 
 def failed_checks(capsys) -> set[str]:

@@ -121,3 +121,10 @@ def test_trace_distance():
     stacked = trace_distance(a, b)
     assert stacked.shape == (3,)
     assert stacked.tolist() == [trace_distance(x, y) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("keep", [[0.7], [1.0], [0, 1.0], [True], [np.False_], ["0"]], ids=repr)
+def test_partial_trace_rejects_a_keep_that_is_not_integers(keep):
+    # an index is a Python or numpy integer, never a bool: 0.7 must not be truncated to qubit 0
+    with pytest.raises(BadIndex):
+        partial_trace(np.eye(4) / 4, 2, keep)

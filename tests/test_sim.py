@@ -500,3 +500,41 @@ def test_run_reduced_rejects_a_prep_outside_the_register():
         run_reduced(circuit, [0], Circuit(3, ("a", "b", "c"), (), {"c": KET1}).prep)
     with pytest.raises(BadIndex):
         run_reduced(circuit, [0, 2], {})
+
+
+def run_reduced_after_an_integer_keep():
+    # the float keep must not reach the plan cache, whose key (0, 1.0) equals the cached (0, 1)
+    circuit = Circuit(3, ("a", "b", "c"), (H(0), CNOT(0, 1)))
+    prep = Circuit(3, circuit.labels, (), {"c": KET1}).prep
+    run_reduced(circuit, [0, 1], prep)
+    run_reduced(circuit, [0, 1.0], prep)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Gate("H", (1.5,)),
+        lambda: Gate("CNOT", (0, 1.9)),
+        lambda: Gate("CCNOT", (0, 1, np.float64(2.0))),
+        lambda: Gate("H", (True,)),
+        lambda: H("0"),
+        lambda: CNOT(np.True_, 2),
+        lambda: reduced_density_matrix(bell_state(), [1.2]),
+        lambda: reduced_density_matrix(bell_state(), [False]),
+        lambda: measure_qubit(bell_state(), 1.5, np.random.default_rng(0)),
+        lambda: measure_qubit(bell_state(), True, np.random.default_rng(0)),
+        run_reduced_after_an_integer_keep,
+    ],
+    ids=["H-1.5", "CNOT-1.9", "CCNOT-float64", "H-True", "H-str", "CNOT-numpy-bool", "reduced-1.2", "reduced-False",
+         "measure-1.5", "measure-True", "run_reduced-1.0-after-1"],
+)
+def test_a_qubit_index_that_is_not_an_integer_raises_bad_index(call):
+    with pytest.raises(BadIndex):
+        call()
+
+
+def test_numpy_integer_qubit_indices_are_taken_as_ints():
+    gate = CNOT(np.int64(0), np.uint8(2))
+    assert gate.qubits == (0, 2) and all(type(q) is int for q in gate.qubits)
+    assert np.array_equal(reduced_density_matrix(bell_state(), [np.int64(1)]), reduced_density_matrix(bell_state(), [1]))
+    assert measure_qubit(bell_state(), np.int32(1), np.random.default_rng(0))[2] == pytest.approx(0.5)
