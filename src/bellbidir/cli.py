@@ -215,12 +215,12 @@ _SCHEME_FLAGS = {"independent": ("theta1", "theta2", "p1", "p2"), "common": ("th
 _SCHEME_FLAGS["mixed"] = (*_SCHEME_FLAGS["independent"], *_SCHEME_FLAGS["common"], "t")
 
 
-def _resolve_params(args, parser: argparse.ArgumentParser) -> SchemeParams:
+def _resolve_params(args) -> SchemeParams:
     def angle(angle_name: str, prob_name: str) -> float:
         theta = getattr(args, angle_name)
         prob = getattr(args, prob_name)
         if theta is not None and prob is not None:
-            parser.error(f"--{angle_name} and --{prob_name} are mutually exclusive")
+            _PARSER.error(f"--{angle_name} and --{prob_name} are mutually exclusive")
         if prob is not None:
             return firing_angle(f"--{prob_name}", prob)
         if theta is not None:
@@ -229,9 +229,9 @@ def _resolve_params(args, parser: argparse.ArgumentParser) -> SchemeParams:
 
     for name in _SCHEME_FLAGS["mixed"]:
         if getattr(args, name) is not None and name not in _SCHEME_FLAGS[args.scheme]:
-            parser.error(f"--{name} does not apply to the {args.scheme} scheme")
+            _PARSER.error(f"--{name} does not apply to the {args.scheme} scheme")
     if args.scheme == "mixed" and args.t is None:
-        parser.error("--t is required for the mixed scheme")
+        _PARSER.error("--t is required for the mixed scheme")
     return SchemeParams(
         theta1=angle("theta1", "p1"),
         theta2=angle("theta2", "p2"),
@@ -240,8 +240,8 @@ def _resolve_params(args, parser: argparse.ArgumentParser) -> SchemeParams:
     )
 
 
-def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
-    params = _resolve_params(args, parser)
+def _cmd_simulate(args) -> int:
+    params = _resolve_params(args)
     choi = simulated_choi(args.scheme, params, args.direction)
     q = weight_from_choi(choi)
     report = {
@@ -259,7 +259,7 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     return _emit(json.dumps(report, indent=2) + "\n", args.out)
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args) -> int:
     results = run_verification(grid=args.grid, points=args.points)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -290,9 +290,9 @@ def _csv_cells(column: np.ndarray) -> list[str]:
     return np.array(["%.12g" % v for v in keys.view(np.float64).tolist()], dtype=object)[inverse].tolist()
 
 
-def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_sweep(args) -> int:
     if args.points < 2:
-        parser.error("--points must be at least 2")
+        _PARSER.error("--points must be at least 2")
     header, build_columns = _SWEEPS[args.figure]
     columns = [np.ravel(column) for column in build_columns(np.linspace(0.0, 1.0, args.points))]
     if args.format == "csv":
@@ -340,14 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # one parser per process; its .error formats every usage error
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     commands = {"simulate": _cmd_simulate, "verify": _cmd_verify, "sweep": _cmd_sweep}
     try:
-        return commands[args.command](args, parser)
+        return commands[args.command](args)
     except OutOfRange as exc:  # a parameter outside its documented range is a usage error
-        parser.error(str(exc))
+        _PARSER.error(str(exc))
 
 
 def entrypoint() -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadIndex, NonHermitianInput, NotPSD, is_integer
+from .errors import BadIndex, NonHermitianInput, NotPSD, OutOfRange, as_indices, is_integer
 
 # The validity rule of every density matrix, or of each matrix of a stack: finite, Hermitian within
 # HERMITIAN_TOL, no eigenvalue below EIG_NOISE_FLOOR; eigenvalues in [EIG_NOISE_FLOOR, 0) are rounding
@@ -71,9 +71,7 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
 
 def split_keep(num_qubits: int, keep: list[int]) -> tuple[list[int], list[int]]:
     """``keep`` as distinct qubit indices in range, and the other qubits in order; :class:`BadIndex` otherwise."""
-    if not all(map(is_integer, keep)):
-        raise BadIndex(f"qubit indices in keep must be integers, got keep={keep!r}")
-    keep = [int(k) for k in keep]
+    keep = list(as_indices("keep", keep))
     if len(set(keep)) != len(keep):
         raise BadIndex(f"repeated qubit index in keep={keep}")
     if any(not 0 <= k < num_qubits for k in keep):
@@ -87,6 +85,8 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
     The kept qubits appear in the output in the order listed, qubit 0 being
     the most significant bit of both indices.
     """
+    if not is_integer(num_qubits) or num_qubits < 0:
+        raise OutOfRange(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
     rho = np.asarray(rho, dtype=complex)
     dim = 2**num_qubits
     if rho.shape[-2:] != (dim, dim):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,7 +75,11 @@ class SchemeParams:
 
     def __post_init__(self):
         angles = (self.theta1, self.theta2, self.theta)
-        if not all(map(math.isfinite, angles)):
+        try:
+            finite = all(map(math.isfinite, angles))
+        except TypeError:  # math.isfinite takes only real numbers
+            raise OutOfRange(f"trigger angles (theta1, theta2, theta) = {angles} must be real numbers") from None
+        if not finite:
             raise OutOfRange(f"trigger angles (theta1, theta2, theta) = {angles} must be finite")
         check_unit_interval("mixing weight t", self.t)
 
@@ -229,19 +233,33 @@ def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("...ca,cqas->...qs", rho_in, choi.reshape(2, 2, 2, 2))
 
 
-def _check_sampler_inputs(
-    psi_in: np.ndarray, trials: int, input_label: str, output_label: str, *circuits: Circuit
-) -> None:
-    """Raise ValueError unless ``trials`` is an int >= 0 and each circuit runs one register from a valid ``psi_in``."""
+def _sampler_setup(circuit: Circuit, input_label: str, output_label: str, psi_in: np.ndarray, trials: int) -> tuple:
+    """``circuit`` rebuilt (so checked) with ``psi_in`` on its input, less its corrections; those; the output qubit."""
     if not is_integer(trials) or trials < 0:
         raise OutOfRange(f"trials must be a non-negative integer, got {trials!r}")
-    for label, psi in [("psi_in", psi_in)] + [item for circuit in circuits for item in circuit.prep.items()]:
+    for label, psi in [("psi_in", psi_in), *circuit.prep.items()]:
         if np.ndim(psi) > 1:
             shape = np.shape(psi)[:-1]
             raise ValueError(f"the trajectory sampler takes one register, got a stack of shape {shape} in {label}")
-    for circuit in circuits:  # the Circuit rules check psi_in and the input label
-        circuit.index(output_label)
-        Circuit(circuit.num_qubits, circuit.labels, (), {input_label: psi_in})
+    output_ix = circuit.index(output_label)
+    deferred = [g for g in circuit.gates if g.kind in ("CNOT", "CZ") and circuit.labels[g.qubits[0]].startswith("M_")]
+    corrections = [(gate.qubits[0], Gate("X" if gate.kind == "CNOT" else "Z", gate.qubits[1:])) for gate in deferred]
+    gates = [gate for gate in circuit.gates if gate not in deferred]
+    return replace(circuit, gates=gates, prep={**circuit.prep, input_label: psi_in}), corrections, output_ix
+
+
+def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, trials: int, rng) -> np.ndarray:
+    """Run a :func:`_sampler_setup` circuit once, then measure and correct its records once per trajectory."""
+    base = run_circuit(stripped, stripped.initial_state())
+    outputs = np.empty((trials, 2, 2), dtype=complex)
+    for k in range(trials):
+        psi = base
+        for record_ix, correction in corrections:
+            outcome, psi, _ = measure_qubit(psi, record_ix, rng)
+            if outcome == 1:
+                psi = apply_gate(psi, correction)
+        outputs[k] = reduced_density_matrix(psi, [output_ix])
+    return outputs
 
 
 def sample_trajectories(
@@ -261,24 +279,8 @@ def sample_trajectories(
     ``psi_in``.  ``seed`` is an integer or a ``np.random.Generator``; a
     generator is drawn from as is, so its state advances.
     """
-    _check_sampler_inputs(psi_in, trials, input_label, output_label, circuit)
-    rng = np.random.default_rng(seed)
-    output_ix = circuit.index(output_label)
-    records = {circuit.index(label) for label in circuit.labels if label.startswith("M_")}
-    deferred = [gate for gate in circuit.gates if gate.kind in ("CNOT", "CZ") and gate.qubits[0] in records]
-    corrections = [(gate.qubits[0], Gate("X" if gate.kind == "CNOT" else "Z", gate.qubits[1:])) for gate in deferred]
-    gates = [gate for gate in circuit.gates if gate not in deferred]
-    stripped = Circuit(circuit.num_qubits, circuit.labels, gates, {**circuit.prep, input_label: psi_in})
-    base = run_circuit(stripped, stripped.initial_state())
-    outputs = np.empty((trials, 2, 2), dtype=complex)
-    for k in range(trials):
-        psi = base
-        for record_ix, correction in corrections:
-            outcome, psi, _ = measure_qubit(psi, record_ix, rng)
-            if outcome == 1:
-                psi = apply_gate(psi, correction)
-        outputs[k] = reduced_density_matrix(psi, [output_ix])
-    return outputs
+    setup = _sampler_setup(circuit, input_label, output_label, psi_in, trials)
+    return _draw_trajectories(*setup, trials, np.random.default_rng(seed))
 
 
 def sample_mixed_trajectories(
@@ -297,11 +299,11 @@ def sample_mixed_trajectories(
     circuit, otherwise the common-trigger circuit.
     """
     check_unit_interval("mixing weight t", t)
-    _check_sampler_inputs(psi_in, trials, input_label, output_label, circuit_ind, circuit_com)  # before any draw
-    rng = np.random.default_rng(seed)
+    setups = [_sampler_setup(c, input_label, output_label, psi_in, trials) for c in (circuit_ind, circuit_com)]
+    rng = np.random.default_rng(seed)  # drawn from only once both circuits are checked
     picks = rng.random(trials) < t
     outputs = np.empty((trials, 2, 2), dtype=complex)
-    for circuit, chosen in ((circuit_ind, picks), (circuit_com, ~picks)):
+    for setup, chosen in zip(setups, (picks, ~picks)):
         if chosen.any():
-            outputs[chosen] = sample_trajectories(circuit, input_label, output_label, psi_in, int(chosen.sum()), rng)
+            outputs[chosen] = _draw_trajectories(*setup, int(chosen.sum()), rng)
     return outputs

@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadIndex, BadLabel, OutOfRange, ZeroNorm, is_integer
+from .errors import BadIndex, BadLabel, OutOfRange, ZeroNorm, as_indices, is_integer
 from .linalg import _reject_first, split_keep
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
@@ -49,9 +49,7 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not all(map(is_integer, self.qubits)):
-            raise BadIndex(f"qubit indices must be integers, got {self.qubits!r}")
-        qubits = tuple(int(q) for q in self.qubits)
+        qubits = as_indices("qubits", self.qubits)
         object.__setattr__(self, "qubits", qubits)
         if len(qubits) != GATE_ARITY[self.kind]:
             raise ValueError(f"{self.kind} takes {GATE_ARITY[self.kind]} qubits, got {qubits}")
@@ -103,6 +101,8 @@ class Circuit:
     prep: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not is_integer(self.num_qubits) or self.num_qubits < 0:
+            raise OutOfRange(f"num_qubits must be a non-negative integer, got {self.num_qubits!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "gates", tuple(self.gates))
         if len(self.labels) != self.num_qubits:
@@ -347,9 +347,7 @@ def run_reduced(circuit: Circuit, keep: list[int], prep: Mapping[str, np.ndarray
     prepped, product = _prep_product(circuit.labels, prep)
     if len(prepped) != len(prep):
         raise BadLabel(f"prepared qubits {sorted(set(prep) - set(circuit.labels))} not in register")
-    keep = tuple(keep)
-    if not all(map(is_integer, keep)):  # ahead of the cache, where (0, 1.0) == (0, 1); _plan checks the rest
-        raise BadIndex(f"qubit indices in keep must be integers, got keep={keep!r}")
+    keep = as_indices("keep", keep)  # ahead of the cache, where (0, 1.0) == (0, 1); _plan checks the rest
     nonzero = (product != 0).reshape(-1, product.shape[-1]).any(axis=0)
     steps, columns, landing = _plan(circuit.gates, n, prepped, nonzero.tobytes(), keep)
     amps = _run_plan(product[..., nonzero], steps, columns)

@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import json
 import math
 import os
@@ -23,6 +25,15 @@ def run_module(*args):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_main(capsys, argv):
+    """Exit code, stdout and stderr of one in-process ``main(argv)``, as ``python -m bellbidir.cli`` would give them."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
 
 
 def read_json(path):
@@ -478,6 +489,46 @@ def test_channel_deviation_rejects_empty_points():
     for rows in ([], [[]]):
         with pytest.raises(OutOfRange):
             cli.channel_deviation("common", rows)
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert run_main(capsys, ["sweep", "--figure", "3c", "--points", "2"])[0] == 0
+    assert run_main(capsys, ["simulate", "--scheme", "mixed"])[0] == 2
+    assert run_main(capsys, ["verify", "--help"])[0] == 0
+    assert built == []
+
+
+# usage errors first, then commands and help texts, all through the one parser of this process
+SESSION = [
+    ["sweep"],  # argparse's own error
+    ["sweep", "--figure", "3c", "--points", "3"],
+    ["simulate", "--scheme", "mixed"],  # _resolve_params' error
+    ["simulate", "--scheme", "common", "--theta", "0.4"],
+    ["verify", "--grid", "1"],  # an OutOfRange raised by a command
+    ["verify", "--grid", "3", "--points", "5"],
+    ["--help"],
+    ["simulate", "--help"],
+    ["verify", "--help"],
+    ["sweep", "--help"],
+]
+
+
+def test_one_process_answers_each_command_as_a_fresh_process_does(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width, here and in the child processes
+    in_process = [run_main(capsys, argv) for argv in SESSION]
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        fresh = list(pool.map(lambda argv: run_module("-m", "bellbidir.cli", *argv), SESSION))
+    for argv, got, proc in zip(SESSION, in_process, fresh):
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [got[0] for got in in_process] == [2, 0, 2, 0, 2, 0, 0, 0, 0, 0]
 
 
 def test_module_invocation_smoke():

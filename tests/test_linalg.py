@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellbidir.errors import BadIndex, NonHermitianInput, NotPSD
+from bellbidir.errors import BadIndex, NonHermitianInput, NotPSD, OutOfRange
 from bellbidir.linalg import (
     matrix_sqrt_psd,
     partial_trace,
@@ -123,8 +123,15 @@ def test_trace_distance():
     assert stacked.tolist() == [trace_distance(x, y) for x, y in zip(a, b)]
 
 
-@pytest.mark.parametrize("keep", [[0.7], [1.0], [0, 1.0], [True], [np.False_], ["0"]], ids=repr)
+@pytest.mark.parametrize("keep", [[0.7], [1.0], [0, 1.0], [True], [np.False_], ["0"], 0], ids=repr)
 def test_partial_trace_rejects_a_keep_that_is_not_integers(keep):
     # an index is a Python or numpy integer, never a bool: 0.7 must not be truncated to qubit 0
     with pytest.raises(BadIndex):
         partial_trace(np.eye(4) / 4, 2, keep)
+
+
+def test_partial_trace_rejects_a_qubit_count_that_is_not_a_non_negative_integer():
+    for count in (2.0, np.float64(2.0), "2", True, -1):
+        with pytest.raises(OutOfRange, match="num_qubits must be a non-negative integer"):
+            partial_trace(np.eye(4) / 4, count, [0])
+    assert np.array_equal(partial_trace(np.eye(4) / 4, np.int64(2), [0]), np.eye(2) / 2)

@@ -513,6 +513,40 @@ def test_samplers_reject_a_stack_before_any_draw():
         assert mixed(single, common, 0.5, psi_in=psi, trials=trials, seed=1).shape == (trials, 2, 2)
 
 
+def test_a_sampler_builds_only_the_circuits_it_may_run(monkeypatch):
+    # the circuit that runs checks psi_in and the input label: no circuit is built only to check them
+    circuit_ind, circuit_com = build_scheme_independent(SchemeParams()), build_scheme_common(SchemeParams())
+    psi = bloch_state(0.8, 2.1)
+    built = []
+    check = Circuit.__post_init__
+
+    def counted_check(circuit):
+        built.append(circuit)
+        check(circuit)
+
+    monkeypatch.setattr(Circuit, "__post_init__", counted_check)
+    sample_trajectories(circuit_ind, "Q_A", "C_B", psi, trials=4, seed=3)
+    assert len(built) == 1
+    picks = np.random.default_rng(3).random(8) < 0.5
+    assert picks.any() and not picks.all()  # both circuits run
+    built.clear()
+    sample_mixed_trajectories(circuit_ind, circuit_com, 0.5, "Q_A", "C_B", psi, trials=8, seed=3)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_mixed_sampler_draws_as_the_single_sampler_of_the_picked_circuit(t, direction):
+    circuit_ind = build_scheme_independent(SchemeParams(theta1=1.1, theta2=0.7))
+    circuit_com = build_scheme_common(SchemeParams(theta=0.4))
+    psi, endpoints = bloch_state(1.3, 0.5), channel_endpoints(direction)
+    mixed = sample_mixed_trajectories(circuit_ind, circuit_com, t, *endpoints, psi, trials=30, seed=9)
+    rng = np.random.default_rng(9)
+    rng.random(30)  # the picks, every one of them the same circuit at t = 0 or 1
+    single = sample_trajectories(circuit_ind if t else circuit_com, *endpoints, psi, trials=30, seed=rng)
+    assert np.array_equal(mixed.view(np.uint64), single.view(np.uint64))
+
+
 def test_invalid_channel_state_raises_package_error():
     bell = projector(bell_state())
     not_hermitian = bell + 1e-6j * np.triu(np.ones((4, 4)), 1)
@@ -553,6 +587,13 @@ def test_scheme_params_validation():
     assert abs(params.p1 - 0.25) <= 1e-12
     assert abs(params.p2 - 0.75) <= 1e-12
     assert abs(params.p - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("field", [{"theta1": "1"}, {"t": "0.5"}, {"theta": None}, {"t": 0.5j}], ids=repr)
+def test_scheme_params_reject_a_value_that_is_not_a_real_number(field):
+    # math.isfinite and the [0, 1] comparison raise TypeError on these; the package raises its own error
+    with pytest.raises(OutOfRange, match="real number"):
+        SchemeParams(**field)
 
 
 def test_channel_endpoints():

@@ -524,13 +524,26 @@ def run_reduced_after_an_integer_keep():
         lambda: measure_qubit(bell_state(), 1.5, np.random.default_rng(0)),
         lambda: measure_qubit(bell_state(), True, np.random.default_rng(0)),
         run_reduced_after_an_integer_keep,
+        lambda: Gate("H", 0),
+        lambda: reduced_density_matrix(bell_state(), 0),
+        lambda: run_reduced(Circuit(2, ("a", "b"), (H(0),)), 0, {}),
     ],
     ids=["H-1.5", "CNOT-1.9", "CCNOT-float64", "H-True", "H-str", "CNOT-numpy-bool", "reduced-1.2", "reduced-False",
-         "measure-1.5", "measure-True", "run_reduced-1.0-after-1"],
+         "measure-1.5", "measure-True", "run_reduced-1.0-after-1", "Gate-bare-int", "reduced-bare-int",
+         "run_reduced-bare-int"],
 )
 def test_a_qubit_index_that_is_not_an_integer_raises_bad_index(call):
     with pytest.raises(BadIndex):
         call()
+
+
+def test_a_qubit_count_that_is_not_a_non_negative_integer_raises_out_of_range():
+    # a float count would pass the label check and fail later in numpy with a TypeError
+    for count in (2.0, np.float64(2.0), "2", True, -1):
+        with pytest.raises(OutOfRange, match="num_qubits must be a non-negative integer"):
+            Circuit(count, ("a", "b"), ())
+    circuit = Circuit(np.int64(2), ("a", "b"), (H(0), CNOT(0, 1)))
+    assert np.array_equal(run_circuit(circuit, circuit.initial_state()), bell_state().real)
 
 
 def test_numpy_integer_qubit_indices_are_taken_as_ints():
