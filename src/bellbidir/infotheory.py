@@ -22,13 +22,12 @@ _FLIP = np.kron(_PAULIS[2], _PAULIS[2])
 _PT_EIG_TOL = 1e-10  # entanglement breaking: no partial-transpose eigenvalue below -_PT_EIG_TOL
 _SCAN_LATTICE = 512  # points of the Fibonacci lattice whose z > 0 half the accessible-information scan covers
 _SCAN_BLOCK = 8  # states scored together on the scan lattice
-_ZOOM_POINTS = 7  # candidate tangent-plane coordinates per direction in each refinement pass
-# the cells of np.meshgrid(u offsets, v offsets).ravel(), in units of the window's half-width: u tiled, v repeated
-_ZOOM_U = np.tile(np.linspace(-1.0, 1.0, _ZOOM_POINTS), _ZOOM_POINTS)
-_ZOOM_V = np.repeat(np.linspace(-1.0, 1.0, _ZOOM_POINTS), _ZOOM_POINTS)
-_ZOOM_PASSES = 15
-_ZOOM_START = 2.0 * math.sqrt(4.0 * math.pi / _SCAN_LATTICE)  # half-width of the first window: two lattice spacings
-_ZOOM_SHRINK = 0.4  # the next window reaches 1.2 grid steps either side of the best point
+_NEWTON_STEPS = 7  # safeguarded Newton steps that refine the best lattice axis
+_NEWTON_START = 0.05  # first stencil spacing h, in tangent-plane units
+_NEWTON_FLOOR = 1e-4  # smallest stencil spacing
+# the cells of a 3x3 np.meshgrid(u offsets, v offsets).ravel() in units of h: u tiled, v repeated
+_STENCIL_U = np.tile([-1.0, 0.0, 1.0], 3)
+_STENCIL_V = np.repeat([-1.0, 0.0, 1.0], 3)
 # t, row, column, 1 - t and anti-diagonal factor of each trigger-table entry t * (row * col) + (1 - t) * anti, as
 # indices into (t, p1, p2, p, 0, 1 - t, 1 - p1, 1 - p2, 1 - p, 1)
 _TABLE_OPERANDS = np.array([[[0, 0], [0, 0]], [[6, 6], [1, 1]], [[7, 2], [7, 2]], [[5, 5], [5, 5]], [[4, 8], [3, 4]]])
@@ -183,14 +182,18 @@ def classical_accessible_info(rho_rq: np.ndarray):
     measurement axis, so the scan covers the z > 0 half of a Fibonacci
     lattice of _SCAN_LATTICE axes.  The best lattice axis c is then refined
     in the plane tangent to the sphere at c, on axes proportional to
-    c + u e1 + v e2, which has no coordinate pole: each pass scores a
-    _ZOOM_POINTS**2 grid of (u, v) around the best point in one batch and
-    shrinks the window by _ZOOM_SHRINK.  Returns ``(value, flatness)``
-    where flatness is the max-min spread of the objective over the half
-    lattice; for the channel states produced here the objective is
-    axis-independent, so the flatness doubles as a self-check.  A
-    ``(..., 4, 4)`` stack gives both per state, and each zoom pass scores
-    the whole stack in one batch.
+    c + u e1 + v e2, which has no coordinate pole, by _NEWTON_STEPS
+    safeguarded Newton steps on a 3x3 stencil of spacing h, its own per
+    state.  Where the stencil's Hessian is negative definite, (u, v) moves
+    to the model's maximum, clipped to 3h, and an unclipped step shrinks h
+    to max(min(h / 5, |step|), _NEWTON_FLOOR); elsewhere it moves to the
+    best stencil point and keeps h.  The value is the largest objective
+    scored, so it never falls below the lattice maximum.  Returns
+    ``(value, flatness)`` where flatness is the max-min spread of the
+    objective over the half lattice; for the channel states produced here
+    the objective is axis-independent, so the flatness doubles as a
+    self-check.  A ``(..., 4, 4)`` stack gives both per state, and each
+    Newton step scores the whole stack in one batch.
     """
     choi = _two_qubit(rho_rq)
     psd_eigenvalues(choi)
@@ -207,16 +210,31 @@ def classical_accessible_info(rho_rq: np.ndarray):
     a, b = -x / (1.0 + z), -y / (1.0 + z)
     frame = np.stack([x, y, z, 1.0 + a * x, a * y, -x, a * y, 1.0 + b * y, -y], axis=1).reshape(-1, 3, 3)
     forms = _forms(np.concatenate([pauli[:, :1], frame @ pauli[:, 1:]], axis=1))
-    u = v = np.zeros((len(pauli), 1))
-    states, half = np.arange(len(pauli)), _ZOOM_START
-    for _ in range(_ZOOM_PASSES):
-        us, vs = u + half * _ZOOM_U, v + half * _ZOOM_V
+
+    def score(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         scale = 1.0 / np.sqrt(1.0 + us * us + vs * vs)
-        candidates = _objective(pauli, s_output, forms @ _monomials(scale, us * scale, vs * scale))
-        ix = np.argmax(candidates, axis=1)
-        best = np.maximum(best, candidates[states, ix])
-        u, v = us[states, ix, None], vs[states, ix, None]
-        half *= _ZOOM_SHRINK
+        return _objective(pauli, s_output, forms @ _monomials(scale, us * scale, vs * scale))
+
+    u, v, h = np.zeros(len(pauli)), np.zeros(len(pauli)), np.full(len(pauli), _NEWTON_START)
+    for _ in range(_NEWTON_STEPS):
+        f = score(u[:, None] + h[:, None] * _STENCIL_U, v[:, None] + h[:, None] * _STENCIL_V)
+        best = np.maximum(best, f.max(axis=1))
+        grid = f.reshape(-1, 3, 3)  # grid[:, 1 + dv, 1 + du]
+        # central-difference gradient and Hessian in units of h
+        gu, guu = (grid[:, 1, 2] - grid[:, 1, 0]) / 2.0, grid[:, 1, 2] - 2.0 * grid[:, 1, 1] + grid[:, 1, 0]
+        gv, gvv = (grid[:, 2, 1] - grid[:, 0, 1]) / 2.0, grid[:, 2, 1] - 2.0 * grid[:, 1, 1] + grid[:, 0, 1]
+        guv = (grid[:, 2, 2] - grid[:, 2, 0] - grid[:, 0, 2] + grid[:, 0, 0]) / 4.0
+        det = guu * gvv - guv * guv
+        newton = (guu < 0.0) & (det > 0.0)  # negative definite: the model has a maximum
+        det = np.where(newton, det, 1.0)  # no division by a zero det where no Newton step is taken
+        du, dv = (guv * gv - gvv * gu) / det, (guv * gu - guu * gv) / det
+        length = np.hypot(du, dv)
+        clip = 3.0 / np.maximum(length, 3.0)  # a trust radius of 3h
+        ix = np.argmax(f, axis=1)
+        u = u + h * np.where(newton, du * clip, _STENCIL_U[ix])
+        v = v + h * np.where(newton, dv * clip, _STENCIL_V[ix])
+        h = np.where(newton & (length <= 3.0), np.maximum(np.minimum(0.2 * h, h * length), _NEWTON_FLOOR), h)
+    best = np.maximum(best, score(u[:, None], v[:, None])[:, 0])
     return _scalar_or_stack(best.reshape(choi.shape[:-2])), _scalar_or_stack(flatness.reshape(choi.shape[:-2]))
 
 

@@ -442,9 +442,10 @@ def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):
 
 
 def test_fig4_sweep_memory_budget(capsys):
-    # the accessible-information lattice is scored in blocks of 8 states, a traced peak of about 1.5 MiB
-    # cold and 1.3 MiB warm in this test, set by the zoom passes over the whole 101-state stack; scanning the
-    # lattice for the whole stack at once traces about 4.2 MiB in the optimizer alone
+    # the accessible-information lattice is scored in blocks of 8 states, a traced peak of about 0.6 MiB
+    # cold and warm in this test, set by the lattice values of the 101-state stack and one block's intermediates;
+    # the Newton stencils add little. Scanning the lattice for the whole stack at once traces about 4.2 MiB in
+    # the optimizer alone
     tracemalloc.start()
     try:
         assert main(["sweep", "--figure", "4"]) == 0
@@ -470,8 +471,8 @@ def test_fig3a_sweep_memory_budget(capsys):
 
 
 def test_verify_memory_budget(capsys):
-    # verify runs one grid row per stacked circuit. The traced peak is about 1.3 MiB warm, set by the
-    # accessible-information zoom over the 101-state stack; the independent grid's rows, extracted and checked,
+    # verify runs one grid row per stacked circuit. The traced peak is about 0.6 MiB warm, set by the
+    # accessible-information lattice scan of the 101-state stack; the independent grid's rows, extracted and checked,
     # peak at about 0.3 MiB. Extraction writes the reached amplitudes straight into the complex (4, 512) operands,
     # so even the whole 81-point grid as one stacked circuit extracts within about 2.7 MiB, against about 4.6 MiB
     # for the dense 2**11 registers (the stacked verify-grid budget in test_protocols)
