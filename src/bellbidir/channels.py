@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfRange, is_integer
+from .errors import OutOfRange, as_reals, is_integer
 from .infotheory import trigger_joint_distribution
 from .linalg import _reject_first, _scalar_or_stack, projector
 from .protocols import A_TO_B, DIRECTIONS, SchemeParams
@@ -31,7 +31,7 @@ CRITICAL_T = 2.0 / 3.0
 
 def _checked_weight(q) -> np.ndarray:
     """``q`` as a float array; :class:`OutOfRange` names the first weight outside [0, 1] beyond rounding."""
-    q = np.asarray(q, dtype=float)
+    q = as_reals("channel weight q", q)
     _reject_first(~((q >= -1e-12) & (q <= 1.0 + 1e-12)), q, OutOfRange, "channel weight q={} outside [0, 1]", "weight")
     return q
 

@@ -38,9 +38,10 @@ from .infotheory import (
     trigger_joint_distribution,
 )
 from .linalg import trace_distance
-from .protocols import (
+from .protocols import (  # the channel_grid benchmark reads MARGINAL_TOL here
     A_TO_B,
     DIRECTIONS,
+    MARGINAL_TOL,
     SchemeParams,
     build_scheme_common,
     build_scheme_independent,
@@ -52,8 +53,6 @@ from .protocols import (
 from .sim import Circuit
 
 CHOI_TOL = 1e-10
-# the channel_grid benchmark reads this; protocols._validate_choi enforces the same bound on every extraction
-MARGINAL_TOL = 1e-10
 AUX_TOL = 1e-12
 TOTAL_TOL = 1e-10
 CAPACITY_TOL = 1e-12
@@ -64,7 +63,7 @@ def _scheme_circuit(scheme: str, params: SchemeParams | list[SchemeParams]) -> C
     """Circuit of the independent- or common-trigger scheme; a list of points gives one stacked circuit."""
     builders = {"independent": build_scheme_independent, "common": build_scheme_common}
     if scheme not in builders:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+        raise ValueError(f"scheme must be one of {tuple(builders)}, got {scheme!r}")
     return builders[scheme](params)
 
 
@@ -216,28 +215,19 @@ _SCHEME_FLAGS["mixed"] = (*_SCHEME_FLAGS["independent"], *_SCHEME_FLAGS["common"
 
 
 def _resolve_params(args) -> SchemeParams:
-    def angle(angle_name: str, prob_name: str) -> float:
-        theta = getattr(args, angle_name)
-        prob = getattr(args, prob_name)
-        if theta is not None and prob is not None:
-            _PARSER.error(f"--{angle_name} and --{prob_name} are mutually exclusive")
-        if prob is not None:
-            return firing_angle(f"--{prob_name}", prob)
-        if theta is not None:
-            return theta
-        return math.pi / 2
-
     for name in _SCHEME_FLAGS["mixed"]:
         if getattr(args, name) is not None and name not in _SCHEME_FLAGS[args.scheme]:
             _PARSER.error(f"--{name} does not apply to the {args.scheme} scheme")
     if args.scheme == "mixed" and args.t is None:
         _PARSER.error("--t is required for the mixed scheme")
-    return SchemeParams(
-        theta1=angle("theta1", "p1"),
-        theta2=angle("theta2", "p2"),
-        theta=angle("theta", "p"),
-        t=0.0 if args.t is None else args.t,
-    )
+    given = {} if args.t is None else {"t": args.t}  # a value that no flag gives keeps SchemeParams' default
+    for angle, prob in (("theta1", "p1"), ("theta2", "p2"), ("theta", "p")):
+        theta, value = getattr(args, angle), getattr(args, prob)
+        if theta is not None and value is not None:
+            _PARSER.error(f"--{angle} and --{prob} are mutually exclusive")
+        if theta is not None or value is not None:
+            given[angle] = theta if value is None else firing_angle(f"--{prob}", value)
+    return SchemeParams(**given)
 
 
 def _cmd_simulate(args) -> int:

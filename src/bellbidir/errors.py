@@ -41,13 +41,19 @@ def as_indices(name: str, indices) -> tuple[int, ...]:
     raise BadIndex(f"{name} must be a sequence of integer qubit indices, got {name}={indices!r}")
 
 
+def as_reals(name: str, value) -> np.ndarray:
+    """``value`` as a float array; :class:`OutOfRange` unless it is a bool, int or float, or an array of them."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":  # a str, None, complex, Fraction or other object is not a real number
+        raise OutOfRange(f"{name}={value!r} {'holds a value that is' if array.ndim else 'is'} not a real number")
+    return array.astype(float, copy=False)
+
+
 def check_unit_interval(name: str, value: float) -> None:
-    """Raise :class:`OutOfRange` unless 0 <= value <= 1; NaN and a value that is not a real number are rejected too."""
-    try:
-        inside = 0.0 <= value <= 1.0
-    except TypeError:  # a str, None or complex does not compare with a float
-        raise OutOfRange(f"{name}={value!r} is not a real number") from None
-    if not inside:
+    """Raise :class:`OutOfRange` unless ``value`` is one real number (:func:`as_reals`) in [0, 1]; NaN fails too."""
+    if as_reals(name, value).ndim:
+        raise OutOfRange(f"{name}={value!r} is not a single real number")
+    if not 0.0 <= value <= 1.0:
         raise OutOfRange(f"{name}={value} outside [0, 1]")
 
 

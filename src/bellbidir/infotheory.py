@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRange, check_unit_interval
+from .errors import DomainError, OutOfRange, as_reals, check_unit_interval
 from .linalg import _reject_first, _scalar_or_stack, matrix_sqrt_psd, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
@@ -28,9 +28,6 @@ _NEWTON_FLOOR = 1e-4  # smallest stencil spacing
 # the cells of a 3x3 np.meshgrid(u offsets, v offsets).ravel() in units of h: u tiled, v repeated
 _STENCIL_U = np.tile([-1.0, 0.0, 1.0], 3)
 _STENCIL_V = np.repeat([-1.0, 0.0, 1.0], 3)
-# t, row, column, 1 - t and anti-diagonal factor of each trigger-table entry t * (row * col) + (1 - t) * anti, as
-# indices into (t, p1, p2, p, 0, 1 - t, 1 - p1, 1 - p2, 1 - p, 1)
-_TABLE_OPERANDS = np.array([[[0, 0], [0, 0]], [[6, 6], [1, 1]], [[7, 2], [7, 2]], [[5, 5], [5, 5]], [[4, 8], [3, 4]]])
 
 
 def _plog2(p: float) -> float:
@@ -50,9 +47,7 @@ def h4_22(x: float) -> float:
     if not -_DOMAIN_SLACK <= x <= 0.5 + _DOMAIN_SLACK:
         raise DomainError(f"h4_22 argument {x} outside [0, 1/2]")
     x = min(max(x, 0.0), 0.5)
-    rest = 1.0 - 2.0 * x
-    tail = -rest * math.log2(0.5 - x) if rest > _PROB_FLOOR else 0.0
-    return 2.0 * _plog2(x) + tail
+    return 2.0 * (_plog2(x) + _plog2(0.5 - x))
 
 
 def h4_31(x: float) -> float:
@@ -71,14 +66,15 @@ def trigger_joint_distribution(t, p1=0.5, p2=0.5, p=0.5) -> np.ndarray:
     anti-diagonal, where a common trigger fires Alice with probability p and
     Bob otherwise.  Arrays broadcast together into a ``(..., 2, 2)`` stack of tables.
     """
-    x = np.array(np.broadcast_arrays(t, p1, p2, p, 0.0), dtype=float)
+    names = ("mixing weight t", "p1", "p2", "p")
+    values = [as_reals(name, value) for name, value in zip(names, (t, p1, p2, p))]
+    t, p1, p2, p = x = np.array(np.broadcast_arrays(*values))
     if not ((x >= 0.0) & (x <= 1.0)).all():
-        for name, value in zip(("mixing weight t", "p1", "p2", "p"), (t, p1, p2, p)):
-            value = np.asarray(value, dtype=float)
+        for name, value in zip(names, values):
             _reject_first(~((value >= 0.0) & (value <= 1.0)), value, OutOfRange, f"{name}={{}} outside [0, 1]", "entry")
-    t, rows, cols, s, anti = np.concatenate((x, 1.0 - x))[_TABLE_OPERANDS]
-    table = t * (rows * cols) + s * anti  # entrywise in np.outer's order
-    return table.transpose(*range(2, table.ndim), 0, 1)
+    table = np.array([[t * ((1.0 - p1) * (1.0 - p2)), t * ((1.0 - p1) * p2) + (1.0 - t) * (1.0 - p)],
+                      [t * (p1 * (1.0 - p2)) + (1.0 - t) * p, t * (p1 * p2)]])  # each product in np.outer's order
+    return np.moveaxis(table, (0, 1), (-2, -1))
 
 
 def shannon_mutual_information(m: np.ndarray):
@@ -313,7 +309,7 @@ def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5,
     per state of a stack, and ``p1``, ``p2``, ``p`` the firing probabilities
     of :func:`trigger_joint_distribution`.
     """
-    ts = np.broadcast_to(np.asarray(t, dtype=float), np.shape(choi)[:-2])
+    ts = np.broadcast_to(as_reals("mixing weight t", t), np.shape(choi)[:-2])
     tables = trigger_joint_distribution(ts, p1, p2, p)
     i_tot = quantum_mutual_information(choi)
     i_class, _ = classical_accessible_info(choi)

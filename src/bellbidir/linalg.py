@@ -35,19 +35,14 @@ def _scalar_or_stack(values: np.ndarray):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def assert_hermitian(a: np.ndarray) -> None:
-    """Raise :class:`NonHermitianInput` unless ``a``, or each matrix of a stack, is finite and Hermitian."""
+def psd_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a density matrix, or per matrix of a stack, that passes the validity rule."""
     a = np.asarray(a)
     finite = np.isfinite(a).all(axis=(-2, -1))
     _reject_first(~finite, finite, NonHermitianInput, "matrix has a NaN or infinite entry")
     defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     message = f"matrix deviates from Hermitian by {{:.3e}} (tol {HERMITIAN_TOL:.0e})"
     _reject_first(defect > HERMITIAN_TOL, defect, NonHermitianInput, message)
-
-
-def psd_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a density matrix, or per matrix of a stack, that passes the validity rule."""
-    assert_hermitian(a)
     w = np.linalg.eigvalsh(a)
     _reject_first(w[..., 0] < EIG_NOISE_FLOOR, w[..., 0], NotPSD, f"eigenvalue {{:.3e}} below {EIG_NOISE_FLOOR:.0e}")
     return w

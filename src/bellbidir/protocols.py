@@ -53,6 +53,7 @@ DIRECTIONS = (A_TO_B, B_TO_A)
 _BASE_LABELS = ("Q_A", "C_A", "C_B", "Q_B", "M_A1", "M_A2", "M_B1", "M_B2")
 INDEPENDENT_LABELS = _BASE_LABELS + ("T_A", "T_B")
 COMMON_LABELS = _BASE_LABELS + ("T",)
+MARGINAL_TOL = 1e-10  # a channel state whose reference marginal is off I/2 by more is not trace preserving
 
 # Measurement-record qubit -> (correction gate kind, corrected qubit).
 # M1 holds the copy of the C qubit and drives the X correction; M2 holds the
@@ -180,7 +181,8 @@ def _validate_choi(choi: np.ndarray) -> None:
     _reject_first(np.abs(trace - 1.0) > 1e-10, trace, BadChannelState, "extracted state has trace {:.12g}, not 1")
     marginal = np.trace(choi.reshape(*choi.shape[:-2], 2, 2, 2, 2), axis1=-3, axis2=-1)  # (R, out, R', out') -> R
     defect = np.abs(marginal - np.eye(2) / 2).max(axis=(-2, -1))
-    _reject_first(defect > 1e-10, defect, BadChannelState, "reference marginal off I/2 by {:.3e}: not trace preserving")
+    message = "reference marginal off I/2 by {:.3e}: not trace preserving"
+    _reject_first(defect > MARGINAL_TOL, defect, BadChannelState, message)
 
 
 @functools.lru_cache(maxsize=64)
@@ -248,6 +250,15 @@ def _sampler_setup(circuit: Circuit, input_label: str, output_label: str, psi_in
     return replace(circuit, gates=gates, prep={**circuit.prep, input_label: psi_in}), corrections, output_ix
 
 
+def _generator(seed) -> np.random.Generator:
+    """The generator a sampler draws from: ``seed`` itself, or one seeded by a non-negative integer."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if not is_integer(seed) or seed < 0:
+        raise OutOfRange(f"seed must be a non-negative integer or a np.random.Generator, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, trials: int, rng) -> np.ndarray:
     """Run a :func:`_sampler_setup` circuit once, then measure and correct its records once per trajectory."""
     base = run_circuit(stripped, stripped.initial_state())
@@ -276,11 +287,12 @@ def sample_trajectories(
     measured instead and the X/Z corrections applied on the measured-1
     outcomes.  Returns the per-trajectory output density matrices, shape
     ``(trials, 2, 2)``; their mean estimates the channel output for
-    ``psi_in``.  ``seed`` is an integer or a ``np.random.Generator``; a
-    generator is drawn from as is, so its state advances.
+    ``psi_in``.  ``seed`` is a non-negative integer or a
+    ``np.random.Generator``; a generator is drawn from as is, so its state
+    advances.  Anything else raises :class:`OutOfRange` before any draw.
     """
     setup = _sampler_setup(circuit, input_label, output_label, psi_in, trials)
-    return _draw_trajectories(*setup, trials, np.random.default_rng(seed))
+    return _draw_trajectories(*setup, trials, _generator(seed))
 
 
 def sample_mixed_trajectories(
@@ -300,7 +312,7 @@ def sample_mixed_trajectories(
     """
     check_unit_interval("mixing weight t", t)
     setups = [_sampler_setup(c, input_label, output_label, psi_in, trials) for c in (circuit_ind, circuit_com)]
-    rng = np.random.default_rng(seed)  # drawn from only once both circuits are checked
+    rng = _generator(seed)  # drawn from only once both circuits and the seed are checked
     picks = rng.random(trials) < t
     outputs = np.empty((trials, 2, 2), dtype=complex)
     for setup, chosen in zip(setups, (picks, ~picks)):

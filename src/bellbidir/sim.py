@@ -67,14 +67,6 @@ def X(q: int) -> Gate:
     return Gate("X", (q,))
 
 
-def Z(q: int) -> Gate:
-    return Gate("Z", (q,))
-
-
-def CZ(control: int, target: int) -> Gate:
-    return Gate("CZ", (control, target))
-
-
 def CNOT(control: int, target: int) -> Gate:
     return Gate("CNOT", (control, target))
 

@@ -15,6 +15,7 @@ from bellbidir.channels import (
     weight_from_choi,
 )
 from bellbidir.errors import OutOfRange
+from bellbidir.infotheory import info_report_from_choi, trigger_joint_distribution
 from bellbidir.linalg import projector
 from bellbidir.protocols import A_TO_B, B_TO_A, SchemeParams, apply_channel_from_choi
 from bellbidir.sim import bell_state
@@ -94,6 +95,25 @@ def test_channel_weight_validation():
         # a weight within 1e-12 of [0, 1] is rounding, and passes
         function(np.array([-1e-13, 1.0 + 1e-13]))
     assert np.array_equal(fidelity_closed(np.array([0.25, 0.5, 1.0])), [0.625, 0.75, 1.0])
+
+
+def test_array_checks_take_only_real_numbers():
+    # numpy would parse "0.5" as a float; the [0, 1] checks of arrays reject it as scalar checks do
+    for name, function in (
+        ("mixing weight t", trigger_joint_distribution),
+        ("mixing weight t", functools.partial(info_report_from_choi, choi_of_channel(0.5))),
+        ("channel weight q", choi_of_channel),
+        ("channel weight q", fidelity_closed),
+    ):
+        for value in ("0.5", ["0.5", 0.5], None, 0.5 + 0j, [0.5, None]):
+            with pytest.raises(OutOfRange, match=rf"^{name}=.* (is|holds a value that is) not a real number$"):
+                function(value)
+        for value in (True, np.int64(0), 0.5, np.float32(0.25)):  # bools, ints and floats pass
+            function(value)
+    assert choi_of_channel([True, 0, 0.5]).shape == trigger_joint_distribution([True, 0, 0.5]).shape[:1] + (4, 4)
+    for p1 in ("0.5", b"0.5"):
+        with pytest.raises(OutOfRange, match=r"^p1=.* is not a real number"):
+            trigger_joint_distribution(0.5, p1)
 
 
 def test_choi_of_channel():

@@ -427,6 +427,7 @@ def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):
         else:
             assert " BadChannelState: " in line and line.endswith("FAIL") and "max dev" not in line, line
     assert sum(" BadChannelState: " in line for line in lines) == 7
+    assert cli.MARGINAL_TOL is protocols.MARGINAL_TOL < 1e-8  # the bound the benchmark reads is the one enforced
     assert not re.search(r"\b(nan|inf)\b", "\n".join(lines), re.IGNORECASE)
 
     # an error inside one computation fails only the lines that computation feeds
@@ -490,6 +491,11 @@ def test_channel_deviation_rejects_empty_points():
     for rows in ([], [[]]):
         with pytest.raises(OutOfRange):
             cli.channel_deviation("common", rows)
+
+
+def test_channel_deviation_names_the_two_circuit_schemes():
+    with pytest.raises(ValueError, match=r"^scheme must be one of \('independent', 'common'\), got 'mixed'$"):
+        cli.channel_deviation("mixed", [[SchemeParams()]])
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):

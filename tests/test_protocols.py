@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import partial, reduce
 
 import numpy as np
@@ -32,7 +33,6 @@ from bellbidir.protocols import (
 from bellbidir.sim import (
     CCNOT,
     CNOT,
-    CZ,
     Circuit,
     Gate,
     H,
@@ -270,7 +270,7 @@ def test_builders_share_one_gate_tuple():
             + [CNOT(0, 1), H(0), CCNOT(alice, 1, 4), CCNOT(alice, 0, 5), H(0), CNOT(0, 1)]
             + [X(q) for q in flip]
             + [CNOT(3, 2), H(3), CCNOT(bob, 2, 6), CCNOT(bob, 3, 7), H(3), CNOT(3, 2)]
-            + [CNOT(4, 2), CZ(5, 2), CNOT(6, 1), CZ(7, 1)]
+            + [CNOT(4, 2), Gate("CZ", (5, 2)), CNOT(6, 1), Gate("CZ", (7, 1))]
         )
 
     stack = [SchemeParams(theta1=th, theta=th) for th in (0.1, 1.0, 3.0)]
@@ -513,6 +513,25 @@ def test_samplers_reject_a_stack_before_any_draw():
         assert mixed(single, common, 0.5, psi_in=psi, trials=trials, seed=1).shape == (trials, 2, 2)
 
 
+def test_samplers_take_a_non_negative_integer_or_a_generator_as_seed():
+    circuit_ind, circuit_com = build_scheme_independent(SchemeParams()), build_scheme_common(SchemeParams())
+    psi = bloch_state(0.8, 2.1)
+    single = partial(sample_trajectories, circuit_ind, "Q_A", "C_B", psi, 4)
+    mixed = partial(sample_mixed_trajectories, circuit_ind, circuit_com, 0.5, "Q_A", "C_B", psi, 4)
+    legacy = np.random.RandomState(0)
+    for seed in ("abc", 1.5, -1, np.int64(-2), None, True, np.float64(3.0), legacy):
+        for sampler in (single, mixed):
+            with pytest.raises(OutOfRange, match=r"^seed must be a non-negative integer or a np\.random\.Generator"):
+                sampler(seed)
+    assert legacy.random_sample() == np.random.RandomState(0).random_sample()  # not drawn from
+    rng = np.random.default_rng(5)
+    with pytest.raises(OutOfRange, match=r"^mixing weight t=1\.5 outside"):
+        sample_mixed_trajectories(circuit_ind, circuit_com, 1.5, "Q_A", "C_B", psi, 4, rng)
+    assert rng.random() == np.random.default_rng(5).random()  # a generator passed as seed is not drawn from
+    for seed in (0, np.int64(7), 2**70, np.random.default_rng(7)):
+        assert single(seed).shape == mixed(seed).shape == (4, 2, 2)
+
+
 def test_a_sampler_builds_only_the_circuits_it_may_run(monkeypatch):
     # the circuit that runs checks psi_in and the input label: no circuit is built only to check them
     circuit_ind, circuit_com = build_scheme_independent(SchemeParams()), build_scheme_common(SchemeParams())
@@ -589,9 +608,13 @@ def test_scheme_params_validation():
     assert abs(params.p - 0.5) <= 1e-12
 
 
-@pytest.mark.parametrize("field", [{"theta1": "1"}, {"t": "0.5"}, {"theta": None}, {"t": 0.5j}], ids=repr)
+@pytest.mark.parametrize(
+    "field",
+    [{"theta1": "1"}, {"t": "0.5"}, {"theta": None}, {"t": 0.5j}, {"t": Fraction(1, 2)}, {"t": np.array([0.2, 0.3])}],
+    ids=repr,
+)
 def test_scheme_params_reject_a_value_that_is_not_a_real_number(field):
-    # math.isfinite and the [0, 1] comparison raise TypeError on these; the package raises its own error
+    # none is one bool, int or float; the package raises its own error, and at once, not when the trigger table reads t
     with pytest.raises(OutOfRange, match="real number"):
         SchemeParams(**field)
 

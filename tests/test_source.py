@@ -1,5 +1,5 @@
 """The package keeps no check in an ``assert``, which ``python -O`` strips out, one import path per name, no
-public name that nothing uses and no private name that the package itself does not use."""
+public name that no code uses and no private name that the package itself does not use."""
 import ast
 import re
 from pathlib import Path
@@ -8,9 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bellbidir").glob("*.py"))
-# files outside src/ whose text may use a public name; the tests do not count as a use
-USER_TEXTS = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "benchmarks").glob("*.py"))]
-USER_TEXTS += [ROOT / "README.md", ROOT / "pyproject.toml"]
+# code outside src/ that may use a public name; the tests, and prose that names a function, do not count as a use
+USER_CODE = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "benchmarks").glob("*.py"))]
 
 
 def test_sources_are_found():
@@ -60,8 +59,35 @@ def used_names(node: ast.AST) -> set[str]:
     return used
 
 
-def unused_definitions(private: bool, text: str = "") -> list[str]:
-    """``module:name`` of each public (or private) definition that neither ``text`` nor another statement uses."""
+def code_uses(path: Path) -> set[str]:
+    """Names that a demo or benchmark file uses: in code, and as the name of a ``"module.name"`` string constant."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    strings = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    pairs = [re.fullmatch(r"(\w+)\.(\w+)", value) for value in strings]  # such as benchmarks/spans.py's layer names
+    modules = {source.stem for source in SOURCES}
+    return used_names(tree) | {pair[2] for pair in pairs if pair and pair[1] in modules}
+
+
+def readme_uses(text: str) -> set[str]:
+    """Words of the README's ```python fences and of its inline backtick spans."""
+    fences = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", text, flags=re.M | re.S))
+    return set(re.findall(r"\w+", "\n".join(fences + spans)))
+
+
+def uses_outside_the_package() -> set[str]:
+    """Names that demo and benchmark code, the README's code and pyproject.toml's entry points use."""
+    code = set().union(*map(code_uses, USER_CODE))
+    readme = readme_uses((ROOT / "README.md").read_text(encoding="utf-8"))
+    entry_points = set(re.findall(r'"[\w.]+:(\w+)', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    # each reader finds a name that it should, so none of them reads nothing
+    assert "matrix_sqrt_psd" in code and "entrypoint" in entry_points
+    assert {"CRITICAL_T", "fidelity_quadrature"} <= readme
+    return code | readme | entry_points
+
+
+def unused_definitions(private: bool, outside: set[str] = frozenset()) -> list[str]:
+    """``module:name`` of each public (or private) definition that neither ``outside`` nor another statement uses."""
     trees = [ast.parse(source.read_text(encoding="utf-8")) for source in SOURCES]
     statements = [(node, used_names(node)) for tree in trees for node in tree.body]
     found = [(source.name, *item) for source, tree in zip(SOURCES, trees) for item in definitions(tree)]
@@ -72,14 +98,13 @@ def unused_definitions(private: bool, text: str = "") -> list[str]:
         for module, name, definition in found
         if name.startswith("_") == private
         and not any(name in used for node, used in statements if node is not definition)
-        and not re.search(rf"\b{re.escape(name)}\b", text)
+        and name not in outside
     ]
 
 
 def test_every_public_name_is_used_outside_its_definition():
-    # a name that only the tests call is dead code: delete it, or use it
-    text = "\n".join(path.read_text(encoding="utf-8") for path in USER_TEXTS)
-    unused = unused_definitions(private=False, text=text)
+    # a name that only the tests call, or only prose names, is dead code: delete it, or use it
+    unused = unused_definitions(private=False, outside=uses_outside_the_package())
     assert not unused, f"public names that nothing outside the tests uses: {unused}"
 
 
