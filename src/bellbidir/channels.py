@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfRange, as_reals, is_integer
+from .errors import OutOfRange, _reject_first, as_reals, is_integer
 from .infotheory import trigger_joint_distribution
-from .linalg import _reject_first, _scalar_or_stack, projector
+from .linalg import _scalar_or_stack, as_numbers, projector
 from .protocols import A_TO_B, DIRECTIONS, SchemeParams
 from .sim import bell_state
 
@@ -67,7 +67,7 @@ def choi_of_channel(q) -> np.ndarray:
 def weight_from_choi(choi: np.ndarray):
     """Invert :func:`choi_of_channel` via the Bell-state overlap; a ``(..., 4, 4)`` stack gives one weight per state."""
     bell = bell_state()
-    row = bell.conj() @ np.asarray(choi, dtype=complex)
+    row = bell.conj() @ as_numbers("channel state", choi, 4).astype(complex, copy=False)
     # one (1, 4) @ (4, 1) product per state runs numpy's dot kernel, so each entry equals its single-state float
     overlap = np.real(row[..., None, :] @ bell[:, None])[..., 0, 0]
     return _scalar_or_stack((4.0 * overlap - 1.0) / 3.0)

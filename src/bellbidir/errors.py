@@ -26,6 +26,17 @@ class OutOfRange(ValueError):
     """Scalar parameter outside its documented range."""
 
 
+class BadMatrix(ValueError):
+    """A matrix or state input holds a non-number or has the wrong size, or a density matrix has a trace off 1."""
+
+
+def _reject_first(bad: np.ndarray, values: np.ndarray, error: type, message: str, item: str = "matrix") -> None:
+    """Raise ``error`` with ``message`` formatted on the first flagged value; in a stack, name its flat index."""
+    if np.count_nonzero(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise error(message.format(np.ravel(values)[i]) + (f" ({item} {i} of the stack)" if np.ndim(bad) else ""))
+
+
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer, and not a bool: the rule for every qubit index and count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -55,6 +66,13 @@ def check_unit_interval(name: str, value: float) -> None:
         raise OutOfRange(f"{name}={value!r} is not a single real number")
     if not 0.0 <= value <= 1.0:
         raise OutOfRange(f"{name}={value} outside [0, 1]")
+
+
+def as_unit_interval(name: str, value) -> np.ndarray:
+    """``value`` as a float array (:func:`as_reals`) in [0, 1]; :class:`OutOfRange` names the first entry outside."""
+    array = as_reals(name, value)
+    _reject_first(~((array >= 0.0) & (array <= 1.0)), array, OutOfRange, f"{name}={{}} outside [0, 1]", "entry")
+    return array
 
 
 class DomainError(ValueError):

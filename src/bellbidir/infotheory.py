@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRange, as_reals, check_unit_interval
-from .linalg import _reject_first, _scalar_or_stack, matrix_sqrt_psd, partial_trace, psd_eigenvalues
+from .errors import BadMatrix, DomainError, _reject_first, as_reals, as_unit_interval
+from .linalg import _scalar_or_stack, as_numbers, matrix_sqrt_psd, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
+_TRACE_TOL = 1e-10  # a density matrix whose trace is off 1 by more is rejected
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _FLIP = np.kron(_PAULIS[2], _PAULIS[2])
 _PT_EIG_TOL = 1e-10  # entanglement breaking: no partial-transpose eigenvalue below -_PT_EIG_TOL
@@ -30,32 +31,35 @@ _STENCIL_U = np.tile([-1.0, 0.0, 1.0], 3)
 _STENCIL_V = np.repeat([-1.0, 0.0, 1.0], 3)
 
 
-def _plog2(p: float) -> float:
-    return -p * math.log2(p) if p > _PROB_FLOOR else 0.0
+def _plog2(p: np.ndarray) -> np.ndarray:
+    live = p > _PROB_FLOOR
+    return np.where(live, -p * np.log2(np.where(live, p, 1.0)), 0.0)
 
 
-def h2(x: float) -> float:
-    """Binary entropy -x log2 x - (1-x) log2 (1-x)."""
-    if not -_DOMAIN_SLACK <= x <= 1.0 + _DOMAIN_SLACK:
-        raise DomainError(f"h2 argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return _plog2(x) + _plog2(1.0 - x)
+def _entropy_argument(name: str, x, upper: float, bound: str) -> np.ndarray:
+    """``x`` as a float array clamped to [0, upper]; :class:`DomainError` names the first entry beyond rounding."""
+    x = as_reals(f"{name} argument", x)
+    bad = ~((x >= -_DOMAIN_SLACK) & (x <= upper + _DOMAIN_SLACK))
+    _reject_first(bad, x, DomainError, f"{name} argument {{}} outside [0, {bound}]", "entry")
+    return np.clip(x, 0.0, upper)
 
 
-def h4_22(x: float) -> float:
-    """Quaternary entropy of the distribution (x, x, 1/2 - x, 1/2 - x)."""
-    if not -_DOMAIN_SLACK <= x <= 0.5 + _DOMAIN_SLACK:
-        raise DomainError(f"h4_22 argument {x} outside [0, 1/2]")
-    x = min(max(x, 0.0), 0.5)
-    return 2.0 * (_plog2(x) + _plog2(0.5 - x))
+def h2(x):
+    """Binary entropy -x log2 x - (1-x) log2 (1-x); an array gives one per entry."""
+    x = _entropy_argument("h2", x, 1.0, "1")
+    return _scalar_or_stack(_plog2(x) + _plog2(1.0 - x))
 
 
-def h4_31(x: float) -> float:
-    """Quaternary entropy of the distribution (x, x, x, 1 - 3x)."""
-    if not -_DOMAIN_SLACK <= x <= 1.0 / 3.0 + _DOMAIN_SLACK:
-        raise DomainError(f"h4_31 argument {x} outside [0, 1/3]")
-    x = min(max(x, 0.0), 1.0 / 3.0)
-    return 3.0 * _plog2(x) + _plog2(1.0 - 3.0 * x)
+def h4_22(x):
+    """Quaternary entropy of the distribution (x, x, 1/2 - x, 1/2 - x); an array gives one per entry."""
+    x = _entropy_argument("h4_22", x, 0.5, "1/2")
+    return _scalar_or_stack(2.0 * (_plog2(x) + _plog2(0.5 - x)))
+
+
+def h4_31(x):
+    """Quaternary entropy of the distribution (x, x, x, 1 - 3x); an array gives one per entry."""
+    x = _entropy_argument("h4_31", x, 1.0 / 3.0, "1/3")
+    return _scalar_or_stack(3.0 * _plog2(x) + _plog2(1.0 - 3.0 * x))
 
 
 def trigger_joint_distribution(t, p1=0.5, p2=0.5, p=0.5) -> np.ndarray:
@@ -66,12 +70,7 @@ def trigger_joint_distribution(t, p1=0.5, p2=0.5, p=0.5) -> np.ndarray:
     anti-diagonal, where a common trigger fires Alice with probability p and
     Bob otherwise.  Arrays broadcast together into a ``(..., 2, 2)`` stack of tables.
     """
-    names = ("mixing weight t", "p1", "p2", "p")
-    values = [as_reals(name, value) for name, value in zip(names, (t, p1, p2, p))]
-    t, p1, p2, p = x = np.array(np.broadcast_arrays(*values))
-    if not ((x >= 0.0) & (x <= 1.0)).all():
-        for name, value in zip(names, values):
-            _reject_first(~((value >= 0.0) & (value <= 1.0)), value, OutOfRange, f"{name}={{}} outside [0, 1]", "entry")
+    t, p1, p2, p = np.broadcast_arrays(*map(as_unit_interval, ("mixing weight t", "p1", "p2", "p"), (t, p1, p2, p)))
     table = np.array([[t * ((1.0 - p1) * (1.0 - p2)), t * ((1.0 - p1) * p2) + (1.0 - t) * (1.0 - p)],
                       [t * (p1 * (1.0 - p2)) + (1.0 - t) * p, t * (p1 * p2)]])  # each product in np.outer's order
     return np.moveaxis(table, (0, 1), (-2, -1))
@@ -92,15 +91,23 @@ def shannon_mutual_information(m: np.ndarray):
     return _scalar_or_stack(np.maximum(info, 0.0))  # rounding can leave a few ulps below 0
 
 
-def aux_info_closed(t: float) -> float:
-    """Closed form of the trigger mutual information, 2 - h4_22(t/4)."""
-    check_unit_interval("mixing weight t", t)
-    return 2.0 - h4_22(t / 4.0)
+def aux_info_closed(t):
+    """Closed form of the trigger mutual information, 2 - h4_22(t/4); an array of t gives one per entry."""
+    return 2.0 - h4_22(as_unit_interval("mixing weight t", t) / 4.0)
+
+
+def _density_matrices(rho, size: int | None = None) -> np.ndarray:
+    """``rho`` as a complex matrix or stack (:func:`linalg.as_numbers`) whose traces are 1 within _TRACE_TOL."""
+    rho = as_numbers("density matrix", rho, size).astype(complex, copy=False)
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    bad = np.isfinite(trace) & (np.abs(trace - 1.0) > _TRACE_TOL)  # the validity rule names a NaN or inf entry
+    _reject_first(bad, trace, BadMatrix, "density matrix has trace {:.12g}, not 1")
+    return rho
 
 
 def von_neumann_entropy(rho: np.ndarray):
     """-Tr[rho log2 rho] over the eigenvalues of a density matrix, or per matrix of a stack."""
-    p = np.maximum(psd_eigenvalues(np.asarray(rho, dtype=complex)), 0.0)
+    p = np.maximum(psd_eigenvalues(_density_matrices(rho)), 0.0)
     terms = -p * np.log2(p, out=np.zeros_like(p), where=p > _PROB_FLOOR)
     return _scalar_or_stack(sum(np.moveaxis(terms, -1, 0)))  # summed in eigenvalue order, as a Python sum would
 
@@ -114,10 +121,9 @@ def quantum_mutual_information(rho_rq: np.ndarray):
     )
 
 
-def total_info_closed(t: float) -> float:
-    """Closed form of the channel-state mutual information, 2 - h4_31(1/8 + t/16)."""
-    check_unit_interval("mixing weight t", t)
-    return 2.0 - h4_31(1.0 / 8.0 + t / 16.0)
+def total_info_closed(t):
+    """Closed form of the channel-state mutual information, 2 - h4_31(1/8 + t/16); an array of t gives one per entry."""
+    return 2.0 - h4_31(1.0 / 8.0 + as_unit_interval("mixing weight t", t) / 16.0)
 
 
 def _fibonacci_axes(count: int) -> np.ndarray:
@@ -191,7 +197,7 @@ def classical_accessible_info(rho_rq: np.ndarray):
     self-check.  A ``(..., 4, 4)`` stack gives both per state, and each
     Newton step scores the whole stack in one batch.
     """
-    choi = _two_qubit(rho_rq)
+    choi = _density_matrices(rho_rq, 4)
     psd_eigenvalues(choi)
     pauli = np.einsum("naqbr,iba,jrq->nij", choi.reshape(-1, 2, 2, 2, 2), _PAULIS, _PAULIS).real
     s_output = np.reshape(von_neumann_entropy(partial_trace(choi, 2, [1])), -1)
@@ -234,17 +240,9 @@ def classical_accessible_info(rho_rq: np.ndarray):
     return _scalar_or_stack(best.reshape(choi.shape[:-2])), _scalar_or_stack(flatness.reshape(choi.shape[:-2]))
 
 
-def classical_capacity_closed(t: float) -> float:
-    """Closed form of the accessible information, 1 - h2(3/4 - t/8)."""
-    check_unit_interval("mixing weight t", t)
-    return 1.0 - h2(3.0 / 4.0 - t / 8.0)
-
-
-def _two_qubit(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix or a stack of them, got {rho.shape}")
-    return rho
+def classical_capacity_closed(t):
+    """Closed form of the accessible information, 1 - h2(3/4 - t/8); an array of t gives one per entry."""
+    return 1.0 - h2(3.0 / 4.0 - as_unit_interval("mixing weight t", t) / 8.0)
 
 
 def concurrence(rho: np.ndarray):
@@ -254,7 +252,7 @@ def concurrence(rho: np.ndarray):
     sqrt(rho), takes the square roots of its eigenvalues in descending
     order, and returns max(0, l1 - l2 - l3 - l4).
     """
-    rho = _two_qubit(rho)
+    rho = _density_matrices(rho, 4)
     root = matrix_sqrt_psd(rho)  # checks the validity rule
     m = root @ _FLIP @ rho.conj() @ _FLIP @ root
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0
@@ -262,10 +260,9 @@ def concurrence(rho: np.ndarray):
     return _scalar_or_stack(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
-def concurrence_closed(t: float) -> float:
-    """Closed form for the symmetric mixed channel state, max(0, 1/4 - 3t/8)."""
-    check_unit_interval("mixing weight t", t)
-    return max(0.0, 0.25 - 3.0 * t / 8.0)
+def concurrence_closed(t):
+    """Closed form for the symmetric mixed channel state, max(0, 1/4 - 3t/8); an array of t gives one per entry."""
+    return _scalar_or_stack(np.maximum(0.0, 0.25 - 3.0 * as_unit_interval("mixing weight t", t) / 8.0))
 
 
 def min_partial_transpose_eigenvalue(rho: np.ndarray):
@@ -275,7 +272,7 @@ def min_partial_transpose_eigenvalue(rho: np.ndarray):
     separability, so a nonnegative result certifies an entanglement-breaking
     channel when ``rho`` is its channel state.
     """
-    rho = _two_qubit(rho)
+    rho = _density_matrices(rho, 4)
     psd_eigenvalues(rho)
     transposed = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(rho.shape)
     return _scalar_or_stack(np.linalg.eigvalsh(transposed).min(axis=-1))
@@ -309,7 +306,8 @@ def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5,
     per state of a stack, and ``p1``, ``p2``, ``p`` the firing probabilities
     of :func:`trigger_joint_distribution`.
     """
-    ts = np.broadcast_to(as_reals("mixing weight t", t), np.shape(choi)[:-2])
+    choi = _density_matrices(choi, 4)
+    ts = np.broadcast_to(as_reals("mixing weight t", t), choi.shape[:-2])
     tables = trigger_joint_distribution(ts, p1, p2, p)
     i_tot = quantum_mutual_information(choi)
     i_class, _ = classical_accessible_info(choi)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadIndex, NonHermitianInput, NotPSD, OutOfRange, as_indices, is_integer
+from .errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, OutOfRange, _reject_first, as_indices, is_integer
 
 # The validity rule of every density matrix, or of each matrix of a stack: finite, Hermitian within
 # HERMITIAN_TOL, no eigenvalue below EIG_NOISE_FLOOR; eigenvalues in [EIG_NOISE_FLOOR, 0) are rounding
@@ -23,11 +23,20 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _reject_first(bad: np.ndarray, values: np.ndarray, error: type, message: str, item: str = "matrix") -> None:
-    """Raise ``error`` with ``message`` formatted on the first flagged value; in a stack, name its flat index."""
-    if np.count_nonzero(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise error(message.format(np.ravel(values)[i]) + (f" ({item} {i} of the stack)" if np.ndim(bad) else ""))
+def as_numbers(name: str, value, size: int | None = None, axes: int = 2) -> np.ndarray:
+    """``value`` as an array, by the rule of every density-matrix and state input, checked before any conversion.
+
+    :class:`BadMatrix` unless every entry is a bool, int, float or complex number and the last ``axes`` axes, 2 for
+    a matrix and 1 for a state vector, each of a stack, have length ``size``, or one common length if it is None.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind not in "biufc":  # a str, None or other object: np.asarray(..., dtype=complex) would parse "1"
+        raise BadMatrix(f"{name} must hold only numbers, got an array of dtype {array.dtype}")
+    last = array.shape[array.ndim - axes:]
+    if array.ndim < axes or last.count(size or last[0]) != axes:
+        want = (f"{size}x{size}" if size else "square") + " matrix" if axes == 2 else f"length-{size or 'n'} vector"
+        raise BadMatrix(f"{name} must be a {want} or a stack of them, got shape {array.shape}")
+    return array
 
 
 def _scalar_or_stack(values: np.ndarray):
@@ -37,7 +46,7 @@ def _scalar_or_stack(values: np.ndarray):
 
 def psd_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a density matrix, or per matrix of a stack, that passes the validity rule."""
-    a = np.asarray(a)
+    a = as_numbers("matrix", a)
     finite = np.isfinite(a).all(axis=(-2, -1))
     _reject_first(~finite, finite, NonHermitianInput, "matrix has a NaN or infinite entry")
     defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -50,13 +59,13 @@ def psd_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 def projector(psi: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a state vector."""
-    psi = np.asarray(psi, dtype=complex)
+    psi = as_numbers("state", psi, axes=1).astype(complex, copy=False)
     return np.outer(psi, psi.conj())
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Hermitian square root B, B @ B == a, of a matrix or stack that passes the validity rule; clamps noise."""
-    a = np.asarray(a, dtype=complex)
+    a = as_numbers("matrix", a).astype(complex, copy=False)
     psd_eigenvalues(a)
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
@@ -82,10 +91,7 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
     """
     if not is_integer(num_qubits) or num_qubits < 0:
         raise OutOfRange(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
-    rho = np.asarray(rho, dtype=complex)
-    dim = 2**num_qubits
-    if rho.shape[-2:] != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix for {num_qubits} qubits, got {rho.shape}")
+    rho = as_numbers(f"a matrix on {num_qubits} qubits", rho, 2**num_qubits).astype(complex, copy=False)
     keep, rest = split_keep(num_qubits, keep)
     dk, dr = 2 ** len(keep), 2 ** len(rest)
     lead = rho.shape[:-2]
@@ -97,5 +103,5 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
     """Trace distance of two Hermitian matrices, half the L1 norm of the spectrum of a - b; per pair of two stacks."""
-    w = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
+    w = np.linalg.eigvalsh(as_numbers("matrix", a) - as_numbers("matrix", b))
     return _scalar_or_stack(0.5 * np.sum(np.abs(w), axis=-1))

@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadChannelState, BadIndex, BadLabel, NonHermitianInput, NotPSD, OutOfRange
-from .errors import check_unit_interval, is_integer
-from .linalg import _reject_first, psd_eigenvalues
+from .errors import BadChannelState, BadIndex, BadLabel, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
+from .errors import _reject_first, as_reals, as_unit_interval, check_unit_interval, is_integer
+from .linalg import as_numbers, psd_eigenvalues
 from .sim import (
     CCNOT,
     CNOT,
@@ -76,11 +76,10 @@ class SchemeParams:
 
     def __post_init__(self):
         angles = (self.theta1, self.theta2, self.theta)
-        try:
-            finite = all(map(math.isfinite, angles))
-        except TypeError:  # math.isfinite takes only real numbers
-            raise OutOfRange(f"trigger angles (theta1, theta2, theta) = {angles} must be real numbers") from None
-        if not finite:
+        for name, angle in zip(("theta1", "theta2", "theta"), angles):
+            if as_reals(name, angle).ndim:
+                raise OutOfRange(f"{name}={angle!r} is not a single real number")
+        if not np.isfinite(angles).all():
             raise OutOfRange(f"trigger angles (theta1, theta2, theta) = {angles} must be finite")
         check_unit_interval("mixing weight t", self.t)
 
@@ -218,20 +217,16 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
 
 def choi_mixed(t, choi_ind: np.ndarray, choi_com: np.ndarray) -> np.ndarray:
     """Convex mixture t * independent + (1 - t) * common of two channel states; a sequence of t gives a stack."""
-    for value in np.ravel(t).tolist():
-        check_unit_interval("mixing weight t", value)
-    t = np.asarray(t, dtype=float)[..., None, None]
-    return t * np.asarray(choi_ind) + (1.0 - t) * np.asarray(choi_com)
+    t = as_unit_interval("mixing weight t", t)[..., None, None]
+    return t * as_numbers("choi_ind", choi_ind, 4) + (1.0 - t) * as_numbers("choi_com", choi_com, 4)
 
 
 def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
     """Reconstruct the channel action on a qubit state, or on a ``(..., 2, 2)`` stack, from its channel state."""
-    rho_in = np.asarray(rho_in, dtype=complex)
-    if rho_in.shape[-2:] != (2, 2):
-        raise ValueError(f"input must be a 2x2 density matrix, got {rho_in.shape}")
-    choi = np.asarray(choi, dtype=complex)
-    if choi.shape != (4, 4):
-        raise ValueError(f"channel state must be one 4x4 matrix, got shape {choi.shape}")
+    rho_in = as_numbers("input", rho_in, 2).astype(complex, copy=False)
+    choi = as_numbers("channel state", choi, 4).astype(complex, copy=False)
+    if choi.ndim != 2:
+        raise BadMatrix(f"channel state must be one 4x4 matrix, got shape {choi.shape}")
     return 2.0 * np.einsum("...ca,cqas->...qs", rho_in, choi.reshape(2, 2, 2, 2))
 
 

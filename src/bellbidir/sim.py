@@ -31,8 +31,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadIndex, BadLabel, OutOfRange, ZeroNorm, as_indices, is_integer
-from .linalg import _reject_first, split_keep
+from .errors import BadIndex, BadLabel, OutOfRange, ZeroNorm, _reject_first, as_indices, is_integer
+from .linalg import as_numbers, split_keep
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
 
@@ -108,10 +108,8 @@ class Circuit:
         for label, state in self.prep.items():
             if label not in self.labels:
                 raise BadLabel(f"prepared qubit {label!r} not in register")
-            state = prep[label] = np.array(state, dtype=complex)
+            state = prep[label] = np.array(as_numbers(f"preparation for {label!r}", state, 2, axes=1), dtype=complex)
             state.flags.writeable = False
-            if state.shape[-1:] != (2,):
-                raise ValueError(f"preparation for {label!r} is not a single-qubit state or a stack of them")
             if 0 in state.shape:
                 raise OutOfRange(f"preparation stack for {label!r} is empty, shape {state.shape}")
             norm = np.linalg.norm(state, axis=-1)
@@ -167,7 +165,7 @@ def bloch_state(theta: float, phi: float = 0.0) -> np.ndarray:
 
 
 def num_qubits_of(state: np.ndarray) -> int:
-    size = np.shape(state)[-1]
+    size = as_numbers("state", state, axes=1).shape[-1]
     n = size.bit_length() - 1
     if size < 2 or 2**n != size:
         raise ValueError(f"state length {size} is not a power of two >= 2")
@@ -269,10 +267,9 @@ def _run_plan(amps: np.ndarray, steps: tuple, columns: np.ndarray) -> np.ndarray
 
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply all gates of the circuit in order to a full-register state, or to each state of a stack."""
-    state = np.asarray(state, dtype=complex if np.iscomplexobj(state) else float)
     n = circuit.num_qubits
-    if state.shape[-1:] != (2**n,):
-        raise ValueError(f"state shape {state.shape} does not match {n} qubits")
+    state = as_numbers(f"a state of {n} qubits", state, 2**n, axes=1)
+    state = state.astype(complex if np.iscomplexobj(state) else float, copy=False)
     nonzero = (state != 0).reshape(-1, 2**n).any(axis=0)
     every = tuple(range(n))  # the whole register is the input and is kept in order; Circuit has checked the gates
     steps, columns, landing = _plan(circuit.gates, n, every, nonzero.tobytes(), every)

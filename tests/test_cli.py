@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from bellbidir import cli, protocols, sim
-from bellbidir.channels import SCHEMES, analytic_channel, fidelity_closed
+from bellbidir.channels import SCHEMES, analytic_channel, choi_of_channel, fidelity_closed
 from bellbidir.cli import main, run_verification
 from bellbidir.errors import DomainError, OutOfRange
 from bellbidir.infotheory import total_info_closed
+from bellbidir.linalg import trace_distance
 from bellbidir.protocols import A_TO_B, DIRECTIONS, SchemeParams
 
 
@@ -491,6 +492,32 @@ def test_channel_deviation_rejects_empty_points():
     for rows in ([], [[]]):
         with pytest.raises(OutOfRange):
             cli.channel_deviation("common", rows)
+
+
+def test_channel_deviation_is_the_worst_per_point_trace_distance(monkeypatch):
+    thetas = np.linspace(0.0, math.pi, 3)
+    rows = [[SchemeParams(theta1=a, theta2=b) for b in thetas] for a in thetas[:2]] + [[SchemeParams(0.3, 2.0)]]
+    expected = [
+        max(
+            trace_distance(
+                protocols.extract_choi(protocols.build_scheme_independent(point), *protocols.channel_endpoints(d)),
+                choi_of_channel(analytic_channel("independent", point, d)),
+            )
+            for row in rows
+            for point in row
+        )
+        for d in DIRECTIONS
+    ]
+    calls = []
+
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
+    for name in ("extract_choi", "analytic_channel", "choi_of_channel", "trace_distance"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    assert cli.channel_deviation("independent", rows) == expected
+    # one stacked extraction per row and direction; the closed form and its distances once per direction
+    assert sorted(calls) == sorted(["extract_choi"] * 6 + ["analytic_channel", "choi_of_channel", "trace_distance"] * 2)
 
 
 def test_channel_deviation_names_the_two_circuit_schemes():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellbidir.channels import choi_of_channel
-from bellbidir.errors import DomainError, NonHermitianInput, NotPSD, OutOfRange
+from bellbidir.errors import BadMatrix, DomainError, NonHermitianInput, NotPSD, OutOfRange
 from bellbidir.infotheory import (
     _SCAN_MONOMIALS,
     _forms,
@@ -28,7 +28,7 @@ from bellbidir.infotheory import (
     trigger_joint_distribution,
     von_neumann_entropy,
 )
-from bellbidir.linalg import matrix_sqrt_psd, partial_trace, projector
+from bellbidir.linalg import matrix_sqrt_psd, partial_trace, projector, psd_eigenvalues
 from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent, choi_mixed, extract_choi
 from bellbidir.sim import bell_state, bloch_state
 
@@ -80,6 +80,36 @@ def test_entropy_helpers_domains():
         h4_31(0.4)
     with pytest.raises(DomainError):
         h2(-0.1)
+
+
+CLOSED_FORMS = (aux_info_closed, total_info_closed, classical_capacity_closed, concurrence_closed)
+ENTROPY_HELPERS = ((h2, 1.0, "1"), (h4_22, 0.5, "1/2"), (h4_31, 1.0 / 3.0, "1/3"))
+
+
+def test_closed_forms_and_entropy_helpers_on_a_stack_equal_per_entry_calls():
+    ts = np.concatenate([np.linspace(0.0, 1.0, 1001), np.random.default_rng(17).random(197), [-0.0, 2.0 / 3.0]])
+    cases = [(closed, ts) for closed in CLOSED_FORMS]
+    cases += [(helper, np.concatenate([ts[2:] * upper, [-1e-13, upper + 1e-13]])) for helper, upper, _ in ENTROPY_HELPERS]
+    for function, xs in cases:
+        singles = [function(x) for x in xs.tolist()]
+        assert all(type(value) is float for value in singles), function
+        stacked = function(xs.reshape(2, 3, -1))
+        assert stacked.shape == (2, 3, len(xs) // 6)
+        assert np.array_equal(stacked.ravel().view(np.uint64), np.array(singles).view(np.uint64)), function
+
+
+def test_a_range_or_domain_error_on_a_stack_names_the_entry():
+    for closed in CLOSED_FORMS:
+        with pytest.raises(OutOfRange, match=r"^mixing weight t=1\.5 outside \[0, 1\] \(entry 2 of the stack\)$"):
+            closed([0.0, 0.5, 1.5, np.nan])
+        with pytest.raises(OutOfRange, match=r"^mixing weight t=nan outside \[0, 1\]$"):
+            closed(np.nan)
+    with pytest.raises(OutOfRange, match=r"^mixing weight t=-0\.5 outside \[0, 1\] \(entry 3 of the stack\)$"):
+        choi_mixed([0.0, 0.5, 1.0, -0.5], PRODUCT, PRODUCT)
+    for helper, _, bound in ENTROPY_HELPERS:
+        message = rf"^{helper.__name__} argument -0\.1 outside \[0, {bound}\] \(entry 1 of the stack\)$"
+        with pytest.raises(DomainError, match=message):
+            helper([[0.0, -0.1], [2.0, 0.1]])
 
 
 def test_trigger_joint_distribution():
@@ -424,6 +454,28 @@ def test_non_finite_state_is_rejected(value, entry):
         for bad in (stack, not_hermitian):
             with pytest.raises(NonHermitianInput, match="matrix 2"):
                 measure(bad)
+
+
+def test_information_measures_reject_a_trace_off_one():
+    # unchecked, these would read -4, -8 and -8 bits, and a concurrence of about 2
+    for measure, state in (
+        (von_neumann_entropy, 2 * np.eye(2)),
+        (quantum_mutual_information, np.eye(4)),
+        (classical_accessible_info, np.ones((4, 4))),
+        (concurrence, 2 * projector(bell_state())),
+    ):
+        with pytest.raises(BadMatrix, match=r"^density matrix has trace [24], not 1$"):
+            measure(state)
+    stack = five_symmetric_states()
+    stack[3] *= 1.0 + 1e-9
+    for measure in MEASURES:
+        if measure is not matrix_sqrt_psd:
+            with pytest.raises(BadMatrix, match=r"trace 1\.000000001, not 1 \(matrix 3 of the stack\)$"):
+                measure(stack)
+        measure(five_symmetric_states() * (1.0 + 5e-11))  # within 1e-10 of 1 is rounding
+    # the linear algebra stays general: a PSD matrix of any trace has eigenvalues and a square root
+    assert np.array_equal(psd_eigenvalues(2 * np.eye(2)), [2.0, 2.0])
+    assert np.abs(matrix_sqrt_psd(4 * np.eye(2)) - 2 * np.eye(2)).max() <= 1e-15
 
 
 def test_not_psd_state_in_a_stack_is_rejected():

@@ -1,14 +1,21 @@
+from fractions import Fraction
+from functools import partial
+
 import numpy as np
 import pytest
 
-from bellbidir.errors import BadIndex, NonHermitianInput, NotPSD, OutOfRange
+from bellbidir.channels import weight_from_choi
+from bellbidir.errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
+from bellbidir.infotheory import concurrence, info_report_from_choi, quantum_mutual_information, von_neumann_entropy
 from bellbidir.linalg import (
     matrix_sqrt_psd,
     partial_trace,
     projector,
+    psd_eigenvalues,
     trace_distance,
 )
-from bellbidir.sim import bell_state
+from bellbidir.protocols import apply_channel_from_choi, choi_mixed
+from bellbidir.sim import Circuit, Gate, apply_gate, bell_state, measure_qubit, reduced_density_matrix, run_circuit
 
 I2 = np.eye(2, dtype=complex)
 
@@ -135,3 +142,44 @@ def test_partial_trace_rejects_a_qubit_count_that_is_not_a_non_negative_integer(
         with pytest.raises(OutOfRange, match="num_qubits must be a non-negative integer"):
             partial_trace(np.eye(4) / 4, count, [0])
     assert np.array_equal(partial_trace(np.eye(4) / 4, np.int64(2), [0]), np.eye(2) / 2)
+
+
+def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
+    # numpy would parse "1" as a number, or raise its own error; every matrix and state input applies one rule first
+    rho, choi, circuit = np.eye(2) / 2, np.eye(4) / 4, Circuit(1, ("a",), ())
+    inputs = {  # the call, and an input of the wrong size for it
+        von_neumann_entropy: np.ones(3),
+        quantum_mutual_information: rho,
+        concurrence: rho,
+        partial(info_report_from_choi, t=0.5): rho,
+        weight_from_choi: np.eye(2),
+        partial(choi_mixed, 0.5, choi): rho,
+        partial(choi_mixed, 0.5, choi_com=choi): rho,
+        partial(apply_channel_from_choi, rho_in=rho): rho,
+        partial(apply_channel_from_choi, choi): choi,
+        psd_eigenvalues: np.ones((2, 3)),
+        matrix_sqrt_psd: np.ones(4),
+        partial(partial_trace, num_qubits=2, keep=[0]): rho,
+        partial(trace_distance, rho): np.ones(2),
+        projector: np.float64(1.0),
+        lambda state: Circuit(1, ("a",), (), prep={"a": state}): np.ones(3),
+        partial(run_circuit, circuit): np.ones(4),
+        partial(apply_gate, gate=Gate("X", (0,))): np.float64(1.0),
+        partial(reduced_density_matrix, keep=[0]): np.float64(1.0),
+        partial(measure_qubit, index=0, rng=np.random.default_rng(0)): np.float64(1.0),
+    }
+    not_numbers = ([["1", "0"], ["0", "0"]], "abc", b"ab", [[None, 0.5], [0.5, 0.0]], np.full((2, 2), Fraction(1, 4)))
+    for call, wrong_size in inputs.items():
+        for value in not_numbers:
+            with pytest.raises(BadMatrix, match=r"must hold only numbers, got an array of dtype"):
+                call(value)
+        with pytest.raises(BadMatrix, match=r"must be a (\d+x\d+|square) matrix|must be a length-\w+ vector"):
+            call(wrong_size)
+    with pytest.raises(BadMatrix, match=r"^channel state must be a 4x4 matrix or a stack of them, got shape \(2, 2\)$"):
+        weight_from_choi(np.eye(2))
+    with pytest.raises(BadMatrix, match=r"^choi_com must be a 4x4 matrix or a stack of them, got shape \(2, 2\)$"):
+        choi_mixed(0.5, choi, rho)
+    # bools, ints, floats and complex numbers pass
+    assert von_neumann_entropy(np.array([[True, False], [False, False]])) == 0.0
+    assert von_neumann_entropy([[1, 0], [0, 0]]) == 0.0
+    assert np.array_equal(projector([1, 0]), [[1, 0], [0, 0]])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial, reduce
 
@@ -491,7 +492,7 @@ def test_samplers_reject_a_stack_before_any_draw():
         (partial(mixed, single, common, 0.5, psi_in=psi, input_label="Q_X"), r"prepared qubit 'Q_X' not in register"),
         (partial(mixed, single, common, 0.5, psi_in=psi, output_label="C_X"), r"no qubit labeled 'C_X'"),
         (partial(mixed, single, common, 1.0, psi_in=psi, output_label="T_A"), r"no qubit labeled 'T_A'"),
-        (partial(mixed, single, common, 0.5, psi_in=np.array([1.0, 0, 0])), r"'Q_A' is not a single-qubit state"),
+        (partial(mixed, single, common, 0.5, psi_in=np.array([1.0, 0, 0])), r"'Q_A' must be a length-2 vector"),
         (partial(mixed, single, common, 0.0, psi_in=np.array([2.0, 0])), r"'Q_A' has norm 2"),
         (partial(single_run, single, psi_in=np.array([2.0, 0])), r"'Q_A' has norm 2"),
         (partial(single_run, single, psi_in=psi, output_label="C_X"), r"no qubit labeled 'C_X'"),
@@ -597,7 +598,7 @@ def test_scheme_params_validation():
     with pytest.raises(OutOfRange):
         SchemeParams(t=1.2)
     for name in ("theta1", "theta2", "theta"):
-        for value in (math.nan, math.inf, -math.inf):
+        for value in (math.nan, math.inf, -math.inf, 10**400):  # 10**400 has no float value
             with pytest.raises(OutOfRange):
                 SchemeParams(**{name: value})
     with pytest.raises(OutOfRange):
@@ -610,11 +611,22 @@ def test_scheme_params_validation():
 
 @pytest.mark.parametrize(
     "field",
-    [{"theta1": "1"}, {"t": "0.5"}, {"theta": None}, {"t": 0.5j}, {"t": Fraction(1, 2)}, {"t": np.array([0.2, 0.3])}],
+    [
+        {"theta1": "1"},
+        {"t": "0.5"},
+        {"theta": None},
+        {"t": 0.5j},
+        {"t": Fraction(1, 2)},
+        {"t": np.array([0.2, 0.3])},
+        {"theta": Fraction(1, 2)},
+        {"theta1": Decimal("0.5")},
+        {"theta2": np.array([0.2, 0.3])},
+    ],
     ids=repr,
 )
 def test_scheme_params_reject_a_value_that_is_not_a_real_number(field):
     # none is one bool, int or float; the package raises its own error, and at once, not when the trigger table reads t
+    # or an angle is read
     with pytest.raises(OutOfRange, match="real number"):
         SchemeParams(**field)
 
