@@ -36,25 +36,22 @@ def _checked_weight(q) -> np.ndarray:
     return q
 
 
-def mixing_weight(scheme: str, params: SchemeParams) -> float:
-    """Weight t of the independent triggers in a scheme: 1 independent, 0 common, the point's own t mixed."""
+def mixing_weight(scheme: str, params: SchemeParams):
+    """Weight t of the independent triggers in a scheme: 1 independent, 0 common, the params' own t mixed."""
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     return {"independent": 1.0, "common": 0.0}.get(scheme, params.t)
 
 
-def analytic_channel(scheme: str, params: SchemeParams | list[SchemeParams], direction: str):
+def analytic_channel(scheme: str, params: SchemeParams, direction: str):
     """Closed-form channel weight q: the probability that the sender fires and the receiver stays silent.
 
-    A sequence of SchemeParams gives one weight per point, from one stack of trigger tables.
+    A float for a point; for a grid, one weight per point, from one stack of trigger tables.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    points = [params] if isinstance(params, SchemeParams) else params
-    columns = np.reshape([[mixing_weight(scheme, x), x.p1, x.p2, x.p] for x in points], (-1, 4)).T
-    table = trigger_joint_distribution(*columns)
-    q = table[:, 1, 0] if direction == A_TO_B else table[:, 0, 1]
-    return float(q[0]) if isinstance(params, SchemeParams) else q
+    table = trigger_joint_distribution(mixing_weight(scheme, params), params.p1, params.p2, params.p)
+    return _scalar_or_stack(table[..., 1, 0] if direction == A_TO_B else table[..., 0, 1])
 
 
 def choi_of_channel(q) -> np.ndarray:

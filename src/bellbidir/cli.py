@@ -59,8 +59,8 @@ CAPACITY_TOL = 1e-12
 CONCURRENCE_TOL = 1e-9
 
 
-def _scheme_circuit(scheme: str, params: SchemeParams | list[SchemeParams]) -> Circuit:
-    """Circuit of the independent- or common-trigger scheme; a list of points gives one stacked circuit."""
+def _scheme_circuit(scheme: str, params: SchemeParams) -> Circuit:
+    """Circuit of the independent- or common-trigger scheme; a grid of points gives one stacked circuit."""
     builders = {"independent": build_scheme_independent, "common": build_scheme_common}
     if scheme not in builders:
         raise ValueError(f"scheme must be one of {tuple(builders)}, got {scheme!r}")
@@ -87,33 +87,31 @@ def _fig3_columns(scheme: str, grid: np.ndarray) -> list[np.ndarray]:
     No gate targets a trigger qubit, so a channel state mixes its corner states, each trigger angle at 0 or pi,
     with the trigger basis probabilities [1 - p, p]; the corners are simulated in one stacked run per direction.
     """
-    if scheme == "common":
-        corners = [SchemeParams(theta=a) for a in (0.0, math.pi)]
-    else:
-        corners = [SchemeParams(theta1=a, theta2=b) for a in (0.0, math.pi) for b in (0.0, math.pi)]
-    circuit = _scheme_circuit(scheme, corners)
+    ends = np.array([0.0, math.pi])  # (theta1, theta2) over the 2x2 corners, theta over the two ends
+    circuit = _scheme_circuit(scheme, SchemeParams(theta1=ends[:, None], theta2=ends, theta=ends))
     weights = [weight_from_choi(extract_choi(circuit, *channel_endpoints(d))) for d in DIRECTIONS]
     fire = np.array([1.0 - grid, grid])
     if scheme == "common":
         return [grid, *((1.0 + q @ fire) / 2.0 for q in weights)]
-    return [*np.meshgrid(grid, grid, indexing="ij"), *((1.0 + fire.T @ q.reshape(2, 2) @ fire) / 2.0 for q in weights)]
+    return [*np.meshgrid(grid, grid, indexing="ij"), *((1.0 + fire.T @ q @ fire) / 2.0 for q in weights)]
 
 
-def channel_deviation(scheme: str, rows: list[list[SchemeParams]]) -> list[float]:
+def channel_deviation(scheme: str, grid: SchemeParams) -> list[float]:
     """Worst trace distance between simulated and closed-form channel states of a scheme, per direction.
 
-    Returns ``[A to B, B to A]``, each the maximum over the points of the rows.  Trace preservation needs no check
-    here: ``extract_choi`` raises ``BadChannelState`` on a reference marginal off I/2 by more than MARGINAL_TOL.
-    Each row is one stacked circuit run, so memory grows with a row's length; the closed forms take every point at once.
+    Returns ``[A to B, B to A]``, each the maximum over the points of ``grid``, whose first axis runs over its rows;
+    a grid of one axis, or none, is one row.  Trace preservation needs no check here: ``extract_choi`` raises
+    ``BadChannelState`` on a reference marginal off I/2 by more than MARGINAL_TOL.  Each row is one stacked circuit
+    run, so memory grows with a row's length; the closed forms take every point at once.
     """
-    if not rows:
-        raise OutOfRange("channel_deviation needs at least one row of parameter points")
-    circuits = [_scheme_circuit(scheme, row) for row in rows]
-    points = [point for row in rows for point in row]
+    fields = np.atleast_2d(*np.broadcast_arrays(grid.theta1, grid.theta2, grid.theta))
+    if not fields[0].size:
+        raise OutOfRange(f"channel_deviation needs at least one parameter point, got a grid of shape {fields[0].shape}")
+    circuits = [_scheme_circuit(scheme, SchemeParams(*row)) for row in zip(*fields)]
     worst = []
     for direction in DIRECTIONS:
-        simulated = np.concatenate([extract_choi(circuit, *channel_endpoints(direction)) for circuit in circuits])
-        reference = choi_of_channel(analytic_channel(scheme, points, direction))
+        simulated = np.stack([extract_choi(circuit, *channel_endpoints(direction)) for circuit in circuits])
+        reference = choi_of_channel(analytic_channel(scheme, grid, direction))
         worst.append(float(np.max(trace_distance(simulated, reference))))
     return worst
 
@@ -170,15 +168,15 @@ def run_verification(grid: int = 9, points: int = 101) -> list[CheckResult]:
     if not (is_integer(grid) and is_integer(points)) or grid < 2 or points < 2:
         raise OutOfRange(f"grid and points must be integers of at least 2, got grid={grid!r}, points={points!r}")
     thetas = np.linspace(0.0, math.pi, grid)
-    ind_rows = [[SchemeParams(theta1=theta1, theta2=theta2) for theta2 in thetas] for theta1 in thetas]
-    com_row = [SchemeParams(theta=theta) for theta in np.linspace(0.0, math.pi, max(17, grid))]
+    ind_grid = SchemeParams(theta1=thetas[:, None], theta2=thetas)
+    com_row = SchemeParams(theta=np.linspace(0.0, math.pi, max(17, grid)))
     directions = [" to ".join(direction.upper()) for direction in DIRECTIONS]  # "ab" -> "A to B"
     checks = [  # one computation, and the name and tolerance of each line it feeds
-        (lambda: channel_deviation("independent", ind_rows), [
+        (lambda: channel_deviation("independent", ind_grid), [
             (f"independent choi vs closed form ({grid}x{grid}, {direction})", CHOI_TOL) for direction in directions
         ]),
-        (lambda: channel_deviation("common", [com_row]), [
-            (f"common choi vs closed form ({len(com_row)} angles, {direction})", CHOI_TOL) for direction in directions
+        (lambda: channel_deviation("common", com_row), [
+            (f"common choi vs closed form ({max(17, grid)} angles, {direction})", CHOI_TOL) for direction in directions
         ]),
         (lambda: trigger_info_deviation(points), [(f"trigger info closed form vs table ({points} t)", AUX_TOL)]),
         (lambda: infotheory_deviations(points), [

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadChannelState, BadIndex, BadLabel, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
 from .errors import _reject_first, as_reals, as_unit_interval, check_unit_interval, is_integer
-from .linalg import as_numbers, psd_eigenvalues
+from .linalg import _scalar_or_stack, as_numbers, psd_eigenvalues
 from .sim import (
     CCNOT,
     CNOT,
@@ -39,7 +39,6 @@ from .sim import (
     H,
     X,
     apply_gate,
-    bloch_state,
     measure_qubit,
     reduced_density_matrix,
     run_circuit,
@@ -67,37 +66,40 @@ _CORRECTIONS = (
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Trigger angles and mixing weight; probabilities are sin^2(angle/2)."""
+    """Trigger angles and mixing weight; probabilities are sin^2(angle/2).
 
-    theta1: float = math.pi / 2
-    theta2: float = math.pi / 2
-    theta: float = math.pi / 2
-    t: float = 0.0
+    Each field is a number or an array, and the four broadcast together: one object is a point, a row or a grid.
+    A point's probabilities are Python floats, and a grid's are arrays of the same bits, entry by entry.
+    """
+
+    theta1: float | np.ndarray = math.pi / 2
+    theta2: float | np.ndarray = math.pi / 2
+    theta: float | np.ndarray = math.pi / 2
+    t: float | np.ndarray = 0.0
+    p1 = property(lambda self: _firing_probability(self.theta1))
+    p2 = property(lambda self: _firing_probability(self.theta2))
+    p = property(lambda self: _firing_probability(self.theta))
 
     def __post_init__(self):
         angles = (self.theta1, self.theta2, self.theta)
-        for name, angle in zip(("theta1", "theta2", "theta"), angles):
-            if as_reals(name, angle).ndim:
-                raise OutOfRange(f"{name}={angle!r} is not a single real number")
-        if not np.isfinite(angles).all():
+        arrays = [as_reals(name, angle) for name, angle in zip(("theta1", "theta2", "theta"), angles)]
+        if not np.isfinite(np.concatenate([array.ravel() for array in arrays])).all():
             raise OutOfRange(f"trigger angles (theta1, theta2, theta) = {angles} must be finite")
-        check_unit_interval("mixing weight t", self.t)
-
-    @property
-    def p1(self) -> float:
-        return math.sin(self.theta1 / 2) ** 2
-
-    @property
-    def p2(self) -> float:
-        return math.sin(self.theta2 / 2) ** 2
-
-    @property
-    def p(self) -> float:
-        return math.sin(self.theta / 2) ** 2
+        arrays.append(as_unit_interval("mixing weight t", self.t))
+        try:
+            np.broadcast(*arrays)
+        except ValueError:
+            shapes = [array.shape for array in arrays]
+            raise OutOfRange(f"fields (theta1, theta2, theta, t) of shapes {shapes} do not broadcast") from None
 
     @classmethod
     def from_probabilities(cls, p1: float = 0.5, p2: float = 0.5, p: float = 0.5, t: float = 0.0) -> "SchemeParams":
         return cls(theta1=firing_angle("p1", p1), theta2=firing_angle("p2", p2), theta=firing_angle("p", p), t=t)
+
+
+def _firing_probability(angle):
+    """sin^2(angle/2): a Python float for a number, an array for an array; float_power keeps ``math``'s pow bits."""
+    return _scalar_or_stack(np.float_power(np.sin(np.divide(angle, 2)), 2))
 
 
 def firing_angle(name: str, prob: float) -> float:
@@ -142,22 +144,23 @@ def _wire_scheme(labels: tuple[str, ...], alice: str, bob: str, prep: dict, flip
     return Circuit(len(labels), labels, _scheme_gates(labels, alice, bob, flip), prep)
 
 
-def _trigger_prep(params: SchemeParams | list[SchemeParams], angles: dict[str, str]) -> dict[str, np.ndarray]:
-    """Trigger label -> Bloch state of the named angle of ``params``; a sequence of SchemeParams stacks the states."""
-    if isinstance(params, SchemeParams):
-        return {label: bloch_state(getattr(params, angle)) for label, angle in angles.items()}
-    if len(params) == 0:
-        raise OutOfRange("a scheme circuit needs at least one parameter point")
-    return {label: np.array([bloch_state(getattr(p, angle)) for p in params]) for label, angle in angles.items()}
+def _trigger_prep(params: SchemeParams, angles: dict[str, str]) -> dict[str, np.ndarray]:
+    """Trigger label -> real state cos(a/2)|0> + sin(a/2)|1> of its named angle a; an array of angles stacks them."""
+    prep = {}
+    for label, angle in angles.items():
+        half = np.divide(getattr(params, angle), 2)
+        state = prep[label] = np.empty((*np.shape(half), 2))
+        state[..., 0], state[..., 1] = np.cos(half), np.sin(half)
+    return prep
 
 
-def build_scheme_independent(params: SchemeParams | list[SchemeParams]) -> Circuit:
-    """Both parties act under their own trigger angles theta1 and theta2; a sequence gives one stacked circuit."""
+def build_scheme_independent(params: SchemeParams) -> Circuit:
+    """Both parties act under their own trigger angles theta1 and theta2; array angles give one stacked circuit."""
     return _wire_scheme(INDEPENDENT_LABELS, "T_A", "T_B", _trigger_prep(params, {"T_A": "theta1", "T_B": "theta2"}))
 
 
-def build_scheme_common(params: SchemeParams | list[SchemeParams]) -> Circuit:
-    """One shared trigger, inverted between the parties, so one side fires; a sequence gives one stacked circuit."""
+def build_scheme_common(params: SchemeParams) -> Circuit:
+    """One shared trigger, inverted between the parties, so one side fires; an array angle gives one stacked circuit."""
     return _wire_scheme(COMMON_LABELS, "T", "T", _trigger_prep(params, {"T": "theta"}), flip=("T",))
 
 

@@ -59,11 +59,12 @@ def test_analytic_channel_weights():
             assert analytic_channel("independent", params, direction) == q_ind
             assert analytic_channel("common", params, direction) == q_com
             assert analytic_channel("mixed", params, direction) == t * q_ind + (1.0 - t) * q_com
-    # a row of points gives one array of the same floats, from one stack of trigger tables
-    points = [SchemeParams(*angles) for angles in rng.uniform(0.0, [math.pi, math.pi, math.pi, 1.0], (20, 4))]
+    # a row of array fields gives one array of the same floats, from one stack of trigger tables
+    angles = rng.uniform(0.0, [math.pi, math.pi, math.pi, 1.0], (20, 4))
+    points = [SchemeParams(*point) for point in angles]
     for scheme in SCHEMES:
         for direction in (A_TO_B, B_TO_A):
-            row = analytic_channel(scheme, points, direction)
+            row = analytic_channel(scheme, SchemeParams(*angles.T), direction)
             assert row.shape == (20,) and row.tolist() == [analytic_channel(scheme, x, direction) for x in points]
 
 

@@ -489,22 +489,24 @@ def test_verify_memory_budget(capsys):
 
 
 def test_channel_deviation_rejects_empty_points():
-    for rows in ([], [[]]):
-        with pytest.raises(OutOfRange):
-            cli.channel_deviation("common", rows)
+    # no rows, and one row of no points
+    for grid in (SchemeParams(theta=np.empty((0, 3))), SchemeParams(theta1=np.empty((0, 1))), SchemeParams(theta=[])):
+        with pytest.raises(OutOfRange, match=r"^channel_deviation needs at least one parameter point"):
+            cli.channel_deviation("common", grid)
 
 
 def test_channel_deviation_is_the_worst_per_point_trace_distance(monkeypatch):
     thetas = np.linspace(0.0, math.pi, 3)
-    rows = [[SchemeParams(theta1=a, theta2=b) for b in thetas] for a in thetas[:2]] + [[SchemeParams(0.3, 2.0)]]
+    # three rows of three points; the last row's theta2 is off the grid
+    theta1, theta2 = np.broadcast_arrays(np.array([*thetas[:2], 0.3])[:, None], [thetas, thetas, [2.0, 0.7, 2.9]])
+    points = [SchemeParams(a, b) for a, b in zip(theta1.ravel(), theta2.ravel())]
     expected = [
         max(
             trace_distance(
                 protocols.extract_choi(protocols.build_scheme_independent(point), *protocols.channel_endpoints(d)),
                 choi_of_channel(analytic_channel("independent", point, d)),
             )
-            for row in rows
-            for point in row
+            for point in points
         )
         for d in DIRECTIONS
     ]
@@ -515,14 +517,24 @@ def test_channel_deviation_is_the_worst_per_point_trace_distance(monkeypatch):
 
     for name in ("extract_choi", "analytic_channel", "choi_of_channel", "trace_distance"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-    assert cli.channel_deviation("independent", rows) == expected
+    assert cli.channel_deviation("independent", SchemeParams(theta1=theta1, theta2=theta2)) == expected
     # one stacked extraction per row and direction; the closed form and its distances once per direction
     assert sorted(calls) == sorted(["extract_choi"] * 6 + ["analytic_channel", "choi_of_channel", "trace_distance"] * 2)
 
 
 def test_channel_deviation_names_the_two_circuit_schemes():
     with pytest.raises(ValueError, match=r"^scheme must be one of \('independent', 'common'\), got 'mixed'$"):
-        cli.channel_deviation("mixed", [[SchemeParams()]])
+        cli.channel_deviation("mixed", SchemeParams())
+
+
+def test_verify_builds_one_scheme_params_per_grid_and_per_row(monkeypatch):
+    # the 9x9 grid and its 9 rows, the 17-angle common row and its one row, and the two symmetric points of the
+    # information checks: 14 objects, where one per grid point would be 100
+    built = []
+    check = SchemeParams.__post_init__
+    monkeypatch.setattr(SchemeParams, "__post_init__", lambda params: built.append(params) or check(params))
+    assert all(result.passed for result in run_verification())
+    assert len(built) == 14
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):

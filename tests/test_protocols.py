@@ -153,11 +153,12 @@ def test_choi_matches_analytic_model_on_grid():
 def test_stacked_extraction_equals_per_point_on_the_verify_grids():
     # one stacked circuit per row of the default verify grids, against one circuit per point
     thetas = np.linspace(0.0, math.pi, 9)
-    rows = [(build_scheme_independent, [SchemeParams(theta1=t1, theta2=t2) for t2 in thetas]) for t1 in thetas]
-    rows.append((build_scheme_common, [SchemeParams(theta=th) for th in np.linspace(0.0, math.pi, 17)]))
+    grid = np.broadcast_arrays(thetas[:, None], thetas, math.pi / 2)  # theta1, theta2, theta of the 9x9 verify grid
+    rows = [(build_scheme_independent, row) for row in zip(*grid)]
+    rows.append((build_scheme_common, np.broadcast_arrays(math.pi / 2, math.pi / 2, np.linspace(0.0, math.pi, 17))))
     for build, row in rows:
-        stacked = build(row)
-        singles = [build(params) for params in row]
+        stacked = build(SchemeParams(*row))
+        singles = [build(SchemeParams(*point)) for point in zip(*row)]
         for direction in (A_TO_B, B_TO_A):
             endpoints = channel_endpoints(direction)
             per_point = np.array([extract_choi(circuit, *endpoints) for circuit in singles])
@@ -185,8 +186,8 @@ def test_real_register_extraction_equals_the_complex_one_bit_for_bit():
     # the scheme registers are real; their channel states carry the complex128 run's bits, signed zeros included
     rng = np.random.default_rng(23)
     points = [SchemeParams(*angles) for angles in rng.uniform(-7.0, 7.0, (40, 3))]
-    row = [SchemeParams(*angles) for angles in rng.uniform(-7.0, 7.0, (13, 3))]
-    zero_row = [SchemeParams(0.0, theta2, 0.0) for theta2 in rng.uniform(-7.0, 7.0, 5)]  # theta1 = 0, theta = 0
+    row = SchemeParams(*rng.uniform(-7.0, 7.0, (13, 3)).T)
+    zero_row = SchemeParams(0.0, rng.uniform(-7.0, 7.0, 5), 0.0)  # theta1 = 0, theta = 0
     for build in (build_scheme_independent, build_scheme_common):
         circuits = [build(params) for params in points] + [build(row), build(zero_row)]
         assert all(circuit.initial_state().dtype == np.float64 for circuit in circuits)
@@ -203,7 +204,7 @@ def test_extraction_of_each_input_equals_the_complex_one_bit_for_bit():
     stack = np.array([bloch_state(theta, phi) for theta, phi in rng.uniform(-7.0, 7.0, (4, 2))])
     block = Circuit(5, ("q", "c", "trig", "m1", "m2"), build_indirect_bell_block(0, 1, 2, 3, 4), {"trig": stack})
     independent = build_scheme_independent(SchemeParams(*rng.uniform(-7.0, 7.0, 3)))
-    common = build_scheme_common([SchemeParams(*angles) for angles in rng.uniform(-7.0, 7.0, (6, 3))])
+    common = build_scheme_common(SchemeParams(*rng.uniform(-7.0, 7.0, (6, 3)).T))
     ab, ba = channel_endpoints(A_TO_B), channel_endpoints(B_TO_A)
     block_endpoints = [("q", "m1"), ("c", "q"), ("m2", "c"), ("q", "m1")]
     cases = [(independent, [ab, ba, ab]), (common, [ba, ab, ba]), (block, block_endpoints)]
@@ -219,10 +220,10 @@ def test_compact_extraction_edge_cases_equal_the_complex_one_bit_for_bit():
     def with_prep(circuit, **prep):
         return Circuit(circuit.num_qubits, circuit.labels, circuit.gates, {**circuit.prep, **prep})
 
-    ends = (0.0, math.pi)  # bloch_state(0.0) = |0> exactly
+    ends = np.array([0.0, math.pi])  # bloch_state(0.0) = |0> exactly
     independent = build_scheme_independent(SchemeParams(1.1, 0.7))
     common = build_scheme_common(SchemeParams(theta=2.3))
-    corners = build_scheme_independent([SchemeParams(theta1=a, theta2=b) for a in ends for b in ends])
+    corners = build_scheme_independent(SchemeParams(theta1=np.repeat(ends, 2), theta2=np.tile(ends, 2)))
     mixed_stack = [bloch_state(0.0), bloch_state(math.pi), bloch_state(1.0, 2.0), bloch_state(2.5)]
     cases = [
         (with_prep(independent, Q_B=bloch_state(0.9)), [A_TO_B]),
@@ -232,8 +233,8 @@ def test_compact_extraction_edge_cases_equal_the_complex_one_bit_for_bit():
         (with_prep(independent, Q_B=bloch_state(1.2, 0.5)), [A_TO_B]),  # complex
         (with_prep(common, T=bloch_state(2.0, -1.1)), DIRECTIONS),  # a complex trigger
         (corners, DIRECTIONS),
-        (build_scheme_common([SchemeParams(theta=a) for a in ends]), DIRECTIONS),
-        (build_scheme_independent([SchemeParams(0.0, 0.0), SchemeParams(0.0, 1.3), SchemeParams(2.0, 0.0)]), DIRECTIONS),
+        (build_scheme_common(SchemeParams(theta=ends)), DIRECTIONS),
+        (build_scheme_independent(SchemeParams(np.array([0.0, 0.0, 2.0]), np.array([0.0, 1.3, 0.0]))), DIRECTIONS),
         (with_prep(corners, Q_B=np.array(mixed_stack)), [A_TO_B]),  # complex, zeros in some points only
         (with_prep(corners, M_A1=np.array(mixed_stack)), DIRECTIONS),
     ]
@@ -251,7 +252,7 @@ def test_stacked_verify_grid_extraction_memory_budget():
     # 81 complex (4, 512) operands, a traced peak of about 2.7 MiB; building the dense 2**11 registers, as
     # run_circuit and reduced_density_matrix do, peaks at about 4.6 MiB
     thetas = np.linspace(0.0, math.pi, 9)
-    circuit = build_scheme_independent([SchemeParams(theta1=a, theta2=b) for a in thetas for b in thetas])
+    circuit = build_scheme_independent(SchemeParams(theta1=np.repeat(thetas, 9), theta2=np.tile(thetas, 9)))
     for direction in DIRECTIONS:
         tracemalloc.start()
         try:
@@ -274,7 +275,8 @@ def test_builders_share_one_gate_tuple():
             + [CNOT(4, 2), Gate("CZ", (5, 2)), CNOT(6, 1), Gate("CZ", (7, 1))]
         )
 
-    stack = [SchemeParams(theta1=th, theta=th) for th in (0.1, 1.0, 3.0)]
+    angles = np.array([0.1, 1.0, 3.0])
+    stack = SchemeParams(theta1=angles, theta=angles)
     points = [SchemeParams(), SchemeParams(0.3, 2.9, 1.7), stack]
     for build, expected in ((build_scheme_independent, wiring(8, 9, [])), (build_scheme_common, wiring(8, 8, [8]))):
         circuits = [build(params) for params in points]
@@ -286,20 +288,20 @@ def test_channel_state_is_the_mixture_of_its_trigger_corners():
     # no gate targets a trigger, so a state mixes its corner states (each trigger angle 0 or pi) with the trigger
     # basis probabilities; the fig-3 sweeps rest on this, and an H on a trigger qubit breaks it
     rng = np.random.default_rng(17)
-    ends = (0.0, math.pi)
-    fire = lambda p: np.array([1.0 - p, p])
+    ends = np.array([0.0, math.pi])
+    fire = lambda p: np.array([1.0 - p, p])  # (2, points)
     angles = rng.uniform(0.05, math.pi - 0.05, (24, 2))
     schemes = (
         (
             build_scheme_independent,
-            [SchemeParams(theta1=a, theta2=b) for a in ends for b in ends],
-            [SchemeParams(theta1=a, theta2=b) for a, b in angles],
-            lambda params: np.outer(fire(params.p1), fire(params.p2)).ravel(),
+            SchemeParams(theta1=np.repeat(ends, 2), theta2=np.tile(ends, 2)),
+            SchemeParams(theta1=angles[:, 0], theta2=angles[:, 1]),
+            lambda params: (fire(params.p1)[:, None] * fire(params.p2)).reshape(4, -1),
         ),
         (
             build_scheme_common,
-            [SchemeParams(theta=a) for a in ends],
-            [SchemeParams(theta=a) for a in angles[:, 0]],
+            SchemeParams(theta=ends),
+            SchemeParams(theta=angles[:, 0]),
             lambda params: fire(params.p),
         ),
     )
@@ -307,7 +309,7 @@ def test_channel_state_is_the_mixture_of_its_trigger_corners():
         for direction in (A_TO_B, B_TO_A):
             endpoints = channel_endpoints(direction)
             corner_states = extract_choi(build(corners), *endpoints)
-            mixtures = np.array([np.tensordot(weights(params), corner_states, 1) for params in points])
+            mixtures = np.tensordot(weights(points), corner_states, (0, 0))
             assert max_abs(mixtures - extract_choi(build(points), *endpoints)) <= 1e-14
 
 
@@ -336,9 +338,11 @@ def test_mixed_and_common_schemes_equal_the_independent_wiring_on_a_correlated_t
 
 
 def test_builders_reject_an_empty_sequence():
-    for build in (build_scheme_independent, build_scheme_common):
-        with pytest.raises(OutOfRange):
-            build([])
+    # an empty angle array builds an empty preparation stack, which Circuit rejects
+    empty = SchemeParams(theta1=np.empty(0), theta=np.empty(0))
+    for build, label in ((build_scheme_independent, "T_A"), (build_scheme_common, "T")):
+        with pytest.raises(OutOfRange, match=f"^preparation stack for '{label}' is empty, shape \\(0, 2\\)$"):
+            build(empty)
 
 
 def test_direction_exchange_symmetry():
@@ -473,9 +477,9 @@ def test_sampling_rejects_unnormalized_input():
 def test_samplers_reject_a_stack_before_any_draw():
     psi = bloch_state(0.8, 2.1)
     psi_stack = np.array([psi] * 3)
-    stacked = build_scheme_independent([SchemeParams(theta1=0.3), SchemeParams(theta1=1.0)])
+    stacked = build_scheme_independent(SchemeParams(theta1=np.array([0.3, 1.0])))
     single = build_scheme_independent(SchemeParams(theta1=0.3))
-    stacked_common = build_scheme_common([SchemeParams(theta=0.3), SchemeParams(theta=1.0)])
+    stacked_common = build_scheme_common(SchemeParams(theta=np.array([0.3, 1.0])))
     common = build_scheme_common(SchemeParams())
     mixed = partial(sample_mixed_trajectories, input_label="Q_A", output_label="C_B", trials=4)
     single_run = partial(sample_trajectories, input_label="Q_A", output_label="C_B", trials=4)
@@ -594,6 +598,47 @@ def test_mixed_sampling_matches_deterministic_channel():
     _assert_within_three_sigma(samples, expected)
 
 
+def test_array_angles_give_the_probabilities_of_math_bit_for_bit():
+    # simulate prints p1, p2 and p, and verify's deviations are computed from them: an array field keeps the bits of
+    # math.sin(x / 2) ** 2 in every entry, and a point keeps giving that Python float
+    a = np.linspace(-7.0, 7.0, 200001)
+    params = SchemeParams(theta1=a, theta2=a, theta=a)
+    expected = np.array([math.sin(x / 2) ** 2 for x in a.tolist()]).view(np.uint64)
+    for probability in (params.p1, params.p2, params.p):
+        assert probability.shape == a.shape and np.array_equal(probability.view(np.uint64), expected)
+    for x in a[::997].tolist():
+        point = SchemeParams(theta1=x, theta2=x, theta=x)
+        assert all(type(p) is float and p == math.sin(x / 2) ** 2 for p in (point.p1, point.p2, point.p))
+
+
+def test_scheme_params_grid_input_rules():
+    # fields that do not broadcast together fail at construction
+    shapes = r"^fields \(theta1, theta2, theta, t\) of shapes \[\(2,\), \(3,\), \(\), \(\)\] do not broadcast$"
+    with pytest.raises(OutOfRange, match=shapes):
+        SchemeParams(theta1=np.zeros(2), theta2=np.zeros(3))
+    with pytest.raises(OutOfRange, match=r"of shapes \[\(\), \(\), \(2, 1\), \(3, 2\)\] do not broadcast$"):
+        SchemeParams(theta=np.zeros((2, 1)), t=np.full((3, 2), 0.5))
+    # the range rules run first and name the first bad entry; the broadcast check does not mask them
+    with pytest.raises(OutOfRange, match=r"^mixing weight t=1\.5 outside \[0, 1\] \(entry 1 of the stack\)$"):
+        SchemeParams(theta=np.zeros(2), t=np.array([0.5, 1.5, 0.2]))
+    with pytest.raises(OutOfRange, match=r"^trigger angles .* must be finite$"):
+        SchemeParams(theta1=np.zeros(2), theta2=np.array([0.1, np.inf, 0.2]))
+    # a point's messages keep their text
+    with pytest.raises(OutOfRange, match=r"^mixing weight t=1\.5 outside \[0, 1\]$"):
+        SchemeParams(t=1.5)
+    finite = r"^trigger angles \(theta1, theta2, theta\) = \(nan, 1\.5707963267948966, 1\.5707963267948966\) must be"
+    with pytest.raises(OutOfRange, match=finite + " finite$"):
+        SchemeParams(theta1=math.nan)
+    # one object is a grid: the probabilities and the closed form broadcast its fields, a list field included
+    thetas, ts = np.linspace(0.0, math.pi, 3), [0.0, 0.25, 1.0]
+    grid = SchemeParams(theta1=thetas[:, None], theta2=thetas, t=ts)
+    assert grid.p1.shape == (3, 1) and grid.p2.shape == (3,)
+    q = analytic_channel("mixed", grid, A_TO_B)
+    points = [[SchemeParams(a, b, t=t) for b, t in zip(thetas, ts)] for a in thetas]
+    expected = [[analytic_channel("mixed", point, A_TO_B) for point in row] for row in points]
+    assert q.shape == (3, 3) and q.tolist() == expected
+
+
 def test_scheme_params_validation():
     with pytest.raises(OutOfRange):
         SchemeParams(t=1.2)
@@ -617,10 +662,11 @@ def test_scheme_params_validation():
         {"theta": None},
         {"t": 0.5j},
         {"t": Fraction(1, 2)},
-        {"t": np.array([0.2, 0.3])},
+        {"t": np.array([0.2, 0.3j], dtype=object)},
+        {"t": np.array([0.2, 0.3j])},
         {"theta": Fraction(1, 2)},
         {"theta1": Decimal("0.5")},
-        {"theta2": np.array([0.2, 0.3])},
+        {"theta2": np.array(["1"])},
     ],
     ids=repr,
 )
