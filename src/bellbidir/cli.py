@@ -57,6 +57,7 @@ AUX_TOL = 1e-12
 TOTAL_TOL = 1e-10
 CAPACITY_TOL = 1e-12
 CONCURRENCE_TOL = 1e-9
+_STACK_POINTS = 81  # points per stacked circuit of channel_deviation: the default 9x9 verify grid in one run
 
 
 def _scheme_circuit(scheme: str, params: SchemeParams) -> Circuit:
@@ -99,19 +100,21 @@ def _fig3_columns(scheme: str, grid: np.ndarray) -> list[np.ndarray]:
 def channel_deviation(scheme: str, grid: SchemeParams) -> list[float]:
     """Worst trace distance between simulated and closed-form channel states of a scheme, per direction.
 
-    Returns ``[A to B, B to A]``, each the maximum over the points of ``grid``, whose first axis runs over its rows;
-    a grid of one axis, or none, is one row.  Trace preservation needs no check here: ``extract_choi`` raises
-    ``BadChannelState`` on a reference marginal off I/2 by more than MARGINAL_TOL.  Each row is one stacked circuit
-    run, so memory grows with a row's length; the closed forms take every point at once.
+    Returns ``[A to B, B to A]``, each the maximum over the points of ``grid``.  Trace preservation needs no check
+    here: ``extract_choi`` raises ``BadChannelState`` on a reference marginal off I/2 by more than MARGINAL_TOL.  The
+    flattened grid runs in stacked circuits of at most _STACK_POINTS points, so memory is bounded by one such block;
+    the closed forms take every point at once.
     """
-    fields = np.atleast_2d(*np.broadcast_arrays(grid.theta1, grid.theta2, grid.theta))
+    fields = np.broadcast_arrays(grid.theta1, grid.theta2, grid.theta)
     if not fields[0].size:
         raise OutOfRange(f"channel_deviation needs at least one parameter point, got a grid of shape {fields[0].shape}")
-    circuits = [_scheme_circuit(scheme, SchemeParams(*row)) for row in zip(*fields)]
+    flat = [np.ravel(field) for field in fields]
+    starts = range(0, flat[0].size, _STACK_POINTS)
+    circuits = [_scheme_circuit(scheme, SchemeParams(*(f[i : i + _STACK_POINTS] for f in flat))) for i in starts]
     worst = []
     for direction in DIRECTIONS:
-        simulated = np.stack([extract_choi(circuit, *channel_endpoints(direction)) for circuit in circuits])
-        reference = choi_of_channel(analytic_channel(scheme, grid, direction))
+        simulated = np.concatenate([extract_choi(circuit, *channel_endpoints(direction)) for circuit in circuits])
+        reference = choi_of_channel(analytic_channel(scheme, grid, direction)).reshape(-1, 4, 4)
         worst.append(float(np.max(trace_distance(simulated, reference))))
     return worst
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMatrix, DomainError, _reject_first, as_reals, as_unit_interval
-from .linalg import _scalar_or_stack, as_numbers, matrix_sqrt_psd, partial_trace, psd_eigenvalues
+from .linalg import _psd_root, _scalar_or_stack, as_numbers, matrix_sqrt_psd, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
@@ -105,11 +105,21 @@ def _density_matrices(rho, size: int | None = None) -> np.ndarray:
     return rho
 
 
+def _entropy(w: np.ndarray) -> np.ndarray:
+    """Entropy of each spectrum along the last axis of ``w``; eigenvalues below zero are rounding noise."""
+    p = np.maximum(w, 0.0)
+    terms = -p * np.log2(p, out=np.zeros_like(p), where=p > _PROB_FLOOR)
+    return sum(np.moveaxis(terms, -1, 0))  # summed in eigenvalue order, as a Python sum would
+
+
+def _marginal_entropy(choi: np.ndarray, keep: int) -> np.ndarray:
+    """Entropy of qubit ``keep`` of each checked two-qubit state: 0 the reference, 1 the output."""
+    return _entropy(np.linalg.eigvalsh(partial_trace(choi, 2, [keep])))
+
+
 def von_neumann_entropy(rho: np.ndarray):
     """-Tr[rho log2 rho] over the eigenvalues of a density matrix, or per matrix of a stack."""
-    p = np.maximum(psd_eigenvalues(_density_matrices(rho)), 0.0)
-    terms = -p * np.log2(p, out=np.zeros_like(p), where=p > _PROB_FLOOR)
-    return _scalar_or_stack(sum(np.moveaxis(terms, -1, 0)))  # summed in eigenvalue order, as a Python sum would
+    return _scalar_or_stack(_entropy(psd_eigenvalues(_density_matrices(rho))))
 
 
 def quantum_mutual_information(rho_rq: np.ndarray):
@@ -199,8 +209,13 @@ def classical_accessible_info(rho_rq: np.ndarray):
     """
     choi = _density_matrices(rho_rq, 4)
     psd_eigenvalues(choi)
+    return tuple(map(_scalar_or_stack, _accessible_info(choi, _marginal_entropy(choi, 1))))
+
+
+def _accessible_info(choi: np.ndarray, s_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`classical_accessible_info` of checked states, given the entropy ``s_output`` of each output."""
     pauli = np.einsum("naqbr,iba,jrq->nij", choi.reshape(-1, 2, 2, 2, 2), _PAULIS, _PAULIS).real
-    s_output = np.reshape(von_neumann_entropy(partial_trace(choi, 2, [1])), -1)
+    s_output = np.reshape(s_output, -1)
     forms = _forms(pauli)
     # the lattice is scored _SCAN_BLOCK states at a time: its intermediates take ~0.04 MiB per state
     blocks = [slice(i, i + _SCAN_BLOCK) for i in range(0, len(pauli), _SCAN_BLOCK)]
@@ -237,7 +252,7 @@ def classical_accessible_info(rho_rq: np.ndarray):
         v = v + h * np.where(newton, dv * clip, _STENCIL_V[ix])
         h = np.where(newton & (length <= 3.0), np.maximum(np.minimum(0.2 * h, h * length), _NEWTON_FLOOR), h)
     best = np.maximum(best, score(u[:, None], v[:, None])[:, 0])
-    return _scalar_or_stack(best.reshape(choi.shape[:-2])), _scalar_or_stack(flatness.reshape(choi.shape[:-2]))
+    return best.reshape(choi.shape[:-2]), flatness.reshape(choi.shape[:-2])
 
 
 def classical_capacity_closed(t):
@@ -253,11 +268,15 @@ def concurrence(rho: np.ndarray):
     order, and returns max(0, l1 - l2 - l3 - l4).
     """
     rho = _density_matrices(rho, 4)
-    root = matrix_sqrt_psd(rho)  # checks the validity rule
+    return _scalar_or_stack(_concurrence(rho, matrix_sqrt_psd(rho)))  # the root checks the validity rule
+
+
+def _concurrence(rho: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """:func:`concurrence` of checked states, given the Hermitian square root of each."""
     m = root @ _FLIP @ rho.conj() @ _FLIP @ root
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0
     lam = np.sqrt(np.clip(np.linalg.eigvalsh(m)[..., ::-1], 0.0, None))
-    return _scalar_or_stack(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def concurrence_closed(t):
@@ -274,13 +293,13 @@ def min_partial_transpose_eigenvalue(rho: np.ndarray):
     """
     rho = _density_matrices(rho, 4)
     psd_eigenvalues(rho)
+    return _scalar_or_stack(_min_pt_eigenvalue(rho))
+
+
+def _min_pt_eigenvalue(rho: np.ndarray) -> np.ndarray:
+    """:func:`min_partial_transpose_eigenvalue` of checked states."""
     transposed = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(rho.shape)
-    return _scalar_or_stack(np.linalg.eigvalsh(transposed).min(axis=-1))
-
-
-def coherent_information(rho_rq: np.ndarray):
-    """S[rho_Q] - S[rho_RQ]; negative whenever the channel has no quantum capacity."""
-    return von_neumann_entropy(partial_trace(rho_rq, 2, [1])) - von_neumann_entropy(rho_rq)
+    return np.linalg.eigvalsh(transposed).min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -304,22 +323,15 @@ def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5,
     ``t`` sets the trigger-correlation level used for the auxiliary
     classical information (1 for independent triggers, 0 for a common one),
     per state of a stack, and ``p1``, ``p2``, ``p`` the firing probabilities
-    of :func:`trigger_joint_distribution`.
+    of :func:`trigger_joint_distribution`.  Each state is checked once, and
+    i_coh is the coherent information S[rho_Q] - S[rho_RQ].
     """
     choi = _density_matrices(choi, 4)
     ts = np.broadcast_to(as_reals("mixing weight t", t), choi.shape[:-2])
     tables = trigger_joint_distribution(ts, p1, p2, p)
-    i_tot = quantum_mutual_information(choi)
-    i_class, _ = classical_accessible_info(choi)
-    min_pt = min_partial_transpose_eigenvalue(choi)
-    return InfoReport(
-        t=_scalar_or_stack(ts.copy()),
-        i_aux=shannon_mutual_information(tables),
-        i_tot=i_tot,
-        i_class=i_class,
-        discord=i_tot - i_class,
-        concurrence=concurrence(choi),
-        i_coh=coherent_information(choi),
-        min_pt_eigenvalue=min_pt,
-        entanglement_breaking=min_pt >= -_PT_EIG_TOL,
-    )
+    s_rq, s_q = _entropy(psd_eigenvalues(choi)), _marginal_entropy(choi, 1)
+    i_tot, i_class = _marginal_entropy(choi, 0) + s_q - s_rq, _accessible_info(choi, s_q)[0]
+    values = [ts.copy(), shannon_mutual_information(tables), i_tot, i_class, i_tot - i_class]  # t to discord
+    values += [_concurrence(choi, _psd_root(choi)), s_q - s_rq, _min_pt_eigenvalue(choi)]  # to min_pt_eigenvalue
+    fields = [_scalar_or_stack(value) for value in values]
+    return InfoReport(*fields, entanglement_breaking=fields[-1] >= -_PT_EIG_TOL)

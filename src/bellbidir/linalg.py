@@ -67,6 +67,11 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Hermitian square root B, B @ B == a, of a matrix or stack that passes the validity rule; clamps noise."""
     a = as_numbers("matrix", a).astype(complex, copy=False)
     psd_eigenvalues(a)
+    return _psd_root(a)
+
+
+def _psd_root(a: np.ndarray) -> np.ndarray:
+    """:func:`matrix_sqrt_psd` of a complex matrix or stack that passed the validity rule."""
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
     b = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)

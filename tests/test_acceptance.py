@@ -22,8 +22,8 @@ from bellbidir.infotheory import (
     aux_info_closed,
     classical_accessible_info,
     classical_capacity_closed,
-    coherent_information,
     concurrence,
+    info_report_from_choi,
     min_partial_transpose_eigenvalue,
     quantum_mutual_information,
     shannon_mutual_information,
@@ -215,7 +215,7 @@ def test_criterion_8_coherent_information_identity():
     all_negative = True
     for t in np.linspace(0.0, 1.0, 101):
         choi = symmetric_mixed_choi(float(t))
-        i_coh = coherent_information(choi)
+        i_coh = info_report_from_choi(choi, float(t)).i_coh
         worst_gap = max(worst_gap, abs(i_coh - (quantum_mutual_information(choi) - 1.0)))
         all_negative = all_negative and i_coh < 0.0
     _report(

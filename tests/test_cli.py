@@ -473,14 +473,25 @@ def test_fig3a_sweep_memory_budget(capsys):
 
 
 def test_verify_memory_budget(capsys):
-    # verify runs one grid row per stacked circuit. The traced peak is about 0.6 MiB warm, set by the
-    # accessible-information lattice scan of the 101-state stack; the independent grid's rows, extracted and checked,
-    # peak at about 0.3 MiB. Extraction writes the reached amplitudes straight into the complex (4, 512) operands,
-    # so even the whole 81-point grid as one stacked circuit extracts within about 2.7 MiB, against about 4.6 MiB
-    # for the dense 2**11 registers (the stacked verify-grid budget in test_protocols)
+    # verify extracts each grid in stacked circuits of at most 81 points, so the default 9x9 grid is one circuit.
+    # Extraction writes the reached amplitudes straight into the complex (4, 512) operands, so that block extracts
+    # within about 2.7 MiB, against about 4.6 MiB for the dense 2**11 registers (the stacked verify-grid budget in
+    # test_protocols); the accessible-information lattice scan of the 101-state stack peaks at about 0.6 MiB
     tracemalloc.start()
     try:
         assert main(["verify"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("VERIFY: PASS\n")
+    assert peak <= 4 * 2**20
+
+
+def test_verify_memory_is_bounded_by_one_block(capsys):
+    # the 20x20 grid runs as five stacked circuits of at most 81 points; as one 400-point circuit it traces ~13 MiB
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--grid", "20", "--points", "5"]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -495,12 +506,10 @@ def test_channel_deviation_rejects_empty_points():
             cli.channel_deviation("common", grid)
 
 
-def test_channel_deviation_is_the_worst_per_point_trace_distance(monkeypatch):
-    thetas = np.linspace(0.0, math.pi, 3)
-    # three rows of three points; the last row's theta2 is off the grid
-    theta1, theta2 = np.broadcast_arrays(np.array([*thetas[:2], 0.3])[:, None], [thetas, thetas, [2.0, 0.7, 2.9]])
+def worst_per_point_distances(theta1, theta2):
+    """Per direction, the worst trace distance of the independent scheme over the points, one circuit per point."""
     points = [SchemeParams(a, b) for a, b in zip(theta1.ravel(), theta2.ravel())]
-    expected = [
+    return [
         max(
             trace_distance(
                 protocols.extract_choi(protocols.build_scheme_independent(point), *protocols.channel_endpoints(d)),
@@ -510,16 +519,43 @@ def test_channel_deviation_is_the_worst_per_point_trace_distance(monkeypatch):
         )
         for d in DIRECTIONS
     ]
+
+
+def count_deviation_calls(monkeypatch):
+    """The calls channel_deviation makes, in order: each extraction as its number of points, the rest by name."""
     calls = []
 
     def counted(name, function):
-        return lambda *args: calls.append(name) or function(*args)
+        def call(*args):
+            value = function(*args)
+            calls.append(len(value) if name == "extract_choi" else name)
+            return value
+
+        return call
 
     for name in ("extract_choi", "analytic_channel", "choi_of_channel", "trace_distance"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    return calls
+
+
+def test_channel_deviation_is_the_worst_per_point_trace_distance(monkeypatch):
+    thetas = np.linspace(0.0, math.pi, 3)
+    # three rows of three points; the last row's theta2 is off the grid
+    theta1, theta2 = np.broadcast_arrays(np.array([*thetas[:2], 0.3])[:, None], [thetas, thetas, [2.0, 0.7, 2.9]])
+    expected = worst_per_point_distances(theta1, theta2)
+    calls = count_deviation_calls(monkeypatch)
     assert cli.channel_deviation("independent", SchemeParams(theta1=theta1, theta2=theta2)) == expected
-    # one stacked extraction per row and direction; the closed form and its distances once per direction
-    assert sorted(calls) == sorted(["extract_choi"] * 6 + ["analytic_channel", "choi_of_channel", "trace_distance"] * 2)
+    # one stacked extraction per direction; the closed form and its distances once per direction
+    assert calls == [9, "analytic_channel", "choi_of_channel", "trace_distance"] * 2
+
+
+def test_channel_deviation_extracts_a_grid_larger_than_one_block_in_blocks(monkeypatch):
+    # 100 points: a block of 81 and one of 19, each one stacked extraction per direction
+    theta1, theta2 = np.broadcast_arrays(np.linspace(0.0, math.pi, 10)[:, None], np.linspace(0.2, 3.0, 10))
+    expected = worst_per_point_distances(theta1, theta2)
+    calls = count_deviation_calls(monkeypatch)
+    assert cli.channel_deviation("independent", SchemeParams(theta1=theta1, theta2=theta2)) == expected
+    assert calls == [81, 19, "analytic_channel", "choi_of_channel", "trace_distance"] * 2
 
 
 def test_channel_deviation_names_the_two_circuit_schemes():
@@ -527,14 +563,14 @@ def test_channel_deviation_names_the_two_circuit_schemes():
         cli.channel_deviation("mixed", SchemeParams())
 
 
-def test_verify_builds_one_scheme_params_per_grid_and_per_row(monkeypatch):
-    # the 9x9 grid and its 9 rows, the 17-angle common row and its one row, and the two symmetric points of the
-    # information checks: 14 objects, where one per grid point would be 100
+def test_verify_builds_one_scheme_params_per_grid_and_per_block(monkeypatch):
+    # the 9x9 grid and its one 81-point block, the 17-angle common row and its one block, and the two symmetric
+    # points of the information checks: 6 objects, where one per grid row would be 14 and one per grid point 100
     built = []
     check = SchemeParams.__post_init__
     monkeypatch.setattr(SchemeParams, "__post_init__", lambda params: built.append(params) or check(params))
     assert all(result.passed for result in run_verification())
-    assert len(built) == 14
+    assert len(built) == 6
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):

@@ -4,6 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from bellbidir import infotheory, linalg
 from bellbidir.channels import choi_of_channel
 from bellbidir.errors import BadMatrix, DomainError, NonHermitianInput, NotPSD, OutOfRange
 from bellbidir.infotheory import (
@@ -14,7 +15,6 @@ from bellbidir.infotheory import (
     aux_info_closed,
     classical_accessible_info,
     classical_capacity_closed,
-    coherent_information,
     concurrence,
     concurrence_closed,
     h2,
@@ -47,6 +47,11 @@ def symmetric_mixed_choi(t):
 
 def info_report(t):
     return info_report_from_choi(symmetric_mixed_choi(t), t)
+
+
+def coherent_information(rho):
+    """The report's i_coh, S[rho_Q] - S[rho_RQ], of a state or of each state of a stack."""
+    return info_report_from_choi(rho, 0.5).i_coh
 
 
 def random_state(rng, rank=4):
@@ -413,6 +418,45 @@ def test_objective_over_axes_matches_conditional_output_entropies():
             assert abs(value - retained) <= 1e-12
 
 
+@pytest.mark.parametrize("stack", [fig4_states, lambda: random_states(50)], ids=["fig4", "random"])
+def test_info_report_equals_the_public_measures_bit_for_bit(stack):
+    stack = stack()
+    ts = np.linspace(0.0, 1.0, len(stack))
+    report = info_report_from_choi(stack, ts)
+    i_tot, (i_class, _) = quantum_mutual_information(stack), classical_accessible_info(stack)
+    min_pt = min_partial_transpose_eigenvalue(stack)
+    expected = {
+        "t": ts,
+        "i_aux": shannon_mutual_information(trigger_joint_distribution(ts)),
+        "i_tot": i_tot,
+        "i_class": i_class,
+        "discord": i_tot - i_class,
+        "concurrence": concurrence(stack),
+        "i_coh": von_neumann_entropy(partial_trace(stack, 2, [1])) - von_neumann_entropy(stack),
+        "min_pt_eigenvalue": min_pt,
+    }
+    for field, values in expected.items():
+        assert np.array_equal(getattr(report, field).view(np.uint64), values.view(np.uint64)), field
+    assert np.array_equal(report.entanglement_breaking, min_pt >= -1e-10)
+
+
+def test_info_report_checks_and_decomposes_each_state_once(monkeypatch):
+    calls = []
+
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
+    # psd_eigenvalues is patched where it is defined too, since matrix_sqrt_psd calls it there
+    patched = [(infotheory, "_density_matrices"), (infotheory, "psd_eigenvalues"), (linalg, "psd_eigenvalues")]
+    for module, name in [*patched, (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for states in (fig4_states(), symmetric_mixed_choi(0.4)):
+        calls.clear()
+        info_report_from_choi(states, 0.4)
+        # the spectrum, two marginals, the spin-flipped matrix, the partial transpose, and the root by eigh
+        assert sorted(calls) == ["_density_matrices", "eigh", *["eigvalsh"] * 5, "psd_eigenvalues"]
+
+
 def test_info_report_on_a_stack_holds_one_entry_per_state():
     stack, ts = fig4_states()[::10], np.linspace(0.0, 1.0, 101)[::10].tolist()
     report = info_report_from_choi(stack, ts)
@@ -429,7 +473,6 @@ MEASURES = (
     min_partial_transpose_eigenvalue,
     matrix_sqrt_psd,
     concurrence,
-    coherent_information,
     lambda state: info_report_from_choi(state, 0.5),
 )
 
