@@ -27,12 +27,9 @@ from .channels import SCHEMES, analytic_channel, choi_of_channel, mixing_weight,
 from .errors import OutOfRange, is_integer
 from .infotheory import (
     aux_info_closed,
-    classical_accessible_info,
     classical_capacity_closed,
-    concurrence,
     concurrence_closed,
     info_report_from_choi,
-    quantum_mutual_information,
     shannon_mutual_information,
     total_info_closed,
     trigger_joint_distribution,
@@ -78,8 +75,7 @@ def simulated_choi(scheme: str, params: SchemeParams, direction: str) -> np.ndar
 
 def _symmetric_point_states(ts: list[float] | np.ndarray) -> np.ndarray:
     """The mixed scheme's simulated A-to-B channel states at p1 = p2 = p = 1/2, one per t, from two extractions."""
-    parts = [simulated_choi(name, SchemeParams(), A_TO_B) for name in ("independent", "common")]
-    return choi_mixed(ts, *parts)
+    return simulated_choi("mixed", SchemeParams(t=ts), A_TO_B)
 
 
 def _fig3_columns(scheme: str, grid: np.ndarray) -> list[np.ndarray]:
@@ -138,11 +134,11 @@ def trigger_info_deviation(points: int = 101) -> list[float]:
 
 
 def infotheory_deviations(points: int = 101) -> list[float]:
-    """Worst deviation of i_tot, i_class and concurrence of simulated channel states from their closed forms over t."""
+    """Worst deviation of the fig-4 report's i_tot, i_class and concurrence from their closed forms over t."""
     ts = _t_grid(points)
-    states = _symmetric_point_states(ts)
+    report = info_report_from_choi(_symmetric_point_states(ts), ts)
     closed_forms = (total_info_closed, classical_capacity_closed, concurrence_closed)
-    measured = (quantum_mutual_information(states), classical_accessible_info(states)[0], concurrence(states))
+    measured = (report.i_tot, report.i_class, report.concurrence)
     return [float(np.max(np.abs(closed(ts) - values))) for closed, values in zip(closed_forms, measured)]
 
 

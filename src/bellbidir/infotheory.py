@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMatrix, DomainError, _reject_first, as_reals, as_unit_interval
-from .linalg import _psd_root, _scalar_or_stack, as_numbers, matrix_sqrt_psd, partial_trace, psd_eigenvalues
+from .linalg import _psd_root, _scalar_or_stack, as_numbers, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
@@ -78,7 +78,7 @@ def trigger_joint_distribution(t, p1=0.5, p2=0.5, p=0.5) -> np.ndarray:
 
 def shannon_mutual_information(m: np.ndarray):
     """Mutual information of a 2x2 joint probability table, or of each table of a ``(..., 2, 2)`` stack, in bits."""
-    m = np.asarray(m, dtype=float)
+    m = as_reals("joint probability table", m)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 table or a stack of them, got {m.shape}")
     bad = ~((m.min(axis=(-2, -1)) >= -_DOMAIN_SLACK) & (np.abs(m.sum(axis=(-2, -1)) - 1.0) <= _DOMAIN_SLACK))
@@ -96,13 +96,14 @@ def aux_info_closed(t):
     return 2.0 - h4_22(as_unit_interval("mixing weight t", t) / 4.0)
 
 
-def _density_matrices(rho, size: int | None = None) -> np.ndarray:
-    """``rho`` as a complex matrix or stack (:func:`linalg.as_numbers`) whose traces are 1 within _TRACE_TOL."""
-    rho = as_numbers("density matrix", rho, size).astype(complex, copy=False)
+def _density_matrices(rho) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of a two-qubit density matrix or stack: 4x4 numbers, a trace of 1 within _TRACE_TOL and the
+    validity rule, in that order.  Returns ``rho`` as a complex array and its spectrum (:func:`psd_eigenvalues`)."""
+    rho = as_numbers("density matrix", rho, 4).astype(complex, copy=False)
     trace = np.trace(rho, axis1=-2, axis2=-1).real
     bad = np.isfinite(trace) & (np.abs(trace - 1.0) > _TRACE_TOL)  # the validity rule names a NaN or inf entry
     _reject_first(bad, trace, BadMatrix, "density matrix has trace {:.12g}, not 1")
-    return rho
+    return rho, psd_eigenvalues(rho)
 
 
 def _entropy(w: np.ndarray) -> np.ndarray:
@@ -117,18 +118,10 @@ def _marginal_entropy(choi: np.ndarray, keep: int) -> np.ndarray:
     return _entropy(np.linalg.eigvalsh(partial_trace(choi, 2, [keep])))
 
 
-def von_neumann_entropy(rho: np.ndarray):
-    """-Tr[rho log2 rho] over the eigenvalues of a density matrix, or per matrix of a stack."""
-    return _scalar_or_stack(_entropy(psd_eigenvalues(_density_matrices(rho))))
-
-
 def quantum_mutual_information(rho_rq: np.ndarray):
-    """S[rho_R] + S[rho_Q] - S[rho_RQ]; the entanglement-assisted capacity here."""
-    return (
-        von_neumann_entropy(partial_trace(rho_rq, 2, [0]))
-        + von_neumann_entropy(partial_trace(rho_rq, 2, [1]))
-        - von_neumann_entropy(rho_rq)
-    )
+    """S[rho_R] + S[rho_Q] - S[rho_RQ]; the entanglement-assisted capacity here.  A stack gives one per state."""
+    rho, w = _density_matrices(rho_rq)
+    return _scalar_or_stack(_marginal_entropy(rho, 0) + _marginal_entropy(rho, 1) - _entropy(w))
 
 
 def total_info_closed(t):
@@ -207,8 +200,7 @@ def classical_accessible_info(rho_rq: np.ndarray):
     self-check.  A ``(..., 4, 4)`` stack gives both per state, and each
     Newton step scores the whole stack in one batch.
     """
-    choi = _density_matrices(rho_rq, 4)
-    psd_eigenvalues(choi)
+    choi, _ = _density_matrices(rho_rq)
     return tuple(map(_scalar_or_stack, _accessible_info(choi, _marginal_entropy(choi, 1))))
 
 
@@ -267,8 +259,8 @@ def concurrence(rho: np.ndarray):
     sqrt(rho), takes the square roots of its eigenvalues in descending
     order, and returns max(0, l1 - l2 - l3 - l4).
     """
-    rho = _density_matrices(rho, 4)
-    return _scalar_or_stack(_concurrence(rho, matrix_sqrt_psd(rho)))  # the root checks the validity rule
+    rho, _ = _density_matrices(rho)
+    return _scalar_or_stack(_concurrence(rho, _psd_root(rho)))
 
 
 def _concurrence(rho: np.ndarray, root: np.ndarray) -> np.ndarray:
@@ -291,8 +283,7 @@ def min_partial_transpose_eigenvalue(rho: np.ndarray):
     separability, so a nonnegative result certifies an entanglement-breaking
     channel when ``rho`` is its channel state.
     """
-    rho = _density_matrices(rho, 4)
-    psd_eigenvalues(rho)
+    rho, _ = _density_matrices(rho)
     return _scalar_or_stack(_min_pt_eigenvalue(rho))
 
 
@@ -326,10 +317,10 @@ def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5,
     of :func:`trigger_joint_distribution`.  Each state is checked once, and
     i_coh is the coherent information S[rho_Q] - S[rho_RQ].
     """
-    choi = _density_matrices(choi, 4)
+    choi, w = _density_matrices(choi)
     ts = np.broadcast_to(as_reals("mixing weight t", t), choi.shape[:-2])
     tables = trigger_joint_distribution(ts, p1, p2, p)
-    s_rq, s_q = _entropy(psd_eigenvalues(choi)), _marginal_entropy(choi, 1)
+    s_rq, s_q = _entropy(w), _marginal_entropy(choi, 1)
     i_tot, i_class = _marginal_entropy(choi, 0) + s_q - s_rq, _accessible_info(choi, s_q)[0]
     values = [ts.copy(), shannon_mutual_information(tables), i_tot, i_class, i_tot - i_class]  # t to discord
     values += [_concurrence(choi, _psd_root(choi)), s_q - s_rq, _min_pt_eigenvalue(choi)]  # to min_pt_eigenvalue

@@ -10,9 +10,9 @@ import numpy as np
 
 from .errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, OutOfRange, _reject_first, as_indices, is_integer
 
-# The validity rule of every density matrix, or of each matrix of a stack: finite, Hermitian within
-# HERMITIAN_TOL, no eigenvalue below EIG_NOISE_FLOOR; eigenvalues in [EIG_NOISE_FLOOR, 0) are rounding
-# noise, clamped to zero.  An error on a stack names the flat index of its first failing matrix.
+# The validity rule of every density matrix, or of each matrix of a stack: finite, Hermitian within HERMITIAN_TOL,
+# no eigenvalue below EIG_NOISE_FLOOR; eigenvalues in [EIG_NOISE_FLOOR, 0) are rounding noise, clamped to zero.
+# An error on a stack names the flat index of its first failing matrix; trace_distance checks a - b by the first two.
 HERMITIAN_TOL = 1e-10
 EIG_NOISE_FLOOR = -1e-10
 
@@ -44,15 +44,19 @@ def _scalar_or_stack(values: np.ndarray):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``a`` if it, or each matrix of a stack, is finite and Hermitian within HERMITIAN_TOL; else NonHermitianInput."""
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    _reject_first(~finite, finite, NonHermitianInput, f"{name} has a NaN or infinite entry")
+    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    message = f"{name} deviates from Hermitian by {{:.3e}} (tol {HERMITIAN_TOL:.0e})"
+    _reject_first(defect > HERMITIAN_TOL, defect, NonHermitianInput, message)
+    return a
+
+
 def psd_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a density matrix, or per matrix of a stack, that passes the validity rule."""
-    a = as_numbers("matrix", a)
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    _reject_first(~finite, finite, NonHermitianInput, "matrix has a NaN or infinite entry")
-    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    message = f"matrix deviates from Hermitian by {{:.3e}} (tol {HERMITIAN_TOL:.0e})"
-    _reject_first(defect > HERMITIAN_TOL, defect, NonHermitianInput, message)
-    w = np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(_check_hermitian(as_numbers("matrix", a)))
     _reject_first(w[..., 0] < EIG_NOISE_FLOOR, w[..., 0], NotPSD, f"eigenvalue {{:.3e}} below {EIG_NOISE_FLOOR:.0e}")
     return w
 
@@ -108,5 +112,6 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
     """Trace distance of two Hermitian matrices, half the L1 norm of the spectrum of a - b; per pair of two stacks."""
-    w = np.linalg.eigvalsh(as_numbers("matrix", a) - as_numbers("matrix", b))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the finite check names
+        w = np.linalg.eigvalsh(_check_hermitian(as_numbers("matrix", a) - as_numbers("matrix", b), "a - b"))
     return _scalar_or_stack(0.5 * np.sum(np.abs(w), axis=-1))

@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -40,6 +41,11 @@ def run_main(capsys, argv):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def shifted(report, field, shift):
+    """An information report with ``shift`` added to its ``field``."""
+    return dataclasses.replace(report, **{field: getattr(report, field) + shift})
 
 
 # fig-3 figure -> (scheme, the parameter point of a row's grid cells, the directions of its fidelity cells)
@@ -307,8 +313,8 @@ def test_run_verification_results(monkeypatch):
     results = run_verification(grid=3, points=11)
     assert all(result.passed for result in results)
     assert any("independent" in result.name for result in results)
-    optimizer = cli.classical_accessible_info
-    monkeypatch.setattr(cli, "classical_accessible_info", lambda rho: (optimizer(rho)[0] + 1e-9, 0.0))
+    report = cli.info_report_from_choi
+    monkeypatch.setattr(cli, "info_report_from_choi", lambda *args: shifted(report(*args), "i_class", 1e-9))
     failed = [result.name for result in run_verification(grid=3, points=11) if not result.passed]
     assert len(failed) == 1 and failed[0].startswith("classical capacity")
     for grid, points in ((1, 11), (3, 0)):
@@ -404,6 +410,22 @@ def test_each_channel_line_checks_one_direction(monkeypatch, capsys, direction):
     assert failed_checks(capsys) == {f"independent choi vs closed form {name}", f"common choi vs closed form {name}"}
 
 
+@pytest.mark.parametrize(
+    ("field", "line", "tolerance"),
+    [
+        ("i_tot", "total info closed form vs channel state", cli.TOTAL_TOL),
+        ("i_class", "classical capacity closed form vs optimizer", cli.CAPACITY_TOL),
+        ("concurrence", "concurrence closed form vs spectrum", cli.CONCURRENCE_TOL),
+    ],
+)
+def test_each_information_line_reads_its_field_of_the_printed_report(monkeypatch, capsys, field, line, tolerance):
+    # verify's information lines read the report that sweep --figure 4 and simulate print, one field each. The shift
+    # is ten tolerances: a shift of one tolerance can read exactly the tolerance where the value is exact, and pass
+    report = cli.info_report_from_choi
+    monkeypatch.setattr(cli, "info_report_from_choi", lambda *args: shifted(report(*args), field, 10 * tolerance))
+    assert failed_checks(capsys) == {line}
+
+
 def test_trigger_info_check_can_fail(monkeypatch, capsys):
     # with the tests above, every one of the eight verify lines has a test that makes it fail
     aux = cli.aux_info_closed
@@ -435,7 +457,7 @@ def test_verify_reports_a_raised_check_as_fail(monkeypatch, capsys):
     def raise_domain_error(*args):
         raise DomainError("entropy of a negative probability")
 
-    monkeypatch.setattr(cli, "classical_accessible_info", raise_domain_error)
+    monkeypatch.setattr(cli, "info_report_from_choi", raise_domain_error)
     assert failed_checks(capsys) == {
         "total info closed form vs channel state",
         "classical capacity closed form vs optimizer",
@@ -564,13 +586,14 @@ def test_channel_deviation_names_the_two_circuit_schemes():
 
 
 def test_verify_builds_one_scheme_params_per_grid_and_per_block(monkeypatch):
-    # the 9x9 grid and its one 81-point block, the 17-angle common row and its one block, and the two symmetric
-    # points of the information checks: 6 objects, where one per grid row would be 14 and one per grid point 100
+    # the 9x9 grid and its one 81-point block, the 17-angle common row and its one block, and the symmetric point of
+    # the information checks as one object whose t is the t grid: 5 objects, where building that point once per
+    # scheme made 6
     built = []
     check = SchemeParams.__post_init__
     monkeypatch.setattr(SchemeParams, "__post_init__", lambda params: built.append(params) or check(params))
     assert all(result.passed for result in run_verification())
-    assert len(built) == 6
+    assert len(built) == 5
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):

@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from bellbidir import infotheory, linalg
+from bellbidir import cli, infotheory, linalg
 from bellbidir.channels import choi_of_channel
 from bellbidir.errors import BadMatrix, DomainError, NonHermitianInput, NotPSD, OutOfRange
 from bellbidir.infotheory import (
@@ -26,7 +26,6 @@ from bellbidir.infotheory import (
     shannon_mutual_information,
     total_info_closed,
     trigger_joint_distribution,
-    von_neumann_entropy,
 )
 from bellbidir.linalg import matrix_sqrt_psd, partial_trace, projector, psd_eigenvalues
 from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent, choi_mixed, extract_choi
@@ -52,6 +51,16 @@ def info_report(t):
 def coherent_information(rho):
     """The report's i_coh, S[rho_Q] - S[rho_RQ], of a state or of each state of a stack."""
     return info_report_from_choi(rho, 0.5).i_coh
+
+
+def von_neumann_entropy(rho):
+    """The oracle -Tr[rho log2 rho] of a Hermitian matrix or of each of a stack, by its eigenvalues, unchecked.
+
+    Eigenvalues below 1e-15 count as zero, and the terms are summed in eigenvalue order, as the package does.
+    """
+    p = np.maximum(np.linalg.eigvalsh(rho), 0.0)
+    terms = -p * np.log2(p, out=np.zeros_like(p), where=p > 1e-15)
+    return sum(np.moveaxis(terms, -1, 0))
 
 
 def random_state(rng, rank=4):
@@ -168,6 +177,12 @@ def test_shannon_mutual_information_validation():
     tables[2, 1, 0] = -0.1
     with pytest.raises(ValueError, match="table 2 of the stack"):
         shannon_mutual_information(tables)
+    # unchecked, the strings parse as a uniform table of information 0, and a complex table warns before it fails
+    for table in ([["0.25"] * 2] * 2, np.full((2, 2), "0.25"), np.full((2, 2), 0.25 + 0j), [[0.5, 0.5], [0, None]]):
+        with pytest.raises(OutOfRange, match=r"(?s)^joint probability table=.* is not a real number$"):
+            shannon_mutual_information(table)
+    assert shannon_mutual_information([[True, False], [False, False]]) == 0.0  # bools and ints are numbers
+    assert shannon_mutual_information([[0, 1], [0, 0]]) == 0.0
 
 
 def test_shannon_mutual_information_on_a_stack_equals_per_table_calls():
@@ -190,15 +205,17 @@ def test_aux_info_closed_matches_table():
         aux_info_closed(2.0)
 
 
-def test_von_neumann_entropy_reference_points():
+def test_quantum_mutual_information_reference_points():
+    # each marginal of these states is RHO0, of entropy 1, so I = 2 - S[rho_RQ]
     assert abs(von_neumann_entropy(RHO0) - 1.0) <= 1e-12
-    assert abs(von_neumann_entropy(projector(bell_state()))) <= 1e-12
+    assert abs(quantum_mutual_information(projector(bell_state())) - 2.0) <= 1e-12
     # spectrum (7/16, 3/16, 3/16, 3/16) by substitution at t = 1
     expected = -(7 / 16) * math.log2(7 / 16) - 3 * (3 / 16) * math.log2(3 / 16)
+    assert abs(quantum_mutual_information(symmetric_mixed_choi(1.0)) - (2.0 - expected)) <= 1e-12
     assert abs(von_neumann_entropy(symmetric_mixed_choi(1.0)) - expected) <= 1e-12
     assert abs(expected - 1.8802) <= 1e-4
     with pytest.raises(NotPSD):
-        von_neumann_entropy(np.diag([1.1, -0.1]))
+        quantum_mutual_information(np.diag([1.1, 0.0, 0.0, -0.1]))
 
 
 def test_quantum_mutual_information_golden_values():
@@ -338,7 +355,6 @@ def random_states(count):
 def test_measures_on_a_stack_equal_per_state_calls(stack):
     stack = stack()
     for measure in (
-        von_neumann_entropy,
         quantum_mutual_information,
         concurrence,
         min_partial_transpose_eigenvalue,
@@ -446,7 +462,7 @@ def test_info_report_checks_and_decomposes_each_state_once(monkeypatch):
     def counted(name, function):
         return lambda *args: calls.append(name) or function(*args)
 
-    # psd_eigenvalues is patched where it is defined too, since matrix_sqrt_psd calls it there
+    # psd_eigenvalues is patched where it is defined too, so a check through matrix_sqrt_psd would count
     patched = [(infotheory, "_density_matrices"), (infotheory, "psd_eigenvalues"), (linalg, "psd_eigenvalues")]
     for module, name in [*patched, (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -455,6 +471,10 @@ def test_info_report_checks_and_decomposes_each_state_once(monkeypatch):
         info_report_from_choi(states, 0.4)
         # the spectrum, two marginals, the spin-flipped matrix, the partial transpose, and the root by eigh
         assert sorted(calls) == ["_density_matrices", "eigh", *["eigvalsh"] * 5, "psd_eigenvalues"]
+    # verify's information line checks its 101 states once too; the extraction's own checks are not counted here
+    calls.clear()
+    cli.infotheory_deviations(101)
+    assert (calls.count("_density_matrices"), calls.count("psd_eigenvalues")) == (1, 1)
 
 
 def test_info_report_on_a_stack_holds_one_entry_per_state():
@@ -467,7 +487,6 @@ def test_info_report_on_a_stack_holds_one_entry_per_state():
 
 
 MEASURES = (
-    von_neumann_entropy,
     quantum_mutual_information,
     classical_accessible_info,
     min_partial_transpose_eigenvalue,
@@ -500,9 +519,9 @@ def test_non_finite_state_is_rejected(value, entry):
 
 
 def test_information_measures_reject_a_trace_off_one():
-    # unchecked, these would read -4, -8 and -8 bits, and a concurrence of about 2
+    # unchecked, these would read -2, -8 and -8 bits, and a concurrence of about 2
     for measure, state in (
-        (von_neumann_entropy, 2 * np.eye(2)),
+        (quantum_mutual_information, np.eye(4) / 2),
         (quantum_mutual_information, np.eye(4)),
         (classical_accessible_info, np.ones((4, 4))),
         (concurrence, 2 * projector(bell_state())),

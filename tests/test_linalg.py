@@ -6,7 +6,7 @@ import pytest
 
 from bellbidir.channels import weight_from_choi
 from bellbidir.errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
-from bellbidir.infotheory import concurrence, info_report_from_choi, quantum_mutual_information, von_neumann_entropy
+from bellbidir.infotheory import concurrence, info_report_from_choi, quantum_mutual_information
 from bellbidir.linalg import (
     matrix_sqrt_psd,
     partial_trace,
@@ -130,6 +130,28 @@ def test_trace_distance():
     assert stacked.tolist() == [trace_distance(x, y) for x, y in zip(a, b)]
 
 
+def test_trace_distance_rejects_a_difference_that_is_not_finite_and_hermitian():
+    # eigvalsh reads one triangle: unchecked, [[0, 1], [0, 0]] and its transpose read 0 and 1, NaN reads 0 or nan,
+    # and inf - inf warns before it reads nan
+    upper, zero = np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))
+    for a, b in ((upper, zero), (upper.T, zero), (zero, upper)):
+        with pytest.raises(NonHermitianInput, match=r"^a - b deviates from Hermitian by 1\.000e\+00 \(tol 1e-10\)$"):
+            trace_distance(a, b)
+    for value in (np.nan, np.inf):
+        bad = np.diag([value, 0.0])
+        for a, b in ((bad, zero), (zero, bad), (bad, bad)):
+            with pytest.raises(NonHermitianInput, match=r"^a - b has a NaN or infinite entry$"):
+                trace_distance(a, b)
+    stack = np.array([I2, I2, I2]) / 2
+    shifted = stack.copy()
+    shifted[1, 0, 1] += 1e-9
+    with pytest.raises(NonHermitianInput, match=r"by 1\.000e-09 \(tol 1e-10\) \(matrix 1 of the stack\)$"):
+        trace_distance(stack, shifted)
+    # a difference Hermitian within the tolerance, as of two validated channel states, passes
+    shifted[1, 0, 1] = stack[1, 0, 1] + 1e-11
+    assert np.all(trace_distance(stack, shifted) <= 1e-10)
+
+
 @pytest.mark.parametrize("keep", [[0.7], [1.0], [0, 1.0], [True], [np.False_], ["0"], 0], ids=repr)
 def test_partial_trace_rejects_a_keep_that_is_not_integers(keep):
     # an index is a Python or numpy integer, never a bool: 0.7 must not be truncated to qubit 0
@@ -148,8 +170,8 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
     # numpy would parse "1" as a number, or raise its own error; every matrix and state input applies one rule first
     rho, choi, circuit = np.eye(2) / 2, np.eye(4) / 4, Circuit(1, ("a",), ())
     inputs = {  # the call, and an input of the wrong size for it
-        von_neumann_entropy: np.ones(3),
-        quantum_mutual_information: rho,
+        quantum_mutual_information: np.ones(3),
+        partial(quantum_mutual_information): rho,  # a second key, for a second wrong size
         concurrence: rho,
         partial(info_report_from_choi, t=0.5): rho,
         weight_from_choi: np.eye(2),
@@ -180,6 +202,6 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
     with pytest.raises(BadMatrix, match=r"^choi_com must be a 4x4 matrix or a stack of them, got shape \(2, 2\)$"):
         choi_mixed(0.5, choi, rho)
     # bools, ints, floats and complex numbers pass
-    assert von_neumann_entropy(np.array([[True, False], [False, False]])) == 0.0
-    assert von_neumann_entropy([[1, 0], [0, 0]]) == 0.0
+    assert quantum_mutual_information(np.diag([True, False, False, False])) == 0.0
+    assert quantum_mutual_information(np.diag([1, 0, 0, 0]).tolist()) == 0.0
     assert np.array_equal(projector([1, 0]), [[1, 0], [0, 0]])

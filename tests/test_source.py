@@ -1,5 +1,5 @@
 """The package keeps no check in an ``assert``, which ``python -O`` strips out, one import path per name, no
-public name that no code uses and no private name that the package itself does not use."""
+public name that no code uses, no private name that the package itself does not use and no import it never reads."""
 import ast
 import re
 from pathlib import Path
@@ -112,3 +112,22 @@ def test_every_private_name_is_used_by_the_package():
     # a private name is the package's own: if no other statement of the package uses it, delete it
     unused = unused_definitions(private=True)
     assert not unused, f"private names that no other statement of the package uses: {unused}"
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(source):
+    # a name imported and never read is what a deleted route leaves behind. cli binds MARGINAL_TOL only so that the
+    # channel_grid benchmark can read it there, until that benchmark reads protocols.MARGINAL_TOL
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in imports
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exempt = {"MARGINAL_TOL"} if source.name == "cli.py" else set()
+    unread = imported - read
+    assert exempt <= unread, f"{source.name}: the exemption {exempt} is no longer needed"
+    assert not unread - exempt, f"{source.name} imports names it never reads: {sorted(unread - exempt)}"
