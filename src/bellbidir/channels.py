@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfRange, _reject_first, as_reals, is_integer
+from .errors import BadMatrix, OutOfRange, _reject_first, as_reals, is_integer
 from .infotheory import trigger_joint_distribution
 from .linalg import _scalar_or_stack, as_numbers, projector
 from .protocols import A_TO_B, DIRECTIONS, SchemeParams
@@ -63,8 +63,10 @@ def choi_of_channel(q) -> np.ndarray:
 
 def weight_from_choi(choi: np.ndarray):
     """Invert :func:`choi_of_channel` via the Bell-state overlap; a ``(..., 4, 4)`` stack gives one weight per state."""
-    bell = bell_state()
-    row = bell.conj() @ as_numbers("channel state", choi, 4).astype(complex, copy=False)
+    bell, choi = bell_state(), as_numbers("channel state", choi, 4).astype(complex, copy=False)
+    finite = np.isfinite(choi).all(axis=(-2, -1))
+    _reject_first(~finite, finite, BadMatrix, "channel state has a NaN or infinite entry")
+    row = bell.conj() @ choi
     # one (1, 4) @ (4, 1) product per state runs numpy's dot kernel, so each entry equals its single-state float
     overlap = np.real(row[..., None, :] @ bell[:, None])[..., 0, 0]
     return _scalar_or_stack((4.0 * overlap - 1.0) / 3.0)

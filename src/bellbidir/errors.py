@@ -56,7 +56,11 @@ def as_reals(name: str, value) -> np.ndarray:
     """``value`` as a float array; :class:`OutOfRange` unless it is a bool, int or float, or an array of them."""
     array = np.asarray(value)
     if array.dtype.kind not in "biuf":  # a str, None, complex, Fraction or other object is not a real number
-        raise OutOfRange(f"{name}={value!r} {'holds a value that is' if array.ndim else 'is'} not a real number")
+        if not array.ndim:
+            raise OutOfRange(f"{name}={value!r} is not a real number")
+        entries = array.ravel().tolist()  # every entry of a str or complex array, an object array's non-reals
+        bad = [array.dtype != object or not isinstance(v, (int, float, np.integer, np.floating)) for v in entries]
+        _reject_first(np.array(bad), list(map(repr, entries)), OutOfRange, f"{name}={{}} is not a real number", "entry")
     return array.astype(float, copy=False)
 
 
@@ -73,6 +77,14 @@ def as_unit_interval(name: str, value) -> np.ndarray:
     array = as_reals(name, value)
     _reject_first(~((array >= 0.0) & (array <= 1.0)), array, OutOfRange, f"{name}={{}} outside [0, 1]", "entry")
     return array
+
+
+def broadcast(name: str, *arrays: np.ndarray) -> list[np.ndarray]:
+    """``arrays`` broadcast together (:func:`numpy.broadcast_arrays`); :class:`OutOfRange` names their shapes if not."""
+    try:
+        return np.broadcast_arrays(*arrays)
+    except ValueError:
+        raise OutOfRange(f"{name} of shapes {[array.shape for array in arrays]} do not broadcast") from None
 
 
 class DomainError(ValueError):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMatrix, DomainError, _reject_first, as_reals, as_unit_interval
-from .linalg import _psd_root, _scalar_or_stack, as_numbers, partial_trace, psd_eigenvalues
+from .errors import BadMatrix, DomainError, _reject_first, as_reals, as_unit_interval, broadcast
+from .linalg import _scalar_or_stack, as_numbers, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
 _DOMAIN_SLACK = 1e-12
@@ -70,7 +70,8 @@ def trigger_joint_distribution(t, p1=0.5, p2=0.5, p=0.5) -> np.ndarray:
     anti-diagonal, where a common trigger fires Alice with probability p and
     Bob otherwise.  Arrays broadcast together into a ``(..., 2, 2)`` stack of tables.
     """
-    t, p1, p2, p = np.broadcast_arrays(*map(as_unit_interval, ("mixing weight t", "p1", "p2", "p"), (t, p1, p2, p)))
+    arrays = map(as_unit_interval, ("mixing weight t", "p1", "p2", "p"), (t, p1, p2, p))
+    t, p1, p2, p = broadcast("trigger parameters (t, p1, p2, p)", *arrays)
     table = np.array([[t * ((1.0 - p1) * (1.0 - p2)), t * ((1.0 - p1) * p2) + (1.0 - t) * (1.0 - p)],
                       [t * (p1 * (1.0 - p2)) + (1.0 - t) * p, t * (p1 * p2)]])  # each product in np.outer's order
     return np.moveaxis(table, (0, 1), (-2, -1))
@@ -116,12 +117,6 @@ def _entropy(w: np.ndarray) -> np.ndarray:
 def _marginal_entropy(choi: np.ndarray, keep: int) -> np.ndarray:
     """Entropy of qubit ``keep`` of each checked two-qubit state: 0 the reference, 1 the output."""
     return _entropy(np.linalg.eigvalsh(partial_trace(choi, 2, [keep])))
-
-
-def quantum_mutual_information(rho_rq: np.ndarray):
-    """S[rho_R] + S[rho_Q] - S[rho_RQ]; the entanglement-assisted capacity here.  A stack gives one per state."""
-    rho, w = _density_matrices(rho_rq)
-    return _scalar_or_stack(_marginal_entropy(rho, 0) + _marginal_entropy(rho, 1) - _entropy(w))
 
 
 def total_info_closed(t):
@@ -252,19 +247,17 @@ def classical_capacity_closed(t):
     return 1.0 - h2(3.0 / 4.0 - as_unit_interval("mixing weight t", t) / 8.0)
 
 
-def concurrence(rho: np.ndarray):
-    """Two-qubit entanglement monotone from the spin-flipped spectrum.
+def _concurrence(rho: np.ndarray) -> np.ndarray:
+    """Two-qubit entanglement monotone of each checked state, from the spin-flipped spectrum.
 
     Evaluates the Hermitian matrix sqrt(rho) (sy x sy) rho* (sy x sy)
     sqrt(rho), takes the square roots of its eigenvalues in descending
-    order, and returns max(0, l1 - l2 - l3 - l4).
+    order, and returns max(0, l1 - l2 - l3 - l4).  The root takes its own
+    ``eigh``, whose eigenvalues differ in the last bits from ``eigvalsh``'s.
     """
-    rho, _ = _density_matrices(rho)
-    return _scalar_or_stack(_concurrence(rho, _psd_root(rho)))
-
-
-def _concurrence(rho: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """:func:`concurrence` of checked states, given the Hermitian square root of each."""
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    root = (root + root.conj().swapaxes(-1, -2)) / 2
     m = root @ _FLIP @ rho.conj() @ _FLIP @ root
     m = (m + m.conj().swapaxes(-1, -2)) / 2.0
     lam = np.sqrt(np.clip(np.linalg.eigvalsh(m)[..., ::-1], 0.0, None))
@@ -276,19 +269,13 @@ def concurrence_closed(t):
     return _scalar_or_stack(np.maximum(0.0, 0.25 - 3.0 * as_unit_interval("mixing weight t", t) / 8.0))
 
 
-def min_partial_transpose_eigenvalue(rho: np.ndarray):
-    """Smallest eigenvalue of the partial transpose over the second qubit.
+def _min_pt_eigenvalue(rho: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the partial transpose over the second qubit, per checked state.
 
     For two qubits, nonnegativity of the partial transpose is equivalent to
     separability, so a nonnegative result certifies an entanglement-breaking
     channel when ``rho`` is its channel state.
     """
-    rho, _ = _density_matrices(rho)
-    return _scalar_or_stack(_min_pt_eigenvalue(rho))
-
-
-def _min_pt_eigenvalue(rho: np.ndarray) -> np.ndarray:
-    """:func:`min_partial_transpose_eigenvalue` of checked states."""
     transposed = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(rho.shape)
     return np.linalg.eigvalsh(transposed).min(axis=-1)
 
@@ -311,18 +298,20 @@ class InfoReport:
 def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5, p: float = 0.5) -> InfoReport:
     """Evaluate every measure on a given channel state, or on each state of a ``(..., 4, 4)`` stack.
 
-    ``t`` sets the trigger-correlation level used for the auxiliary
-    classical information (1 for independent triggers, 0 for a common one),
-    per state of a stack, and ``p1``, ``p2``, ``p`` the firing probabilities
-    of :func:`trigger_joint_distribution`.  Each state is checked once, and
-    i_coh is the coherent information S[rho_Q] - S[rho_RQ].
+    The report is the one route to each measure's value.  ``t``, the
+    trigger-correlation level of the auxiliary classical information (1 for
+    independent triggers, 0 for a common one), broadcasts with the stack, and
+    ``p1``, ``p2``, ``p`` are the firing probabilities of
+    :func:`trigger_joint_distribution`.  Each state is checked once.  i_tot is
+    S[rho_R] + S[rho_Q] - S[rho_RQ], and i_coh is S[rho_Q] - S[rho_RQ].
     """
     choi, w = _density_matrices(choi)
-    ts = np.broadcast_to(as_reals("mixing weight t", t), choi.shape[:-2])
+    _, ts = broadcast("the stack of states and mixing weight t", choi[..., 0, 0], as_reals("mixing weight t", t))
+    choi = np.broadcast_to(choi, (*ts.shape, 4, 4))  # the spectrum w broadcasts as s_rq
     tables = trigger_joint_distribution(ts, p1, p2, p)
     s_rq, s_q = _entropy(w), _marginal_entropy(choi, 1)
     i_tot, i_class = _marginal_entropy(choi, 0) + s_q - s_rq, _accessible_info(choi, s_q)[0]
     values = [ts.copy(), shannon_mutual_information(tables), i_tot, i_class, i_tot - i_class]  # t to discord
-    values += [_concurrence(choi, _psd_root(choi)), s_q - s_rq, _min_pt_eigenvalue(choi)]  # to min_pt_eigenvalue
+    values += [_concurrence(choi), s_q - s_rq, _min_pt_eigenvalue(choi)]  # to min_pt_eigenvalue
     fields = [_scalar_or_stack(value) for value in values]
     return InfoReport(*fields, entanglement_breaking=fields[-1] >= -_PT_EIG_TOL)

@@ -67,21 +67,6 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root B, B @ B == a, of a matrix or stack that passes the validity rule; clamps noise."""
-    a = as_numbers("matrix", a).astype(complex, copy=False)
-    psd_eigenvalues(a)
-    return _psd_root(a)
-
-
-def _psd_root(a: np.ndarray) -> np.ndarray:
-    """:func:`matrix_sqrt_psd` of a complex matrix or stack that passed the validity rule."""
-    w, v = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    b = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (b + b.conj().swapaxes(-1, -2)) / 2
-
-
 def split_keep(num_qubits: int, keep: list[int]) -> tuple[list[int], list[int]]:
     """``keep`` as distinct qubit indices in range, and the other qubits in order; :class:`BadIndex` otherwise."""
     keep = list(as_indices("keep", keep))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadChannelState, BadIndex, BadLabel, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
-from .errors import _reject_first, as_reals, as_unit_interval, check_unit_interval, is_integer
+from .errors import _reject_first, as_reals, as_unit_interval, broadcast, check_unit_interval, is_integer
 from .linalg import _scalar_or_stack, as_numbers, psd_eigenvalues
 from .sim import (
     CCNOT,
@@ -86,11 +86,7 @@ class SchemeParams:
         if not np.isfinite(np.concatenate([array.ravel() for array in arrays])).all():
             raise OutOfRange(f"trigger angles (theta1, theta2, theta) = {angles} must be finite")
         arrays.append(as_unit_interval("mixing weight t", self.t))
-        try:
-            np.broadcast(*arrays)
-        except ValueError:
-            shapes = [array.shape for array in arrays]
-            raise OutOfRange(f"fields (theta1, theta2, theta, t) of shapes {shapes} do not broadcast") from None
+        broadcast("fields (theta1, theta2, theta, t)", *arrays)
 
     @classmethod
     def from_probabilities(cls, p1: float = 0.5, p2: float = 0.5, p: float = 0.5, t: float = 0.0) -> "SchemeParams":
@@ -220,8 +216,10 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
 
 def choi_mixed(t, choi_ind: np.ndarray, choi_com: np.ndarray) -> np.ndarray:
     """Convex mixture t * independent + (1 - t) * common of two channel states; a sequence of t gives a stack."""
-    t = as_unit_interval("mixing weight t", t)[..., None, None]
-    return t * as_numbers("choi_ind", choi_ind, 4) + (1.0 - t) * as_numbers("choi_com", choi_com, 4)
+    t = as_unit_interval("mixing weight t", t)
+    choi_ind, choi_com = as_numbers("choi_ind", choi_ind, 4), as_numbers("choi_com", choi_com, 4)
+    broadcast("stacks of t, choi_ind and choi_com", t, choi_ind[..., 0, 0], choi_com[..., 0, 0])
+    return t[..., None, None] * choi_ind + (1.0 - t[..., None, None]) * choi_com
 
 
 def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:

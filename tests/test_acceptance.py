@@ -22,10 +22,7 @@ from bellbidir.infotheory import (
     aux_info_closed,
     classical_accessible_info,
     classical_capacity_closed,
-    concurrence,
     info_report_from_choi,
-    min_partial_transpose_eigenvalue,
-    quantum_mutual_information,
     shannon_mutual_information,
     trigger_joint_distribution,
 )
@@ -127,10 +124,9 @@ def test_criterion_4_critical_point():
     fid = fidelity_closed(analytic_channel("mixed", SchemeParams.from_probabilities(t=t0), A_TO_B))
     fid_ok = abs(fid - 2 / 3) <= 1e-12
     ts = np.linspace(0.0, 1.0, 1001)
-    pt_values = [min_partial_transpose_eigenvalue(symmetric_mixed_choi(float(t))) for t in ts]
-    conc_values = [concurrence(symmetric_mixed_choi(float(t))) for t in ts]
-    t_pt = next(float(t) for t, v in zip(ts, pt_values) if v >= 0.0)
-    t_conc = next(float(t) for t, v in zip(ts, conc_values) if v <= 1e-12)
+    report = info_report_from_choi(symmetric_mixed_choi(ts), ts)
+    t_pt = next(float(t) for t, v in zip(ts, report.min_pt_eigenvalue) if v >= 0.0)
+    t_conc = next(float(t) for t, v in zip(ts, report.concurrence) if v <= 1e-12)
     grid_ok = abs(t_pt - 2 / 3) <= 1e-3 and abs(t_conc - 2 / 3) <= 1e-3
     _report(
         exact and fid_ok and grid_ok,
@@ -148,8 +144,8 @@ def test_critical_point_is_exact_from_simulated_states():
     t0 = (q_com - 1 / 3) / (q_com - q_ind)
     choi = choi_mixed(t0, ind, com)
     fid = (1 + weight_from_choi(choi)) / 2
-    pt_eig = min_partial_transpose_eigenvalue(choi)
-    deviations = (abs(t0 - CRITICAL_T), abs(fid - 2 / 3), abs(pt_eig), concurrence(choi))
+    report = info_report_from_choi(choi, t0)
+    deviations = (abs(t0 - CRITICAL_T), abs(fid - 2 / 3), abs(report.min_pt_eigenvalue), report.concurrence)
     _report(
         max(deviations) <= 1e-12,
         f"critical point from simulated states: t0 = {t0!r} vs CRITICAL_T, fidelity 2/3, PT eigenvalue and "
@@ -161,11 +157,11 @@ def test_criterion_5_information_golden_numbers():
     aux0 = shannon_mutual_information(trigger_joint_distribution(0.0))
     aux1 = shannon_mutual_information(trigger_joint_distribution(1.0))
     aux_crit = aux_info_closed(2 / 3)
-    i_tot0 = quantum_mutual_information(symmetric_mixed_choi(0.0))
-    i_tot1 = quantum_mutual_information(symmetric_mixed_choi(1.0))
+    report0, report1 = (info_report_from_choi(symmetric_mixed_choi(t), t) for t in (0.0, 1.0))
+    i_tot0, i_tot1 = report0.i_tot, report1.i_tot
     i_class0, _ = classical_accessible_info(symmetric_mixed_choi(0.0))
     i_class1, _ = classical_accessible_info(symmetric_mixed_choi(1.0))
-    conc0 = concurrence(symmetric_mixed_choi(0.0))
+    conc0 = report0.concurrence
     ok = (
         aux0 == 1.0
         and aux1 == 0.0
@@ -197,9 +193,8 @@ def test_criterion_6_crossing_identity():
 
 
 def test_criterion_7_capacity_amplification_ratios():
-    i_tot_ratio = quantum_mutual_information(symmetric_mixed_choi(0.0)) / quantum_mutual_information(
-        symmetric_mixed_choi(1.0)
-    )
+    i_tot = info_report_from_choi(symmetric_mixed_choi(np.array([0.0, 1.0])), [0.0, 1.0]).i_tot
+    i_tot_ratio = i_tot[0] / i_tot[1]
     i_class_ratio = classical_accessible_info(symmetric_mixed_choi(0.0))[0] / classical_accessible_info(
         symmetric_mixed_choi(1.0)
     )[0]
@@ -211,13 +206,10 @@ def test_criterion_7_capacity_amplification_ratios():
 
 
 def test_criterion_8_coherent_information_identity():
-    worst_gap = 0.0
-    all_negative = True
-    for t in np.linspace(0.0, 1.0, 101):
-        choi = symmetric_mixed_choi(float(t))
-        i_coh = info_report_from_choi(choi, float(t)).i_coh
-        worst_gap = max(worst_gap, abs(i_coh - (quantum_mutual_information(choi) - 1.0)))
-        all_negative = all_negative and i_coh < 0.0
+    ts = np.linspace(0.0, 1.0, 101)
+    report = info_report_from_choi(symmetric_mixed_choi(ts), ts)
+    worst_gap = float(np.abs(report.i_coh - (report.i_tot - 1.0)).max())
+    all_negative = bool(np.all(report.i_coh < 0.0))
     _report(
         worst_gap <= 1e-9 and all_negative,
         f"criterion 8: i_coh = i_tot - 1 (max gap {worst_gap:.2e} <= 1e-9) and i_coh < 0 on the whole grid",
@@ -311,7 +303,7 @@ def test_criterion_11_property_suites(tmp_path):
         left, right = np.sort(left[left > 1e-10]), np.sort(right[right > 1e-10])
         schmidt_ok &= len(left) == len(right) and max_abs(left - right) <= 1e-10
 
-    concurrence_ok = abs(concurrence(projector(bell_state())) - 1.0) <= 1e-10
+    concurrence_ok = abs(info_report_from_choi(projector(bell_state()), 0.5).concurrence - 1.0) <= 1e-10
 
     paths = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
     for path in paths:

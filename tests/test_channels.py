@@ -14,7 +14,7 @@ from bellbidir.channels import (
     mixing_weight,
     weight_from_choi,
 )
-from bellbidir.errors import OutOfRange
+from bellbidir.errors import BadMatrix, OutOfRange
 from bellbidir.infotheory import info_report_from_choi, trigger_joint_distribution
 from bellbidir.linalg import projector
 from bellbidir.protocols import A_TO_B, B_TO_A, SchemeParams, apply_channel_from_choi
@@ -107,7 +107,7 @@ def test_array_checks_take_only_real_numbers():
         ("channel weight q", fidelity_closed),
     ):
         for value in ("0.5", ["0.5", 0.5], None, 0.5 + 0j, [0.5, None]):
-            with pytest.raises(OutOfRange, match=rf"^{name}=.* (is|holds a value that is) not a real number$"):
+            with pytest.raises(OutOfRange, match=rf"^{name}=.* is not a real number( \(entry [01] of the stack\))?$"):
                 function(value)
         for value in (True, np.int64(0), 0.5, np.float32(0.25)):  # bools, ints and floats pass
             function(value)
@@ -136,6 +136,19 @@ def test_weight_from_choi_roundtrip():
     for index in np.ndindex(4, 25):
         single = weight_from_choi(stack[index])
         assert type(single) is float and weights[index] == single
+
+
+def test_weight_from_choi_rejects_a_state_that_is_not_finite():
+    # unchecked, a NaN state read as the weight nan; an entry the Bell overlap does not read counts too
+    for value, entry in ((np.nan, (0, 0)), (np.inf, (1, 2)), (-np.inf, (3, 3))):
+        choi = choi_of_channel(0.5)
+        choi[entry] = value
+        with pytest.raises(BadMatrix, match=r"^channel state has a NaN or infinite entry$"):
+            weight_from_choi(choi)
+        with pytest.raises(BadMatrix, match=r"^channel state has a NaN or infinite entry \(matrix 2 of the stack\)$"):
+            weight_from_choi(np.array([choi_of_channel(0.5), choi_of_channel(0.5), choi]))
+    with pytest.raises(BadMatrix):
+        weight_from_choi(np.full((4, 4), np.nan))
 
 
 def test_fidelity_closed_golden_values():

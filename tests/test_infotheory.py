@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,19 +16,16 @@ from bellbidir.infotheory import (
     aux_info_closed,
     classical_accessible_info,
     classical_capacity_closed,
-    concurrence,
     concurrence_closed,
     h2,
     h4_22,
     h4_31,
     info_report_from_choi,
-    min_partial_transpose_eigenvalue,
-    quantum_mutual_information,
     shannon_mutual_information,
     total_info_closed,
     trigger_joint_distribution,
 )
-from bellbidir.linalg import matrix_sqrt_psd, partial_trace, projector, psd_eigenvalues
+from bellbidir.linalg import partial_trace, projector, psd_eigenvalues
 from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent, choi_mixed, extract_choi
 from bellbidir.sim import bell_state, bloch_state
 
@@ -48,9 +46,14 @@ def info_report(t):
     return info_report_from_choi(symmetric_mixed_choi(t), t)
 
 
+def report(rho):
+    """The information report of a state, or of each state of a stack, at t = 1/2: the one route to each measure."""
+    return info_report_from_choi(rho, 0.5)
+
+
 def coherent_information(rho):
     """The report's i_coh, S[rho_Q] - S[rho_RQ], of a state or of each state of a stack."""
-    return info_report_from_choi(rho, 0.5).i_coh
+    return report(rho).i_coh
 
 
 def von_neumann_entropy(rho):
@@ -61,6 +64,38 @@ def von_neumann_entropy(rho):
     p = np.maximum(np.linalg.eigvalsh(rho), 0.0)
     terms = -p * np.log2(p, out=np.zeros_like(p), where=p > 1e-15)
     return sum(np.moveaxis(terms, -1, 0))
+
+
+def marginals(rho):
+    """rho_R and rho_Q of a two-qubit state or stack, each an explicit sum over the other qubit's index."""
+    blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)  # blocks[..., r, q, r', q']
+    return blocks[..., :, 0, :, 0] + blocks[..., :, 1, :, 1], blocks[..., 0, :, 0, :] + blocks[..., 1, :, 1, :]
+
+
+def mutual_information_oracle(rho):
+    """S[rho_R] + S[rho_Q] - S[rho_RQ] from the explicit marginals."""
+    rho_r, rho_q = marginals(rho)
+    return von_neumann_entropy(rho_r) + von_neumann_entropy(rho_q) - von_neumann_entropy(rho)
+
+
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def concurrence_oracle(rho):
+    """Wootters' concurrence from the square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), not Hermitian."""
+    flip = np.kron(SIGMA_Y, SIGMA_Y)
+    eig = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip)
+    lam = -np.sort(-np.sqrt(np.clip(eig.real, 0.0, None)), axis=-1)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+# entry (a q, b r) of the partial transpose over Q is entry (a r, b q) of rho, in row-major flat indices
+PT_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).ravel()
+
+
+def min_pt_eigenvalue_oracle(rho):
+    """Smallest eigenvalue of the partial transpose over Q, by permuting the flat entries of rho."""
+    return np.linalg.eigvalsh(rho.reshape(*rho.shape[:-2], 16)[..., PT_INDEX].reshape(rho.shape))[..., 0]
 
 
 def random_state(rng, rank=4):
@@ -178,9 +213,18 @@ def test_shannon_mutual_information_validation():
     with pytest.raises(ValueError, match="table 2 of the stack"):
         shannon_mutual_information(tables)
     # unchecked, the strings parse as a uniform table of information 0, and a complex table warns before it fails
-    for table in ([["0.25"] * 2] * 2, np.full((2, 2), "0.25"), np.full((2, 2), 0.25 + 0j), [[0.5, 0.5], [0, None]]):
-        with pytest.raises(OutOfRange, match=r"(?s)^joint probability table=.* is not a real number$"):
+    # the one-line message names the first entry that is not a real number, not the repr of the whole table
+    for table, entry in (
+        ([["0.25"] * 2] * 2, r"'0\.25' is not a real number \(entry 0"),
+        (np.full((2, 2), "0.25"), r"'0\.25' is not a real number \(entry 0"),
+        (np.full((2, 2), 0.25 + 0j), r"\(0\.25\+0j\) is not a real number \(entry 0"),
+        ([[0.5, 0.5], [0, None]], r"None is not a real number \(entry 3"),
+        ([[0.5, Fraction(1, 4)], [0.25, 0]], r"Fraction\(1, 4\) is not a real number \(entry 1"),
+    ):
+        with pytest.raises(OutOfRange, match=rf"^joint probability table={entry} of the stack\)$"):
             shannon_mutual_information(table)
+    # an object array of real numbers holds real numbers
+    assert shannon_mutual_information(np.array([[0.5, 0], [0, np.float64(0.5)]], dtype=object)) == 1.0
     assert shannon_mutual_information([[True, False], [False, False]]) == 0.0  # bools and ints are numbers
     assert shannon_mutual_information([[0, 1], [0, 0]]) == 0.0
 
@@ -208,27 +252,26 @@ def test_aux_info_closed_matches_table():
 def test_quantum_mutual_information_reference_points():
     # each marginal of these states is RHO0, of entropy 1, so I = 2 - S[rho_RQ]
     assert abs(von_neumann_entropy(RHO0) - 1.0) <= 1e-12
-    assert abs(quantum_mutual_information(projector(bell_state())) - 2.0) <= 1e-12
+    assert abs(report(projector(bell_state())).i_tot - 2.0) <= 1e-12
     # spectrum (7/16, 3/16, 3/16, 3/16) by substitution at t = 1
     expected = -(7 / 16) * math.log2(7 / 16) - 3 * (3 / 16) * math.log2(3 / 16)
-    assert abs(quantum_mutual_information(symmetric_mixed_choi(1.0)) - (2.0 - expected)) <= 1e-12
+    assert abs(report(symmetric_mixed_choi(1.0)).i_tot - (2.0 - expected)) <= 1e-12
     assert abs(von_neumann_entropy(symmetric_mixed_choi(1.0)) - expected) <= 1e-12
     assert abs(expected - 1.8802) <= 1e-4
     with pytest.raises(NotPSD):
-        quantum_mutual_information(np.diag([1.1, 0.0, 0.0, -0.1]))
+        report(np.diag([1.1, 0.0, 0.0, -0.1]))
 
 
 def test_quantum_mutual_information_golden_values():
-    assert abs(quantum_mutual_information(symmetric_mixed_choi(0.0)) - 0.451) <= 1e-3
-    assert abs(quantum_mutual_information(symmetric_mixed_choi(1.0)) - 0.120) <= 1e-3
-    assert abs(quantum_mutual_information(PRODUCT)) <= 1e-12
+    assert abs(report(symmetric_mixed_choi(0.0)).i_tot - 0.451) <= 1e-3
+    assert abs(report(symmetric_mixed_choi(1.0)).i_tot - 0.120) <= 1e-3
+    assert abs(report(PRODUCT).i_tot) <= 1e-12
 
 
 def test_total_info_closed_matches_channel_state():
-    for t in np.linspace(0.0, 1.0, 101):
-        closed = total_info_closed(float(t))
-        numeric = quantum_mutual_information(symmetric_mixed_choi(float(t)))
-        assert abs(closed - numeric) <= 1e-10
+    ts = np.linspace(0.0, 1.0, 101)
+    numeric = info_report_from_choi(symmetric_mixed_choi(ts), ts).i_tot
+    assert np.abs(total_info_closed(ts) - numeric).max() <= 1e-10
     assert abs(total_info_closed(2 / 3) - (2 - h4_31(1 / 6))) <= 1e-15
     assert abs(total_info_closed(0.0) - 0.4512) <= 1e-4
     assert abs(total_info_closed(1.0) - 0.1198) <= 1e-4
@@ -296,7 +339,7 @@ def test_classical_accessible_info_on_random_states():
                 prob = np.trace(cond).real
                 retained -= prob * von_neumann_entropy(cond / prob)
             assert accessible >= retained - 1e-12
-        assert accessible <= quantum_mutual_information(rho) + 1e-12
+        assert accessible <= mutual_information_oracle(rho) + 1e-12
 
 
 def haar_unitary(rng):
@@ -354,22 +397,19 @@ def random_states(count):
 @pytest.mark.parametrize("stack", [fig4_states, lambda: random_states(30)], ids=["fig4", "random"])
 def test_measures_on_a_stack_equal_per_state_calls(stack):
     stack = stack()
-    for measure in (
-        quantum_mutual_information,
-        concurrence,
-        min_partial_transpose_eigenvalue,
-        coherent_information,
-    ):
-        singles = [measure(rho) for rho in stack]
-        assert all(type(value) is float for value in singles), measure.__name__
-        assert np.array_equal(measure(stack), singles), measure.__name__
+    stacked, singles = report(stack), [report(rho) for rho in stack]
+    for field in ("i_tot", "concurrence", "min_pt_eigenvalue", "i_coh"):
+        values = [getattr(single, field) for single in singles]
+        assert all(type(value) is float for value in values), field
+        assert np.array_equal(getattr(stacked, field), values), field
     values, flatness = classical_accessible_info(stack)
     singles = [classical_accessible_info(rho) for rho in stack]
     assert all(type(value) is float and type(spread) is float for value, spread in singles)
     assert np.array_equal(values, [value for value, _ in singles])
     assert np.array_equal(flatness, [spread for _, spread in singles])
     # leading axes keep their shape
-    assert np.array_equal(concurrence(stack[:6].reshape(2, 3, 4, 4)), np.reshape(concurrence(stack[:6]), (2, 3)))
+    reshaped = report(stack[:6].reshape(2, 3, 4, 4)).concurrence
+    assert np.array_equal(reshaped, np.reshape(stacked.concurrence[:6], (2, 3)))
 
 
 @pytest.mark.parametrize("count", [1, 7, 8, 9, 203])
@@ -439,20 +479,30 @@ def test_info_report_equals_the_public_measures_bit_for_bit(stack):
     stack = stack()
     ts = np.linspace(0.0, 1.0, len(stack))
     report = info_report_from_choi(stack, ts)
-    i_tot, (i_class, _) = quantum_mutual_information(stack), classical_accessible_info(stack)
-    min_pt = min_partial_transpose_eigenvalue(stack)
     expected = {
         "t": ts,
         "i_aux": shannon_mutual_information(trigger_joint_distribution(ts)),
-        "i_tot": i_tot,
-        "i_class": i_class,
-        "discord": i_tot - i_class,
-        "concurrence": concurrence(stack),
+        "i_class": classical_accessible_info(stack)[0],
+        "discord": report.i_tot - report.i_class,
         "i_coh": von_neumann_entropy(partial_trace(stack, 2, [1])) - von_neumann_entropy(stack),
-        "min_pt_eigenvalue": min_pt,
     }
     for field, values in expected.items():
         assert np.array_equal(getattr(report, field).view(np.uint64), values.view(np.uint64)), field
+
+
+@pytest.mark.parametrize("stack", [fig4_states, lambda: random_states(50)], ids=["fig4", "random"])
+def test_info_report_matches_independent_oracles(stack):
+    # each oracle shares no kernel with the package: explicit marginals, Wootters' non-Hermitian product, and a
+    # permutation of the flat entries. The entropies and eigenvalues may differ by rounding, a few hundred ulps of
+    # values of at most 2; the square root of an eigenvalue l of the product moves by its error / (2 sqrt l), and
+    # the random stack has l down to 5e-10, so the concurrence is held to 1e-11
+    stack = stack()
+    report = info_report_from_choi(stack, 0.5)
+    i_tot, min_pt = mutual_information_oracle(stack), min_pt_eigenvalue_oracle(stack)
+    assert np.abs(report.i_tot - i_tot).max() <= 1e-13
+    assert np.abs(report.discord - (i_tot - classical_accessible_info(stack)[0])).max() <= 1e-13
+    assert np.abs(report.concurrence - concurrence_oracle(stack)).max() <= 1e-11
+    assert np.abs(report.min_pt_eigenvalue - min_pt).max() <= 1e-13
     assert np.array_equal(report.entanglement_breaking, min_pt >= -1e-10)
 
 
@@ -462,7 +512,7 @@ def test_info_report_checks_and_decomposes_each_state_once(monkeypatch):
     def counted(name, function):
         return lambda *args: calls.append(name) or function(*args)
 
-    # psd_eigenvalues is patched where it is defined too, so a check through matrix_sqrt_psd would count
+    # psd_eigenvalues is patched where it is defined too, so a second check by any route would count
     patched = [(infotheory, "_density_matrices"), (infotheory, "psd_eigenvalues"), (linalg, "psd_eigenvalues")]
     for module, name in [*patched, (np.linalg, "eigvalsh"), (np.linalg, "eigh")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -486,14 +536,7 @@ def test_info_report_on_a_stack_holds_one_entry_per_state():
         assert row == astuple(single)
 
 
-MEASURES = (
-    quantum_mutual_information,
-    classical_accessible_info,
-    min_partial_transpose_eigenvalue,
-    matrix_sqrt_psd,
-    concurrence,
-    lambda state: info_report_from_choi(state, 0.5),
-)
+MEASURES = (classical_accessible_info, report)
 
 
 def five_symmetric_states():
@@ -521,29 +564,27 @@ def test_non_finite_state_is_rejected(value, entry):
 def test_information_measures_reject_a_trace_off_one():
     # unchecked, these would read -2, -8 and -8 bits, and a concurrence of about 2
     for measure, state in (
-        (quantum_mutual_information, np.eye(4) / 2),
-        (quantum_mutual_information, np.eye(4)),
+        (report, np.eye(4) / 2),
+        (report, np.eye(4)),
         (classical_accessible_info, np.ones((4, 4))),
-        (concurrence, 2 * projector(bell_state())),
+        (report, 2 * projector(bell_state())),
     ):
         with pytest.raises(BadMatrix, match=r"^density matrix has trace [24], not 1$"):
             measure(state)
     stack = five_symmetric_states()
     stack[3] *= 1.0 + 1e-9
     for measure in MEASURES:
-        if measure is not matrix_sqrt_psd:
-            with pytest.raises(BadMatrix, match=r"trace 1\.000000001, not 1 \(matrix 3 of the stack\)$"):
-                measure(stack)
+        with pytest.raises(BadMatrix, match=r"trace 1\.000000001, not 1 \(matrix 3 of the stack\)$"):
+            measure(stack)
         measure(five_symmetric_states() * (1.0 + 5e-11))  # within 1e-10 of 1 is rounding
-    # the linear algebra stays general: a PSD matrix of any trace has eigenvalues and a square root
+    # the linear algebra stays general: a PSD matrix of any trace has eigenvalues
     assert np.array_equal(psd_eigenvalues(2 * np.eye(2)), [2.0, 2.0])
-    assert np.abs(matrix_sqrt_psd(4 * np.eye(2)) - 2 * np.eye(2)).max() <= 1e-15
 
 
 def test_not_psd_state_in_a_stack_is_rejected():
     stack = five_symmetric_states()
     stack[3] = np.diag([1.1, 0.0, 0.0, -0.1])
-    for measure in (classical_accessible_info, concurrence, min_partial_transpose_eigenvalue):
+    for measure in MEASURES:
         with pytest.raises(NotPSD, match="matrix 3"):
             measure(stack)
 
@@ -557,40 +598,33 @@ def test_one_eigenvalue_floor_for_every_measure():
 
 
 def test_concurrence_reference_states():
-    assert abs(concurrence(projector(bell_state())) - 1.0) <= 1e-10
-    assert abs(concurrence(symmetric_mixed_choi(0.0)) - 0.25) <= 1e-9
-    assert concurrence(symmetric_mixed_choi(2 / 3)) <= 1e-12  # boundary, zero up to rounding
-    for t in (0.8, 1.0):
-        assert concurrence(symmetric_mixed_choi(t)) == 0.0
-    with pytest.raises(NotPSD):
-        concurrence(np.diag([1.1, 0.0, 0.0, -0.1]))
+    assert abs(report(projector(bell_state())).concurrence - 1.0) <= 1e-10
+    assert abs(report(symmetric_mixed_choi(0.0)).concurrence - 0.25) <= 1e-9
+    assert report(symmetric_mixed_choi(2 / 3)).concurrence <= 1e-12  # boundary, zero up to rounding
+    assert np.array_equal(report(symmetric_mixed_choi(np.array([0.8, 1.0]))).concurrence, [0.0, 0.0])
 
 
 def test_concurrence_matches_werner_closed_form():
     # independent oracle: for q |bell><bell| + (1-q) I/4 the spin-flipped
     # spectrum gives max(0, (3q - 1)/2)
-    for q in np.linspace(0.0, 1.0, 21):
-        value = concurrence(choi_of_channel(float(q)))
-        assert abs(value - max(0.0, (3 * q - 1) / 2)) <= 1e-9
+    qs = np.linspace(0.0, 1.0, 21)
+    assert np.abs(report(choi_of_channel(qs)).concurrence - np.maximum(0.0, (3 * qs - 1) / 2)).max() <= 1e-9
 
 
 def test_concurrence_closed_matches_spectrum_path():
-    for t in np.linspace(0.0, 1.0, 101):
-        closed = concurrence_closed(float(t))
-        numeric = concurrence(symmetric_mixed_choi(float(t)))
-        assert abs(closed - numeric) <= 1e-9
+    ts = np.linspace(0.0, 1.0, 101)
+    assert np.abs(concurrence_closed(ts) - report(symmetric_mixed_choi(ts)).concurrence).max() <= 1e-9
     assert concurrence_closed(0.0) == 0.25
     assert concurrence_closed(2 / 3) == 0.0
     assert concurrence_closed(1 / 3) == 0.125
 
 
 def test_min_partial_transpose_eigenvalue():
-    assert abs(min_partial_transpose_eigenvalue(projector(bell_state())) + 0.5) <= 1e-12
-    assert abs(min_partial_transpose_eigenvalue(PRODUCT) - 0.25) <= 1e-12
+    assert abs(report(projector(bell_state())).min_pt_eigenvalue + 0.5) <= 1e-12
+    assert abs(report(PRODUCT).min_pt_eigenvalue - 0.25) <= 1e-12
     # eigenvalues of the partial transpose of the mixed-scheme state: -1/8 + 3t/16
-    for t in np.linspace(0.0, 1.0, 21):
-        value = min_partial_transpose_eigenvalue(symmetric_mixed_choi(float(t)))
-        assert abs(value - (-1 / 8 + 3 * t / 16)) <= 1e-12
+    ts = np.linspace(0.0, 1.0, 21)
+    assert np.abs(report(symmetric_mixed_choi(ts)).min_pt_eigenvalue - (-1 / 8 + 3 * ts / 16)).max() <= 1e-12
 
 
 def test_coherent_information():
@@ -600,7 +634,7 @@ def test_coherent_information():
     for t in np.linspace(0.0, 1.0, 51):
         choi = symmetric_mixed_choi(float(t))
         i_coh = coherent_information(choi)
-        assert abs(i_coh - (quantum_mutual_information(choi) - 1.0)) <= 1e-9
+        assert abs(i_coh - (mutual_information_oracle(choi) - 1.0)) <= 1e-9
         assert i_coh < 0.0
 
 

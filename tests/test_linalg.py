@@ -6,14 +6,8 @@ import pytest
 
 from bellbidir.channels import weight_from_choi
 from bellbidir.errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
-from bellbidir.infotheory import concurrence, info_report_from_choi, quantum_mutual_information
-from bellbidir.linalg import (
-    matrix_sqrt_psd,
-    partial_trace,
-    projector,
-    psd_eigenvalues,
-    trace_distance,
-)
+from bellbidir.infotheory import classical_accessible_info, info_report_from_choi
+from bellbidir.linalg import partial_trace, projector, psd_eigenvalues, trace_distance
 from bellbidir.protocols import apply_channel_from_choi, choi_mixed
 from bellbidir.sim import Circuit, Gate, apply_gate, bell_state, measure_qubit, reduced_density_matrix, run_circuit
 
@@ -30,39 +24,21 @@ def random_pure_state(num_qubits, rng):
     return psi / np.linalg.norm(psi)
 
 
+# The square root that first applied these two cases is folded into the concurrence kernel;
+# the validity rule that rejects them is psd_eigenvalues, at every size, not only 4x4.
 def test_matrix_sqrt_psd_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
-        matrix_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_matrix_sqrt_psd_identity():
-    assert np.abs(matrix_sqrt_psd(np.eye(4)) - np.eye(4)).max() <= 1e-12
-
-
-def test_matrix_sqrt_psd_diagonal():
-    root = matrix_sqrt_psd(np.diag([4.0, 1.0, 0.0, 0.0]))
-    assert np.abs(root - np.diag([2.0, 1.0, 0.0, 0.0])).max() <= 1e-12
-
-
-def test_matrix_sqrt_psd_projector_is_own_root():
-    bell = projector(bell_state())
-    assert np.abs(matrix_sqrt_psd(bell) - bell).max() <= 1e-10
-
-
-def test_matrix_sqrt_psd_random():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        a = random_psd(4, rng)
-        root = matrix_sqrt_psd(a)
-        assert np.abs(root @ root - a).max() <= 1e-9
-        want = np.sqrt(np.clip(np.linalg.eigvalsh(a), 0.0, None))
-        got = np.linalg.eigvalsh(root)
-        assert np.abs(np.sort(got) - np.sort(want)).max() <= 1e-9
+        psd_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_matrix_sqrt_psd_rejects_negative():
     with pytest.raises(NotPSD):
-        matrix_sqrt_psd(np.diag([1.0, -0.1]))
+        psd_eigenvalues(np.diag([1.0, -0.1]))
+
+
+def test_psd_eigenvalues_applies_the_validity_rule():
+    # noise below the tolerance passes unclamped
+    assert np.array_equal(psd_eigenvalues(np.diag([4.0, 1.0, 0.0, -5e-11])), [-5e-11, 0.0, 1.0, 4.0])
 
 
 def test_partial_trace_bell_marginals():
@@ -170,17 +146,16 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
     # numpy would parse "1" as a number, or raise its own error; every matrix and state input applies one rule first
     rho, choi, circuit = np.eye(2) / 2, np.eye(4) / 4, Circuit(1, ("a",), ())
     inputs = {  # the call, and an input of the wrong size for it
-        quantum_mutual_information: np.ones(3),
-        partial(quantum_mutual_information): rho,  # a second key, for a second wrong size
-        concurrence: rho,
-        partial(info_report_from_choi, t=0.5): rho,
+        partial(info_report_from_choi, t=0.5): np.ones(3),
+        partial(info_report_from_choi, t=0.5): rho,  # a second key, for a second wrong size
+        classical_accessible_info: rho,
         weight_from_choi: np.eye(2),
         partial(choi_mixed, 0.5, choi): rho,
         partial(choi_mixed, 0.5, choi_com=choi): rho,
         partial(apply_channel_from_choi, rho_in=rho): rho,
         partial(apply_channel_from_choi, choi): choi,
         psd_eigenvalues: np.ones((2, 3)),
-        matrix_sqrt_psd: np.ones(4),
+        partial(psd_eigenvalues): np.ones(4),
         partial(partial_trace, num_qubits=2, keep=[0]): rho,
         partial(trace_distance, rho): np.ones(2),
         projector: np.float64(1.0),
@@ -202,6 +177,6 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
     with pytest.raises(BadMatrix, match=r"^choi_com must be a 4x4 matrix or a stack of them, got shape \(2, 2\)$"):
         choi_mixed(0.5, choi, rho)
     # bools, ints, floats and complex numbers pass
-    assert quantum_mutual_information(np.diag([True, False, False, False])) == 0.0
-    assert quantum_mutual_information(np.diag([1, 0, 0, 0]).tolist()) == 0.0
+    assert info_report_from_choi(np.diag([True, False, False, False]), 0.5).i_tot == 0.0
+    assert info_report_from_choi(np.diag([1, 0, 0, 0]).tolist(), 0.5).i_tot == 0.0
     assert np.array_equal(projector([1, 0]), [[1, 0], [0, 0]])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from bellbidir.channels import analytic_channel, choi_of_channel
 from bellbidir.cli import simulated_choi
 from bellbidir.errors import BadChannelState, BadIndex, BadLabel, OutOfRange
-from bellbidir.infotheory import trigger_joint_distribution
+from bellbidir.infotheory import info_report_from_choi, trigger_joint_distribution
 from bellbidir.linalg import max_abs, partial_trace, projector, trace_distance
 from bellbidir.protocols import (
     A_TO_B,
@@ -609,6 +610,24 @@ def test_array_angles_give_the_probabilities_of_math_bit_for_bit():
     for x in a[::997].tolist():
         point = SchemeParams(theta1=x, theta2=x, theta=x)
         assert all(type(p) is float and p == math.sin(x / 2) ** 2 for p in (point.p1, point.p2, point.p))
+
+
+def test_inputs_that_do_not_broadcast_raise_out_of_range():
+    # one rule and one message for every array input: the caller's inputs and their (stack) shapes
+    rho, two, three = choi_of_channel(0.5), [0.1, 0.2], [0.1, 0.2, 0.3]
+    cases = (
+        (lambda: info_report_from_choi([rho] * 3, two), "the stack of states and mixing weight t", "(3,), (2,)"),
+        (lambda: choi_mixed(three, rho, [rho] * 2), "stacks of t, choi_ind and choi_com", "(3,), (), (2,)"),
+        (lambda: trigger_joint_distribution(two, three), "trigger parameters (t, p1, p2, p)", "(2,), (3,), (), ()"),
+        (lambda: SchemeParams(theta1=np.zeros(2), t=three), "fields (theta1, theta2, theta, t)", "(2,), (), (), (3,)"),
+    )
+    for call, name, shapes in cases:
+        with pytest.raises(OutOfRange, match=rf"^{re.escape(f'{name} of shapes [{shapes}] do not broadcast')}$"):
+            call()
+    # inputs that broadcast give one entry per broadcast entry: one state at several t is one report per t
+    report = info_report_from_choi(rho, two)
+    assert np.array_equal(report.i_aux, [info_report_from_choi(rho, t).i_aux for t in two])
+    assert np.array_equal(report.concurrence, [info_report_from_choi(rho, t).concurrence for t in two])
 
 
 def test_scheme_params_grid_input_rules():

@@ -81,7 +81,7 @@ def uses_outside_the_package() -> set[str]:
     readme = readme_uses((ROOT / "README.md").read_text(encoding="utf-8"))
     entry_points = set(re.findall(r'"[\w.]+:(\w+)', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
     # each reader finds a name that it should, so none of them reads nothing
-    assert "matrix_sqrt_psd" in code and "entrypoint" in entry_points
+    assert "run_verification" in code and "entrypoint" in entry_points
     assert {"CRITICAL_T", "fidelity_quadrature"} <= readme
     return code | readme | entry_points
 
