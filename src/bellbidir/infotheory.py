@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMatrix, DomainError, _reject_first, as_reals, as_unit_interval, broadcast
+from .errors import BadMatrix, DomainError, _reject_first, as_reals, as_unit_interval, broadcast, check_unit_interval
 from .linalg import _scalar_or_stack, as_numbers, partial_trace, psd_eigenvalues
 
 _PROB_FLOOR = 1e-15
@@ -302,12 +302,15 @@ def info_report_from_choi(choi: np.ndarray, t, p1: float = 0.5, p2: float = 0.5,
     trigger-correlation level of the auxiliary classical information (1 for
     independent triggers, 0 for a common one), broadcasts with the stack, and
     ``p1``, ``p2``, ``p`` are the firing probabilities of
-    :func:`trigger_joint_distribution`.  Each state is checked once.  i_tot is
+    :func:`trigger_joint_distribution`, one real number each
+    (:class:`OutOfRange` otherwise).  Each state is checked once.  i_tot is
     S[rho_R] + S[rho_Q] - S[rho_RQ], and i_coh is S[rho_Q] - S[rho_RQ].
     """
     choi, w = _density_matrices(choi)
     _, ts = broadcast("the stack of states and mixing weight t", choi[..., 0, 0], as_reals("mixing weight t", t))
     choi = np.broadcast_to(choi, (*ts.shape, 4, 4))  # the spectrum w broadcasts as s_rq
+    for name, value in (("p1", p1), ("p2", p2), ("p", p)):
+        check_unit_interval(name, value)  # an array would broadcast with t and give i_aux its own shape
     tables = trigger_joint_distribution(ts, p1, p2, p)
     s_rq, s_q = _entropy(w), _marginal_entropy(choi, 1)
     i_tot, i_class = _marginal_entropy(choi, 0) + s_q - s_rq, _accessible_info(choi, s_q)[0]

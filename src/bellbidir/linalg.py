@@ -6,6 +6,8 @@ exceed 16x16, so robustness always wins over speed.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, OutOfRange, _reject_first, as_indices, is_integer
@@ -67,14 +69,16 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def split_keep(num_qubits: int, keep: list[int]) -> tuple[list[int], list[int]]:
-    """``keep`` as distinct qubit indices in range, and the other qubits in order; :class:`BadIndex` otherwise."""
-    keep = list(as_indices("keep", keep))
-    if len(set(keep)) != len(keep):
-        raise BadIndex(f"repeated qubit index in keep={keep}")
-    if any(not 0 <= k < num_qubits for k in keep):
-        raise BadIndex(f"qubit index out of range in keep={keep}")
-    return keep, [i for i in range(num_qubits) if i not in keep]
+@functools.lru_cache(maxsize=1024)
+def _split(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shape of an n-qubit register with a length-2 axis per qubit of ``qubits`` and one per run of the others,
+    in register order, and its axes: those of ``qubits`` in their order, then the runs'.  :class:`BadIndex` unless
+    ``qubits`` are distinct indices of the register."""
+    if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
+        raise BadIndex(f"qubits {list(qubits)} are not distinct indices of the {n}-qubit register")
+    cuts = sorted({0, n, *qubits, *(q + 1 for q in qubits)})  # where each named qubit and each run starts, and n
+    shape = tuple(2 ** (end - start) for start, end in zip(cuts, cuts[1:]))
+    return shape, (*map(cuts.index, qubits), *(axis for axis, q in enumerate(cuts[:-1]) if q not in qubits))
 
 
 def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarray:
@@ -86,13 +90,12 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
     if not is_integer(num_qubits) or num_qubits < 0:
         raise OutOfRange(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
     rho = as_numbers(f"a matrix on {num_qubits} qubits", rho, 2**num_qubits).astype(complex, copy=False)
-    keep, rest = split_keep(num_qubits, keep)
-    dk, dr = 2 ** len(keep), 2 ** len(rest)
-    lead = rho.shape[:-2]
-    perm = [len(lead) + p for p in keep + rest]
-    blocks = rho.reshape(*lead, *[2] * (2 * num_qubits))
-    blocks = blocks.transpose([*range(len(lead)), *perm, *[num_qubits + p for p in perm]])
-    return np.einsum("...aibi->...ab", blocks.reshape(*lead, dk, dr, dk, dr))
+    keep = as_indices("keep", keep)  # ahead of the cache, where (0, 1.0) == (0, 1); _split checks the rest
+    shape, axes = _split(num_qubits, keep)
+    lead, dk = rho.shape[:-2], 2 ** len(keep)
+    perm = [len(lead) + axis for axis in axes]
+    blocks = rho.reshape(*lead, *shape, *shape).transpose([*range(len(lead)), *perm, *[len(shape) + p for p in perm]])
+    return np.einsum("...aibi->...ab", blocks.reshape(*lead, dk, -1, dk, rho.shape[-1] // dk))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):

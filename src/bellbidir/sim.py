@@ -8,7 +8,11 @@ A register may carry leading stack axes, ``(..., 2**n)``: a ``prep`` holding
 ``(k, 2)`` stacks runs k registers at once; one state is a stack with no axes.
 Registers are float64 unless a preparation, or the state run, is complex.
 
-``apply_gate`` slices the amplitude array.  A plan cached per gate list,
+A kernel addresses only the qubits it names: ``_split`` views a register
+with a length-2 axis per named qubit and one merged axis per run of the
+others, in register order, so k named qubits take at most 2k + 1 axes.
+
+``apply_gate`` slices that view.  A plan cached per gate list,
 prepared qubits, input pattern and kept qubits runs a compact register of
 the amplitudes its input can reach, and names the operand cell each lands
 in: ``run_reduced`` starts it from the nonzero entries of a product of
@@ -31,8 +35,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadIndex, BadLabel, OutOfRange, ZeroNorm, _reject_first, as_indices, is_integer
-from .linalg import as_numbers, split_keep
+from .errors import BadIndex, BadLabel, BadMatrix, OutOfRange, ZeroNorm, _reject_first, as_indices, is_integer
+from .linalg import _split, as_numbers
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
 
@@ -119,7 +123,7 @@ class Circuit:
         try:
             np.broadcast_shapes(*stacks.values())
         except ValueError:
-            raise ValueError(f"preparation stacks do not broadcast, label -> stack shape: {stacks}") from None
+            raise OutOfRange(f"preparation stacks do not broadcast, label -> stack shape: {stacks}") from None
 
     def index(self, label: str) -> int:
         try:
@@ -172,23 +176,21 @@ def num_qubits_of(state: np.ndarray) -> int:
     return n
 
 
-def _ix(n: int, fixed: dict[int, int]) -> tuple:
-    ix: list = [slice(None)] * n
-    for axis, value in fixed.items():
-        ix[axis] = value
-    return tuple(ix)
-
-
 @functools.lru_cache(maxsize=1024)
 def _gate_ix(gate: Gate, n: int) -> tuple:
-    """Index tuples ``(..., *ix)`` of the target's 0 and 1 amplitudes where every control is 1, for n qubits."""
-    *controls, target = gate.qubits
-    return tuple((Ellipsis, *_ix(n, {**dict.fromkeys(controls, 1), target: value})) for value in (0, 1))
+    """The gate's ``_split`` shape for n qubits, and ``(..., *ix)`` of its target's 0 and 1 where every control is 1."""
+    shape, axes = _split(n, gate.qubits)
+    *controls, target = axes[: len(gate.qubits)]
+    ix = [slice(None)] * len(shape)
+    for axis in controls:
+        ix[axis] = 1
+    return shape, *((Ellipsis, *ix[:target], value, *ix[target + 1 :]) for value in (0, 1))
 
 
 def _apply_in_place(psi: np.ndarray, gate: Gate, n: int) -> None:
-    """Apply one gate to the ``(..., 2, ..., 2)`` view of a stack of n-qubit registers, overwriting it."""
-    lo, hi = _gate_ix(gate, n)
+    """Apply one gate to a contiguous ``(..., 2**n)`` stack of n-qubit registers, overwriting it."""
+    shape, lo, hi = _gate_ix(gate, n)
+    psi = psi.reshape(*psi.shape[:-1], *shape)
     if gate.kind == "H":
         a0 = psi[lo].copy()
         a1 = psi[hi]
@@ -205,11 +207,8 @@ def _apply_in_place(psi: np.ndarray, gate: Gate, n: int) -> None:
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Return the state, or each state of a stack, with one gate applied (the input is left untouched)."""
     n = num_qubits_of(state)
-    for q in gate.qubits:
-        if q >= n:
-            raise BadIndex(f"qubit {q} out of range for {n}-qubit state")
     psi = np.array(state, dtype=complex if np.iscomplexobj(state) else float)
-    _apply_in_place(psi.reshape(*psi.shape[:-1], *[2] * n), gate, n)
+    _apply_in_place(psi, gate, n)  # _split raises BadIndex for a qubit outside the register
     return psi
 
 
@@ -223,13 +222,14 @@ def _plan(gates: tuple[Gate, ...], n: int, prepped: tuple[int, ...], pattern: by
     ``(lo, lo, -1)`` and ``(hi, hi, -1)``, and a 1-D one a negation.  Returns the steps, the reached amplitudes'
     final columns, and their flat positions in the ``(2**len(keep), -1)`` operand of ``reduced_density_matrix``.
     """
-    cells = np.arange(2**n).reshape([2] * n)
+    cells = np.arange(2**n)
     initial = _product_cells(n, prepped)[np.frombuffer(pattern, dtype=bool)]
     reg = np.full(2**n, -1)
     reg[initial] = np.arange(initial.size)
     steps = []
     for gate in gates:
-        lo, hi = (cells[ix].ravel() for ix in _gate_ix(gate, n))
+        shape, *halves = _gate_ix(gate, n)
+        lo, hi = (cells.reshape(shape)[ix].ravel() for ix in halves)
         if gate.kind == "H":
             live = (reg[lo] >= 0) | (reg[hi] >= 0)
             lo, hi = lo[live], hi[live]
@@ -238,9 +238,9 @@ def _plan(gates: tuple[Gate, ...], n: int, prepped: tuple[int, ...], pattern: by
         elif gate.kind in ("Z", "CZ"):
             steps.append(reg[hi][reg[hi] >= 0])
         else:
-            _apply_in_place(reg.reshape([2] * n), gate, n)
-    keep, rest = split_keep(n, keep)
-    operand = reg.reshape([2] * n).transpose(keep + rest).ravel()  # the column of each operand cell
+            _apply_in_place(reg, gate, n)
+    shape, axes = _split(n, keep)
+    operand = reg.reshape(shape).transpose(axes).ravel()  # the column of each operand cell
     landing = np.flatnonzero(operand >= 0)
     return tuple(steps), operand[landing], landing
 
@@ -288,10 +288,12 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     the kept half scaled to unit norm.
     """
     n = num_qubits_of(state)
+    if np.ndim(state) != 1:
+        raise BadMatrix(f"measure_qubit takes one register, got a stack of shape {np.shape(state)[:-1]}")
     if not is_integer(index) or not 0 <= index < n:
         raise BadIndex(f"qubit {index!r} is not an index of the {n}-qubit state")
-    psi = np.asarray(state, dtype=complex).reshape([2] * n)
-    halves = [psi[_ix(n, {index: k})] for k in (0, 1)]
+    psi = np.asarray(state, dtype=complex).reshape(2**index, 2, -1)
+    halves = [psi[:, k] for k in (0, 1)]
     weights = [np.vdot(half, half).real for half in halves]
     total = weights[0] + weights[1]
     if total < 1e-15:
@@ -301,7 +303,7 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     if prob < 1e-15:
         raise ZeroNorm(f"outcome {outcome} on qubit {index} has vanishing probability")
     collapsed = np.zeros_like(psi)
-    collapsed[_ix(n, {index: outcome})] = halves[outcome] / math.sqrt(weights[outcome])
+    collapsed[:, outcome] = halves[outcome] / math.sqrt(weights[outcome])
     return outcome, collapsed.reshape(-1), prob
 
 
@@ -318,9 +320,10 @@ def _gram(psi: np.ndarray, real: bool) -> np.ndarray:
 def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
     """Density matrix of the kept qubits of a pure state, or of each state of a stack, in the order listed."""
     n = num_qubits_of(state)
-    keep, rest = split_keep(n, keep)
+    keep = as_indices("keep", keep)  # ahead of the cache, where (0, 1.0) == (0, 1); _split checks the rest
+    shape, axes = _split(n, keep)
     state = np.asarray(state)
-    psi = state.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in keep + rest])
+    psi = state.reshape(-1, *shape).transpose(0, *[1 + axis for axis in axes])
     psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), -1)
     return _gram(psi, not np.iscomplexobj(state))
 

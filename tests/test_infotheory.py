@@ -536,6 +536,18 @@ def test_info_report_on_a_stack_holds_one_entry_per_state():
         assert row == astuple(single)
 
 
+@pytest.mark.parametrize("name", ["p1", "p2", "p"])
+def test_info_report_takes_one_real_number_per_firing_probability(name):
+    # an array would broadcast with t into the trigger table, so i_aux alone would take its shape
+    rho = choi_of_channel(0.4)
+    for value in ([0.1, 0.2], np.array([0.3]), "0.5", 0.5j, None):
+        with pytest.raises(OutOfRange, match=rf"^{name}=.* is not a (single )?real number$"):
+            info_report_from_choi(rho, 0.5, **{name: value})
+    with pytest.raises(OutOfRange, match=rf"^{name}=1.5 outside \[0, 1\]$"):
+        info_report_from_choi(rho, 0.5, **{name: 1.5})
+    assert info_report_from_choi(rho, 0.5, **{name: np.float64(0.3)}) == info_report_from_choi(rho, 0.5, **{name: 0.3})
+
+
 MEASURES = (classical_accessible_info, report)
 
 

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from bellbidir.errors import BadIndex, BadLabel, OutOfRange
+from bellbidir.errors import BadIndex, BadLabel, BadMatrix, OutOfRange
 from bellbidir.sim import (
     CCNOT,
     CNOT,
@@ -188,8 +188,9 @@ def test_stacked_prep_gives_a_stack_of_registers():
     bad = np.array([KET0, KET1, [1.0, 1.0], [math.nan, 0.0]])
     with pytest.raises(ValueError, match="state 2 of the stack"):
         Circuit(1, ("a",), (), prep={"a": bad})
-    with pytest.raises(ValueError, match=r"do not broadcast.*'a': \(2,\), 'b': \(3,\)"):
+    with pytest.raises(ValueError, match=r"do not broadcast.*'a': \(2,\), 'b': \(3,\)") as unbroadcastable:
         Circuit(2, ("a", "b"), (), prep={"a": np.array([KET0, KET1]), "b": np.array([KET0, KET1, KET0])})
+    assert unbroadcastable.type is OutOfRange  # from errors.py, as every other array input's failure
     with pytest.raises(ValueError, match=r"'t': \(2, 1\), 'b': \(\), 'a': \(3, 2\)"):
         Circuit(3, ("a", "t", "b"), (), prep={"t": np.tile(KET1, (2, 1, 1)), "b": KET0, "a": np.tile(KET0, (3, 2, 1))})
 
@@ -458,6 +459,15 @@ def test_measure_zero_norm_state():
 
     with pytest.raises(ZeroNorm):
         measure_qubit(np.zeros(2, dtype=complex), 0, np.random.default_rng(0))
+
+
+def test_measure_takes_one_register():
+    # a stack of registers would be measured as one register of all its amplitudes
+    stack = np.full((3, 4), 0.5)
+    with pytest.raises(BadMatrix, match=r"^measure_qubit takes one register, got a stack of shape \(3,\)$"):
+        measure_qubit(stack, 0, np.random.default_rng(0))
+    with pytest.raises(BadMatrix, match=r"stack of shape \(1,\)$"):
+        measure_qubit(bell_state()[None], 0, np.random.default_rng(0))
 
 
 def test_reduced_density_matrix_orders_like_keep():

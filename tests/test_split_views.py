@@ -1,0 +1,154 @@
+"""The split-axis register views address the same amplitudes as a view with one length-2 axis per qubit.
+
+Each oracle below indexes an n-qubit register as ``reshape([2] * n)`` through an n-entry index tuple; the kernels of
+``bellbidir.sim`` and ``linalg.partial_trace`` give only the qubits they name an axis each (``linalg._split``).  Only
+the addressing differs, never the order of a sum, so every comparison is of ``uint64`` views.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from bellbidir import protocols
+from bellbidir.linalg import partial_trace
+from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent
+from bellbidir.sim import GATE_ARITY, Gate, apply_gate, bloch_state, measure_qubit, reduced_density_matrix
+
+
+def _ix(n, fixed):
+    """Index tuple of an ``[2] * n`` view: ``fixed`` maps qubit to value, every other qubit is a full slice."""
+    ix = [slice(None)] * n
+    for axis, value in fixed.items():
+        ix[axis] = value
+    return tuple(ix)
+
+
+def oracle_apply_gate(state, gate):
+    n = state.shape[-1].bit_length() - 1
+    *controls, target = gate.qubits
+    lo, hi = ((Ellipsis, *_ix(n, {**dict.fromkeys(controls, 1), target: value})) for value in (0, 1))
+    out = np.array(state, dtype=complex if np.iscomplexobj(state) else float)
+    psi = out.reshape(*out.shape[:-1], *[2] * n)
+    if gate.kind == "H":
+        a0 = psi[lo].copy()
+        a1 = psi[hi]
+        psi[lo] = (a0 + a1) * (1.0 / math.sqrt(2.0))
+        psi[hi] = (a0 - a1) * (1.0 / math.sqrt(2.0))
+    elif gate.kind in ("Z", "CZ"):
+        psi[hi] *= -1.0
+    else:
+        a0 = psi[lo].copy()
+        psi[lo] = psi[hi]
+        psi[hi] = a0
+    return out
+
+
+def oracle_measure_qubit(state, index, rng):
+    n = state.shape[-1].bit_length() - 1
+    psi = np.asarray(state, dtype=complex).reshape([2] * n)
+    halves = [psi[_ix(n, {index: k})] for k in (0, 1)]
+    weights = [np.vdot(half, half).real for half in halves]
+    total = weights[0] + weights[1]
+    outcome = int(rng.random() < weights[1] / total)
+    collapsed = np.zeros_like(psi)
+    collapsed[_ix(n, {index: outcome})] = halves[outcome] / math.sqrt(weights[outcome])
+    return outcome, collapsed.reshape(-1), weights[outcome] / total
+
+
+def oracle_reduced_density_matrix(state, keep):
+    n = state.shape[-1].bit_length() - 1
+    order = list(keep) + [q for q in range(n) if q not in keep]
+    psi = state.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in order])
+    psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), -1)
+    return psi @ (psi if not np.iscomplexobj(state) else psi.conj()).swapaxes(-1, -2)
+
+
+def oracle_partial_trace(rho, n, keep):
+    order = list(keep) + [q for q in range(n) if q not in keep]
+    lead, dk = rho.shape[:-2], 2 ** len(keep)
+    perm = [len(lead) + q for q in order]
+    blocks = rho.reshape(*lead, *[2] * (2 * n)).transpose([*range(len(lead)), *perm, *[n + p for p in perm]])
+    return np.einsum("...aibi->...ab", blocks.reshape(*lead, dk, 2**n // dk, dk, 2**n // dk))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def random_registers(n, rng):
+    """One register and a (2, 3) stack of them, each real and complex, every entry nonzero."""
+    for stack in ((), (2, 3)):
+        real = rng.normal(size=(*stack, 2**n))
+        yield real
+        yield real + 1j * rng.normal(size=real.shape)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_apply_gate_equals_the_n_axis_route_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= n]
+    for state in random_registers(n, rng):
+        for kind in kinds:
+            for _ in range(3):
+                gate = Gate(kind, tuple(int(q) for q in rng.choice(n, GATE_ARITY[kind], replace=False)))
+                got = apply_gate(state, gate)
+                assert got.dtype == state.dtype
+                assert np.array_equal(bits(got), bits(oracle_apply_gate(state, gate))), (kind, gate.qubits)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_measure_qubit_equals_the_n_axis_route_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    for state in list(random_registers(n, rng))[:2]:  # measure_qubit takes one register
+        for index in range(n):
+            seed = int(rng.integers(2**32))
+            outcome, collapsed, prob = measure_qubit(state, index, np.random.default_rng(seed))
+            expected = oracle_measure_qubit(state, index, np.random.default_rng(seed))
+            assert outcome == expected[0]
+            assert np.array_equal(bits(collapsed), bits(expected[1]))
+            assert np.array_equal(bits(np.float64(prob)), bits(np.float64(expected[2])))
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_reduced_density_matrix_equals_the_n_axis_route_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    keeps = [[int(q) for q in rng.choice(n, size, replace=False)] for size in range(1, min(n, 4) + 1)]
+    if n == 11:
+        keeps += [[10, 2], [2, 10], [10, 0, 5]]
+    for state in random_registers(n, rng):
+        for keep in keeps:
+            got = reduced_density_matrix(state, keep)
+            assert np.array_equal(bits(got), bits(oracle_reduced_density_matrix(state, keep))), keep
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_partial_trace_equals_the_n_axis_route_bit_for_bit(n):
+    rng = np.random.default_rng(400 + n)
+    keeps = [[int(q) for q in rng.choice(n, size, replace=False)] for size in range(1, n + 1)] + [[n - 1, 0]] * (n > 1)
+    for stack in ((), (3,)):
+        psi = rng.normal(size=(*stack, 2**n, 2)) + 1j * rng.normal(size=(*stack, 2**n, 2))
+        rho = psi @ psi.conj().swapaxes(-1, -2)  # a rank-2 density matrix, up to its trace
+        for keep in keeps:
+            got = partial_trace(rho, n, keep)
+            assert np.array_equal(bits(got), bits(oracle_partial_trace(rho, n, keep))), keep
+
+
+def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(31)
+    params = SchemeParams(*rng.uniform(-7.0, 7.0, 3))
+    circuit_ind, circuit_com = build_scheme_independent(params), build_scheme_common(params)
+    psi = bloch_state(1.1, 0.4)
+    cases = [
+        lambda: protocols.sample_trajectories(circuit_ind, "Q_A", "C_B", psi, 60, seed=5),
+        lambda: protocols.sample_trajectories(circuit_com, "Q_B", "C_A", psi, 60, seed=6),
+        lambda: protocols.sample_mixed_trajectories(circuit_ind, circuit_com, 0.4, "Q_A", "C_B", psi, 60, seed=7),
+    ]
+    got = [case() for case in cases]
+    calls = []
+    for oracle in (oracle_apply_gate, oracle_measure_qubit, oracle_reduced_density_matrix):
+        name = oracle.__name__.removeprefix("oracle_")
+        monkeypatch.setattr(protocols, name, lambda *args, oracle=oracle: calls.append(oracle) or oracle(*args))
+    for case, samples in zip(cases, got):
+        assert np.array_equal(bits(samples), bits(case()))
+    assert calls.count(oracle_measure_qubit) == 4 * 180 and calls.count(oracle_reduced_density_matrix) == 180
+    assert calls.count(oracle_apply_gate) > 0
