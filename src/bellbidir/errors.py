@@ -45,8 +45,9 @@ def is_integer(value) -> bool:
 def as_indices(name: str, indices) -> tuple[int, ...]:
     """``indices`` as a tuple of ints; :class:`BadIndex` unless it is a sequence of integers (:func:`is_integer`)."""
     try:
-        if all(map(is_integer, indices)):
-            return tuple(int(v) for v in indices)
+        values = tuple(indices)  # read once, so a one-shot iterator is not spent by the check
+        if all(map(is_integer, values)):
+            return tuple(int(v) for v in values)
     except TypeError:  # not iterable, such as a bare int
         pass
     raise BadIndex(f"{name} must be a sequence of integer qubit indices, got {name}={indices!r}")

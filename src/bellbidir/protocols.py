@@ -256,16 +256,19 @@ def _generator(seed) -> np.random.Generator:
 
 
 def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, trials: int, rng) -> np.ndarray:
-    """Run a :func:`_sampler_setup` circuit once, then measure and correct its records once per trajectory."""
-    base = run_circuit(stripped, stripped.initial_state())
+    """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but correct and reduce each record once."""
+    states, reduced = {(): run_circuit(stripped, stripped.initial_state())}, {}  # per record prefix; per record
     outputs = np.empty((trials, 2, 2), dtype=complex)
     for k in range(trials):
-        psi = base
+        record = ()
         for record_ix, correction in corrections:
-            outcome, psi, _ = measure_qubit(psi, record_ix, rng)
-            if outcome == 1:
-                psi = apply_gate(psi, correction)
-        outputs[k] = reduced_density_matrix(psi, [output_ix])
+            outcome, psi, _ = measure_qubit(states[record], record_ix, rng)
+            record += (outcome,)
+            if record not in states:
+                states[record] = apply_gate(psi, correction) if outcome == 1 else psi
+        if record not in reduced:
+            reduced[record] = reduced_density_matrix(states[record], [output_ix])
+        outputs[k] = reduced[record]
     return outputs
 
 
@@ -277,15 +280,14 @@ def sample_trajectories(
     trials: int,
     seed: int | np.random.Generator,
 ) -> np.ndarray:
-    """Measure-and-correct execution of a scheme circuit, one run per trajectory.
+    """Measure-and-correct execution of a scheme circuit, one circuit run for all trajectories.
 
-    The deferred correction gates are removed; their control qubits are
-    measured instead and the X/Z corrections applied on the measured-1
-    outcomes.  Returns the per-trajectory output density matrices, shape
-    ``(trials, 2, 2)``; their mean estimates the channel output for
-    ``psi_in``.  ``seed`` is a non-negative integer or a
-    ``np.random.Generator``; a generator is drawn from as is, so its state
-    advances.  Anything else raises :class:`OutOfRange` before any draw.
+    The deferred correction gates are removed; each trajectory measures their control qubits in order, and
+    the X/Z corrections of its measured-1 outcomes and its output are computed once per distinct record.
+    Returns the per-trajectory output density matrices, shape ``(trials, 2, 2)``; their mean estimates the
+    channel output for ``psi_in``.  ``seed`` is a non-negative integer or a ``np.random.Generator``; a
+    generator is drawn from as is, so its state advances.  Anything else raises :class:`OutOfRange` before
+    any draw.
     """
     setup = _sampler_setup(circuit, input_label, output_label, psi_in, trials)
     return _draw_trajectories(*setup, trials, _generator(seed))

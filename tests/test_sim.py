@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellbidir.errors import BadIndex, BadLabel, BadMatrix, OutOfRange
+from bellbidir.linalg import partial_trace
 from bellbidir.sim import (
     CCNOT,
     CNOT,
@@ -558,4 +559,13 @@ def test_numpy_integer_qubit_indices_are_taken_as_ints():
     gate = CNOT(np.int64(0), np.uint8(2))
     assert gate.qubits == (0, 2) and all(type(q) is int for q in gate.qubits)
     assert np.array_equal(reduced_density_matrix(bell_state(), [np.int64(1)]), reduced_density_matrix(bell_state(), [1]))
+
+
+def test_a_one_shot_iterator_of_qubit_indices_is_read_once():
+    # the check must not spend the iterator: an empty keep would trace out every qubit
+    marginal = reduced_density_matrix(bell_state(), [1])
+    assert marginal.shape == (2, 2)
+    assert np.array_equal(reduced_density_matrix(bell_state(), (q for q in [1])), marginal)
+    assert np.array_equal(partial_trace(np.eye(4) / 4, 2, iter([0])), partial_trace(np.eye(4) / 4, 2, [0]))
+    assert Gate("CNOT", iter([0, 1])) == CNOT(0, 1)
     assert measure_qubit(bell_state(), np.int32(1), np.random.default_rng(0))[2] == pytest.approx(0.5)

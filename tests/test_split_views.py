@@ -144,11 +144,28 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
         lambda: protocols.sample_mixed_trajectories(circuit_ind, circuit_com, 0.4, "Q_A", "C_B", psi, 60, seed=7),
     ]
     got = [case() for case in cases]
-    calls = []
+    calls, drawn = [], []  # every oracle call; (register size, outcome) of every measurement
+
+    def wrap(oracle):
+        def call(*args):
+            calls.append(oracle)
+            result = oracle(*args)
+            if oracle is oracle_measure_qubit:
+                drawn.append((args[0].size, result[0]))
+            return result
+
+        return call
+
     for oracle in (oracle_apply_gate, oracle_measure_qubit, oracle_reduced_density_matrix):
-        name = oracle.__name__.removeprefix("oracle_")
-        monkeypatch.setattr(protocols, name, lambda *args, oracle=oracle: calls.append(oracle) or oracle(*args))
-    for case, samples in zip(cases, got):
+        monkeypatch.setattr(protocols, oracle.__name__.removeprefix("oracle_"), wrap(oracle))
+    records, corrected = set(), set()  # per call and register (the mixed call draws on two): records, 1-ending prefixes
+    for i, (case, samples) in enumerate(zip(cases, got)):
+        start = len(drawn)
         assert np.array_equal(bits(samples), bits(case()))
-    assert calls.count(oracle_measure_qubit) == 4 * 180 and calls.count(oracle_reduced_density_matrix) == 180
-    assert calls.count(oracle_apply_gate) > 0
+        for k in range(start, len(drawn), 4):
+            (size, *_), record = zip(*drawn[k : k + 4])
+            records.add((i, size, record))
+            corrected.update((i, size, record[: d + 1]) for d in range(4) if record[d] == 1)
+    # each trajectory is measured; each distinct record is reduced once, and each distinct prefix corrected once
+    assert calls.count(oracle_measure_qubit) == 4 * 180 and calls.count(oracle_reduced_density_matrix) == len(records)
+    assert calls.count(oracle_apply_gate) == len(corrected) > 0
