@@ -256,9 +256,12 @@ def _generator(seed) -> np.random.Generator:
 
 
 def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, trials: int, rng) -> np.ndarray:
-    """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but correct and reduce each record once."""
-    states, reduced = {(): run_circuit(stripped, stripped.initial_state())}, {}  # per record prefix; per record
-    outputs = np.empty((trials, 2, 2), dtype=complex)
+    """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but correct and reduce each record once.
+
+    Each trial notes its record's row of the per-record output table; one gather fills the ``(trials, 2, 2)`` result.
+    """
+    states, rows = {(): run_circuit(stripped, stripped.initial_state())}, {}  # per record prefix; per record
+    positions = np.empty(trials, dtype=np.intp)
     for k in range(trials):
         record = ()
         for record_ix, correction in corrections:
@@ -266,10 +269,9 @@ def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, tri
             record += (outcome,)
             if record not in states:
                 states[record] = apply_gate(psi, correction) if outcome == 1 else psi
-        if record not in reduced:
-            reduced[record] = reduced_density_matrix(states[record], [output_ix])
-        outputs[k] = reduced[record]
-    return outputs
+        positions[k] = rows.setdefault(record, len(rows))
+    table = [reduced_density_matrix(states[record], [output_ix]) for record in rows]
+    return np.array(table, dtype=complex).reshape(-1, 2, 2)[positions]
 
 
 def sample_trajectories(
@@ -284,10 +286,10 @@ def sample_trajectories(
 
     The deferred correction gates are removed; each trajectory measures their control qubits in order, and
     the X/Z corrections of its measured-1 outcomes and its output are computed once per distinct record.
-    Returns the per-trajectory output density matrices, shape ``(trials, 2, 2)``; their mean estimates the
-    channel output for ``psi_in``.  ``seed`` is a non-negative integer or a ``np.random.Generator``; a
-    generator is drawn from as is, so its state advances.  Anything else raises :class:`OutOfRange` before
-    any draw.
+    Returns the per-trajectory output density matrices, gathered from that per-record table, shape
+    ``(trials, 2, 2)``; their mean estimates the channel output for ``psi_in``.  ``seed`` is a non-negative
+    integer or a ``np.random.Generator``; a generator is drawn from as is, so its state advances.  Anything
+    else raises :class:`OutOfRange` before any draw.
     """
     setup = _sampler_setup(circuit, input_label, output_label, psi_in, trials)
     return _draw_trajectories(*setup, trials, _generator(seed))

@@ -285,7 +285,9 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     probability ``w_k / (w_0 + w_1)``, where ``w_k`` is the squared norm of
     the half of the state with the qubit at ``k``.  Returns ``(outcome,
     collapsed_state, probability_of_that_outcome)``; the collapsed state is
-    the kept half scaled to unit norm.
+    a new complex register with the kept half scaled into it.  Both halves
+    are the rows of one reshape, which copies only where ``np.vdot``'s ravel
+    would, so the weights keep the bits of a per-half ``vdot``.
     """
     n = num_qubits_of(state)
     if np.ndim(state) != 1:
@@ -293,7 +295,7 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     if not is_integer(index) or not 0 <= index < n:
         raise BadIndex(f"qubit {index!r} is not an index of the {n}-qubit state")
     psi = np.asarray(state, dtype=complex).reshape(2**index, 2, -1)
-    halves = [psi[:, k] for k in (0, 1)]
+    halves = psi.transpose(1, 0, 2).reshape(2, -1)
     weights = [np.vdot(half, half).real for half in halves]
     total = weights[0] + weights[1]
     if total < 1e-15:
@@ -302,8 +304,8 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     prob = weights[outcome] / total
     if prob < 1e-15:
         raise ZeroNorm(f"outcome {outcome} on qubit {index} has vanishing probability")
-    collapsed = np.zeros_like(psi)
-    collapsed[:, outcome] = halves[outcome] / math.sqrt(weights[outcome])
+    collapsed = np.zeros(psi.shape, complex)
+    np.divide(halves[outcome].reshape(psi.shape[0], -1), math.sqrt(weights[outcome]), out=collapsed[:, outcome])
     return outcome, collapsed.reshape(-1), prob
 
 

@@ -519,6 +519,26 @@ def test_samplers_reject_a_stack_before_any_draw():
         assert mixed(single, common, 0.5, psi_in=psi, trials=trials, seed=1).shape == (trials, 2, 2)
 
 
+def test_zero_trials_give_an_empty_sample_and_draw_nothing():
+    circuit_ind, circuit_com = build_scheme_independent(SchemeParams(0.3, 1.2)), build_scheme_common(SchemeParams())
+    psi = bloch_state(0.8, 2.1)
+    for sampler in (
+        partial(sample_trajectories, circuit_ind, "Q_A", "C_B", psi),
+        partial(sample_mixed_trajectories, circuit_ind, circuit_com, 0.5, "Q_A", "C_B", psi),
+    ):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        empty = sampler(0, rng)
+        assert empty.shape == (0, 2, 2) and empty.dtype == complex
+        assert rng.bit_generator.state == state
+        for seed in (3, np.random.default_rng(3)):
+            one = sampler(1, seed)
+            assert one.shape == (1, 2, 2) and one.dtype == complex
+            assert abs(np.trace(one[0]) - 1.0) <= 1e-12
+    single = sample_trajectories(circuit_ind, "Q_B", "C_A", psi, 1, 8)
+    assert np.array_equal(single, sample_trajectories(circuit_ind, "Q_B", "C_A", psi, 9, 8)[:1])  # trials draw in turn
+
+
 def test_samplers_take_a_non_negative_integer_or_a_generator_as_seed():
     circuit_ind, circuit_com = build_scheme_independent(SchemeParams()), build_scheme_common(SchemeParams())
     psi = bloch_state(0.8, 2.1)

@@ -471,6 +471,22 @@ def test_measure_takes_one_register():
         measure_qubit(bell_state()[None], 0, np.random.default_rng(0))
 
 
+def test_measure_leaves_a_read_only_register_as_it_was():
+    # the sampler measures each cached record-prefix state on many trials, so a write into it would corrupt later ones
+    rng = np.random.default_rng(41)
+    for state in (rng.normal(size=32), rng.normal(size=32) + 1j * rng.normal(size=32)):
+        state /= np.linalg.norm(state)
+        state.flags.writeable = False
+        before = state.tobytes()
+        for index in range(5):
+            _, collapsed, _ = measure_qubit(state, index, rng)
+            assert state.tobytes() == before
+            assert collapsed.dtype == complex and collapsed.flags.writeable and collapsed.flags.c_contiguous
+            assert not np.shares_memory(collapsed, state)
+            collapsed[:] = 7.0  # writing the result leaves the input as it was
+            assert state.tobytes() == before
+
+
 def test_reduced_density_matrix_orders_like_keep():
     psi = np.kron(KET0, bloch_state(1.0))
     rho_b = reduced_density_matrix(psi, [1])

@@ -109,6 +109,56 @@ def test_measure_qubit_equals_the_n_axis_route_bit_for_bit(n):
             assert np.array_equal(bits(np.float64(prob)), bits(np.float64(expected[2])))
 
 
+def sparse_registers(n, rng):
+    """A real and a complex register whose parts are exact 0.0 or -0.0 (one at least) but in one amplitude of ten."""
+    for state in list(random_registers(n, rng))[:2]:
+        parts = state.view(np.float64).reshape(state.size, -1)  # an amplitude's real part, and imaginary part if any
+        zeroed = rng.permutation(state.size)[max(1, state.size // 10) :]
+        parts[zeroed] = np.copysign(0.0, rng.normal(size=parts[zeroed].shape))
+        parts[zeroed[0]] = -0.0
+        yield state
+
+
+def assert_measure_qubit_equals_the_oracle(state, index, seed):
+    outcome, collapsed, prob = measure_qubit(state, index, np.random.default_rng(seed))
+    expected = oracle_measure_qubit(state, index, np.random.default_rng(seed))
+    assert outcome == expected[0]
+    assert np.array_equal(bits(collapsed), bits(expected[1]))
+    assert np.array_equal(bits(np.float64(prob)), bits(np.float64(expected[2])))
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_measure_qubit_equals_the_n_axis_route_on_signed_zeros_bit_for_bit(n):
+    rng = np.random.default_rng(250 + n)
+    for state in sparse_registers(n, rng):
+        for index in range(n):
+            for _ in range(2):
+                assert_measure_qubit_equals_the_oracle(state, index, int(rng.integers(2**32)))
+
+
+def test_measure_qubit_equals_the_n_axis_route_on_the_samplers_registers_bit_for_bit(monkeypatch):
+    measured = []  # every (register, qubit) the literal sampler measures
+
+    def capture(state, index, rng):
+        measured.append((state, index))
+        return measure_qubit(state, index, rng)
+
+    monkeypatch.setattr(protocols, "measure_qubit", capture)
+    rng = np.random.default_rng(32)
+    for i, direction in enumerate(["ab", "ba"] * 4):
+        params = SchemeParams(*rng.uniform(-7.0, 7.0, 3))
+        circuit = (build_scheme_independent if i % 2 else build_scheme_common)(params)
+        psi = bloch_state(1.1, 0.4 * (i >= 4))  # with a real input and real triggers, the first register is real
+        protocols.sample_trajectories(circuit, *protocols.channel_endpoints(direction), psi, 8, seed=i)
+    registers = {(state.tobytes(), state.dtype, index): (state, index) for state, index in measured}
+    assert {state.dtype for state, _ in registers.values()} == {np.dtype(float), np.dtype(complex)}
+    parts = np.concatenate([state.view(np.float64) for state, _ in registers.values()])
+    assert np.signbit(parts[parts == 0]).any() and (parts == 0).mean() > 0.5  # sparse, with exact -0.0 entries
+    for state, index in registers.values():
+        for seed in range(3):
+            assert_measure_qubit_equals_the_oracle(state, index, seed)
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_reduced_density_matrix_equals_the_n_axis_route_bit_for_bit(n):
     rng = np.random.default_rng(300 + n)
