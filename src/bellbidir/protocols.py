@@ -40,6 +40,7 @@ from .sim import (
     X,
     apply_gate,
     measure_qubit,
+    project_qubit,
     reduced_density_matrix,
     run_circuit,
     run_reduced,
@@ -87,6 +88,17 @@ class SchemeParams:
             raise OutOfRange(f"trigger angles (theta1, theta2, theta) = {angles} must be finite")
         arrays.append(as_unit_interval("mixing weight t", self.t))
         broadcast("fields (theta1, theta2, theta, t)", *arrays)
+
+    def _key(self) -> tuple:
+        """Each field's shape and values: ``==`` and ``hash`` read a grid entry by entry, and agree, as on a point."""
+        fields = (self.theta1, self.theta2, self.theta, self.t)
+        return tuple((np.shape(field), tuple(np.ravel(field).tolist())) for field in fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def from_probabilities(cls, p1: float = 0.5, p2: float = 0.5, p: float = 0.5, t: float = 0.0) -> "SchemeParams":
@@ -256,18 +268,22 @@ def _generator(seed) -> np.random.Generator:
 
 
 def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, trials: int, rng) -> np.ndarray:
-    """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but correct and reduce each record once.
+    """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but project, correct and reduce once each.
 
-    Each trial notes its record's row of the per-record output table; one gather fills the ``(trials, 2, 2)`` result.
+    Each trial draws its outcomes with :func:`sim.measure_qubit`; a record prefix seen for the first time is projected
+    and corrected, and a record reduced.  Each trial notes its record's row of the per-record output table; one gather
+    fills the ``(trials, 2, 2)`` result.
     """
     states, rows = {(): run_circuit(stripped, stripped.initial_state())}, {}  # per record prefix; per record
     positions = np.empty(trials, dtype=np.intp)
     for k in range(trials):
         record = ()
         for record_ix, correction in corrections:
-            outcome, psi, _ = measure_qubit(states[record], record_ix, rng)
+            state = states[record]
+            outcome, _ = measure_qubit(state, record_ix, rng)
             record += (outcome,)
             if record not in states:
+                psi = project_qubit(state, record_ix, outcome)
                 states[record] = apply_gate(psi, correction) if outcome == 1 else psi
         positions[k] = rows.setdefault(record, len(rows))
     table = [reduced_density_matrix(states[record], [output_ix]) for record in rows]
@@ -284,8 +300,9 @@ def sample_trajectories(
 ) -> np.ndarray:
     """Measure-and-correct execution of a scheme circuit, one circuit run for all trajectories.
 
-    The deferred correction gates are removed; each trajectory measures their control qubits in order, and
-    the X/Z corrections of its measured-1 outcomes and its output are computed once per distinct record.
+    The deferred correction gates are removed; each trajectory measures their control qubits in order.  The
+    post-measurement register and the X/Z correction of a measured 1 are computed once per distinct record
+    prefix, and the output once per distinct record.
     Returns the per-trajectory output density matrices, gathered from that per-record table, shape
     ``(trials, 2, 2)``; their mean estimates the channel output for ``psi_in``.  ``seed`` is a non-negative
     integer or a ``np.random.Generator``; a generator is drawn from as is, so its state advances.  Anything

@@ -168,11 +168,11 @@ def bloch_state(theta: float, phi: float = 0.0) -> np.ndarray:
     return np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex)
 
 
-def num_qubits_of(state: np.ndarray) -> int:
-    size = as_numbers("state", state, axes=1).shape[-1]
+def num_qubits_of(state: np.ndarray, name: str = "state") -> int:
+    size = as_numbers(name, state, axes=1).shape[-1]
     n = size.bit_length() - 1
     if size < 2 or 2**n != size:
-        raise ValueError(f"state length {size} is not a power of two >= 2")
+        raise ValueError(f"{name} length {size} is not a power of two >= 2")
     return n
 
 
@@ -278,25 +278,28 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return out
 
 
-def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tuple[int, np.ndarray, float]:
-    """Projectively measure one qubit in the computational basis.
+def _halves(caller: str, state: np.ndarray, index: int) -> tuple[np.ndarray, list]:
+    """The rows of one register ``state`` with qubit ``index`` at 0 and at 1, and their squared norms, for ``caller``.
 
-    The state may have any nonzero norm: outcome ``k`` comes up with
-    probability ``w_k / (w_0 + w_1)``, where ``w_k`` is the squared norm of
-    the half of the state with the qubit at ``k``.  Returns ``(outcome,
-    collapsed_state, probability_of_that_outcome)``; the collapsed state is
-    a new complex register with the kept half scaled into it.  Both halves
-    are the rows of one reshape, which copies only where ``np.vdot``'s ravel
-    would, so the weights keep the bits of a per-half ``vdot``.
+    The rows are one reshape, which copies only where ``np.vdot``'s ravel would: the weights are a per-half ``vdot``'s.
     """
-    n = num_qubits_of(state)
+    n = num_qubits_of(state, f"{caller}'s state")
     if np.ndim(state) != 1:
-        raise BadMatrix(f"measure_qubit takes one register, got a stack of shape {np.shape(state)[:-1]}")
+        raise BadMatrix(f"{caller} takes one register, got a stack of shape {np.shape(state)[:-1]}")
     if not is_integer(index) or not 0 <= index < n:
         raise BadIndex(f"qubit {index!r} is not an index of the {n}-qubit state")
-    psi = np.asarray(state, dtype=complex).reshape(2**index, 2, -1)
-    halves = psi.transpose(1, 0, 2).reshape(2, -1)
-    weights = [np.vdot(half, half).real for half in halves]
+    halves = np.asarray(state, dtype=complex).reshape(2**index, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+    return halves, [np.vdot(half, half).real for half in halves]
+
+
+def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw the outcome of a projective measurement of one qubit in the computational basis.
+
+    The state may have any nonzero norm: outcome ``k`` comes up with probability ``w_k / (w_0 + w_1)``, where
+    ``w_k`` is the squared norm of the half of the state with the qubit at ``k``.  Returns ``(outcome,
+    probability_of_that_outcome)`` from one ``rng.random()`` draw; :func:`project_qubit` builds the register after it.
+    """
+    weights = _halves("measure_qubit", state, index)[1]
     total = weights[0] + weights[1]
     if total < 1e-15:
         raise ZeroNorm("cannot measure a zero-norm state")
@@ -304,9 +307,24 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     prob = weights[outcome] / total
     if prob < 1e-15:
         raise ZeroNorm(f"outcome {outcome} on qubit {index} has vanishing probability")
-    collapsed = np.zeros(psi.shape, complex)
-    np.divide(halves[outcome].reshape(psi.shape[0], -1), math.sqrt(weights[outcome]), out=collapsed[:, outcome])
-    return outcome, collapsed.reshape(-1), prob
+    return outcome, prob
+
+
+def project_qubit(state: np.ndarray, index: int, outcome: int) -> np.ndarray:
+    """The register after qubit ``index`` of ``state`` is measured at ``outcome``, the integer 0 or 1.
+
+    A new complex register, that half over the root of its weight and the other half zero; :class:`ZeroNorm` if the
+    weight is below 1e-15.
+    """
+    halves, weights = _halves("project_qubit", state, index)
+    if not is_integer(outcome) or outcome not in (0, 1):
+        raise OutOfRange(f"outcome must be the integer 0 or 1, got {outcome!r}")
+    if weights[outcome] < 1e-15:
+        raise ZeroNorm(f"outcome {outcome} on qubit {index} has vanishing weight {weights[outcome]:.3e}")
+    kept = halves[outcome].reshape(2**index, -1)
+    collapsed = np.zeros((kept.shape[0], 2, kept.shape[1]), complex)
+    np.divide(kept, math.sqrt(weights[outcome]), out=collapsed[:, outcome])
+    return collapsed.reshape(-1)
 
 
 def _gram(psi: np.ndarray, real: bool) -> np.ndarray:

@@ -9,7 +9,8 @@ from bellbidir.errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, Out
 from bellbidir.infotheory import classical_accessible_info, info_report_from_choi
 from bellbidir.linalg import partial_trace, projector, psd_eigenvalues, trace_distance
 from bellbidir.protocols import apply_channel_from_choi, choi_mixed
-from bellbidir.sim import Circuit, Gate, apply_gate, bell_state, measure_qubit, reduced_density_matrix, run_circuit
+from bellbidir.sim import Circuit, Gate, apply_gate, bell_state, measure_qubit, project_qubit, reduced_density_matrix
+from bellbidir.sim import run_circuit
 
 I2 = np.eye(2, dtype=complex)
 
@@ -164,6 +165,7 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
         partial(apply_gate, gate=Gate("X", (0,))): np.float64(1.0),
         partial(reduced_density_matrix, keep=[0]): np.float64(1.0),
         partial(measure_qubit, index=0, rng=np.random.default_rng(0)): np.float64(1.0),
+        partial(project_qubit, index=0, outcome=0): np.float64(1.0),
     }
     not_numbers = ([["1", "0"], ["0", "0"]], "abc", b"ab", [[None, 0.5], [0.5, 0.0]], np.full((2, 2), Fraction(1, 4)))
     for call, wrong_size in inputs.items():

@@ -678,6 +678,33 @@ def test_scheme_params_grid_input_rules():
     assert q.shape == (3, 3) and q.tolist() == expected
 
 
+def test_scheme_params_compare_and_hash_by_field_shape_and_values():
+    thetas = np.linspace(0.0, math.pi, 3)
+    grid = SchemeParams(theta1=thetas[:, None], theta2=thetas, t=[0.0, 0.25, 1.0])
+    row = SchemeParams(theta=thetas)
+    cases = [  # (a, b, equal): grids, rows, points, and a point against arrays
+        (grid, SchemeParams(theta1=thetas[:, None].copy(), theta2=list(thetas), t=np.array([0.0, 0.25, 1.0])), True),
+        (grid, SchemeParams(theta1=thetas[:, None], theta2=thetas, t=[0.0, 0.25, 0.5]), False),
+        (grid, SchemeParams(theta1=thetas[None, :], theta2=thetas, t=[0.0, 0.25, 1.0]), False),  # same values, (1, 3)
+        (row, SchemeParams(theta=thetas.copy()), True),
+        (SchemeParams(theta=np.array([0.0, 1.0])), SchemeParams(theta=np.array([-0.0, 1.0])), True),
+        (row, SchemeParams(theta=thetas[::-1]), False),
+        (row, SchemeParams(theta=thetas[:2]), False),
+        (SchemeParams(0.3, 0.4, t=0.5), SchemeParams(0.3, 0.4, t=0.5), True),
+        (SchemeParams(0.0), SchemeParams(-0.0), True),
+        (SchemeParams(1), SchemeParams(1.0), True),
+        (SchemeParams(0.3), SchemeParams(0.4), False),
+        (SchemeParams(theta=0.5), SchemeParams(theta=np.array(0.5)), True),  # a 0-d array is a point
+        (SchemeParams(theta=0.5), SchemeParams(theta=np.array([0.5])), False),  # shape (1,) is a row
+    ]
+    for a, b, equal in cases:
+        assert (a == b) is equal and (b == a) is equal and (a != b) is not equal, (a, b)
+        if equal:
+            assert hash(a) == hash(b), (a, b)
+    assert len({grid, row, SchemeParams(), SchemeParams(), SchemeParams(theta=thetas.copy())}) == 3
+    assert SchemeParams() != (math.pi / 2, math.pi / 2, math.pi / 2, 0.0)
+
+
 def test_scheme_params_validation():
     with pytest.raises(OutOfRange):
         SchemeParams(t=1.2)

@@ -113,9 +113,9 @@ def drawn(monkeypatch):
     drawn = []
 
     def measure(state, index, rng):
-        outcome, collapsed, prob = measure_qubit(state, index, rng)
+        outcome, prob = measure_qubit(state, index, rng)
         drawn.append((state.size, outcome, prob))
-        return outcome, collapsed, prob
+        return outcome, prob
 
     monkeypatch.setattr(protocols, "measure_qubit", measure)
     return drawn

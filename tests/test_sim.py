@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from bellbidir.errors import BadIndex, BadLabel, BadMatrix, OutOfRange
+from bellbidir.errors import BadIndex, BadLabel, BadMatrix, OutOfRange, ZeroNorm
 from bellbidir.linalg import partial_trace
 from bellbidir.sim import (
     CCNOT,
@@ -17,6 +17,7 @@ from bellbidir.sim import (
     bell_state,
     bloch_state,
     measure_qubit,
+    project_qubit,
     reduced_density_matrix,
     run_circuit,
     run_reduced,
@@ -412,7 +413,8 @@ def test_built_circuit_prep_is_read_only():
 
 def test_measure_deterministic():
     rng = np.random.default_rng(0)
-    outcome, collapsed, prob = measure_qubit(KET0, 0, rng)
+    outcome, prob = measure_qubit(KET0, 0, rng)
+    collapsed = project_qubit(KET0, 0, outcome)
     assert outcome == 0 and prob == 1.0
     assert np.allclose(collapsed, KET0)
 
@@ -420,9 +422,9 @@ def test_measure_deterministic():
 def test_measure_bell_correlations():
     rng = np.random.default_rng(12)
     for _ in range(50):
-        first, collapsed, p = measure_qubit(bell_state(), 0, rng)
+        first, p = measure_qubit(bell_state(), 0, rng)
         assert abs(p - 0.5) <= 1e-12
-        second, _, p2 = measure_qubit(collapsed, 1, rng)
+        second, p2 = measure_qubit(project_qubit(bell_state(), 0, first), 1, rng)
         assert second == first
         assert abs(p2 - 1.0) <= 1e-12
 
@@ -443,7 +445,8 @@ def test_measure_unnormalized_state():
     trials = 4000
     ones = 0
     for _ in range(trials):
-        outcome, collapsed, prob = measure_qubit(psi, 0, rng)
+        outcome, prob = measure_qubit(psi, 0, rng)
+        collapsed = project_qubit(psi, 0, outcome)
         ones += outcome
         assert abs(prob - 0.5) <= 1e-15
         assert abs(np.linalg.norm(collapsed) - 1.0) <= 1e-15
@@ -456,19 +459,50 @@ def test_measure_bad_index():
 
 
 def test_measure_zero_norm_state():
-    from bellbidir.errors import ZeroNorm
-
     with pytest.raises(ZeroNorm):
         measure_qubit(np.zeros(2, dtype=complex), 0, np.random.default_rng(0))
 
 
+def test_project_a_vanishing_half_raises_zero_norm():
+    # a register divided by the root of a vanishing weight would hold inf or NaN
+    for state, outcome in [(KET0, 1), (np.zeros(4), 0), (np.array([1.0, 3e-8]), 1), (np.array([0.0, 1e-9j]), 1)]:
+        with pytest.raises(ZeroNorm, match=f"^outcome {outcome} on qubit 0 has vanishing weight"):
+            project_qubit(state, 0, outcome)
+    small = project_qubit(np.array([1.0, 4e-8]), 0, 1)  # weight 1.6e-15, just above the floor
+    assert np.isfinite(small).all() and np.array_equal(small, [0.0, 1.0])
+
+
+def test_project_takes_only_the_outcomes_0_and_1():
+    for outcome in (True, False, np.True_, 1.0, np.float64(0.0), 2, -1, "1", None, [1]):
+        with pytest.raises(OutOfRange, match=r"^outcome must be the integer 0 or 1, got "):
+            project_qubit(bell_state(), 0, outcome)
+    for outcome in (0, 1, np.int64(1), np.uint8(0)):
+        expected = np.zeros(4, dtype=complex)
+        expected[3 * int(outcome)] = 1.0
+        assert np.array_equal(project_qubit(bell_state(), 1, outcome), expected)
+
+
 def test_measure_takes_one_register():
-    # a stack of registers would be measured as one register of all its amplitudes
-    stack = np.full((3, 4), 0.5)
-    with pytest.raises(BadMatrix, match=r"^measure_qubit takes one register, got a stack of shape \(3,\)$"):
-        measure_qubit(stack, 0, np.random.default_rng(0))
-    with pytest.raises(BadMatrix, match=r"stack of shape \(1,\)$"):
-        measure_qubit(bell_state()[None], 0, np.random.default_rng(0))
+    # a stack of registers would be measured as one register of all its amplitudes; each message names its function
+    for call, last in [(measure_qubit, np.random.default_rng(0)), (project_qubit, 0)]:
+        name = call.__name__
+        stack = np.full((3, 4), 0.5)
+        with pytest.raises(BadMatrix, match=rf"^{name} takes one register, got a stack of shape \(3,\)$"):
+            call(stack, 0, last)
+        with pytest.raises(BadMatrix, match=r"stack of shape \(1,\)$"):
+            call(bell_state()[None], 0, last)
+
+
+@pytest.mark.parametrize("call", [measure_qubit, project_qubit], ids=lambda call: call.__name__)
+def test_the_number_rule_names_the_measurement_function(call):
+    last = np.random.default_rng(0) if call is measure_qubit else 0
+    name = call.__name__
+    with pytest.raises(BadMatrix, match=rf"^{name}'s state must hold only numbers, got an array of dtype <U1$"):
+        call(["1", "0"], 0, last)
+    with pytest.raises(BadMatrix, match=rf"^{name}'s state must be a length-n vector or a stack of them, got shape"):
+        call(np.float64(1.0), 0, last)
+    with pytest.raises(ValueError, match=rf"^{name}'s state length 3 is not a power of two >= 2$"):
+        call(np.ones(3), 0, last)
 
 
 def test_measure_leaves_a_read_only_register_as_it_was():
@@ -479,7 +513,9 @@ def test_measure_leaves_a_read_only_register_as_it_was():
         state.flags.writeable = False
         before = state.tobytes()
         for index in range(5):
-            _, collapsed, _ = measure_qubit(state, index, rng)
+            outcome, _ = measure_qubit(state, index, rng)
+            assert state.tobytes() == before
+            collapsed = project_qubit(state, index, outcome)
             assert state.tobytes() == before
             assert collapsed.dtype == complex and collapsed.flags.writeable and collapsed.flags.c_contiguous
             assert not np.shares_memory(collapsed, state)
@@ -548,14 +584,16 @@ def run_reduced_after_an_integer_keep():
         lambda: reduced_density_matrix(bell_state(), [False]),
         lambda: measure_qubit(bell_state(), 1.5, np.random.default_rng(0)),
         lambda: measure_qubit(bell_state(), True, np.random.default_rng(0)),
+        lambda: project_qubit(bell_state(), 1.5, 0),
+        lambda: project_qubit(bell_state(), True, 0),
         run_reduced_after_an_integer_keep,
         lambda: Gate("H", 0),
         lambda: reduced_density_matrix(bell_state(), 0),
         lambda: run_reduced(Circuit(2, ("a", "b"), (H(0),)), 0, {}),
     ],
     ids=["H-1.5", "CNOT-1.9", "CCNOT-float64", "H-True", "H-str", "CNOT-numpy-bool", "reduced-1.2", "reduced-False",
-         "measure-1.5", "measure-True", "run_reduced-1.0-after-1", "Gate-bare-int", "reduced-bare-int",
-         "run_reduced-bare-int"],
+         "measure-1.5", "measure-True", "project-1.5", "project-True", "run_reduced-1.0-after-1", "Gate-bare-int",
+         "reduced-bare-int", "run_reduced-bare-int"],
 )
 def test_a_qubit_index_that_is_not_an_integer_raises_bad_index(call):
     with pytest.raises(BadIndex):
@@ -584,4 +622,4 @@ def test_a_one_shot_iterator_of_qubit_indices_is_read_once():
     assert np.array_equal(reduced_density_matrix(bell_state(), (q for q in [1])), marginal)
     assert np.array_equal(partial_trace(np.eye(4) / 4, 2, iter([0])), partial_trace(np.eye(4) / 4, 2, [0]))
     assert Gate("CNOT", iter([0, 1])) == CNOT(0, 1)
-    assert measure_qubit(bell_state(), np.int32(1), np.random.default_rng(0))[2] == pytest.approx(0.5)
+    assert measure_qubit(bell_state(), np.int32(1), np.random.default_rng(0))[1] == pytest.approx(0.5)

@@ -12,7 +12,8 @@ import pytest
 from bellbidir import protocols
 from bellbidir.linalg import partial_trace
 from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent
-from bellbidir.sim import GATE_ARITY, Gate, apply_gate, bloch_state, measure_qubit, reduced_density_matrix
+from bellbidir.sim import GATE_ARITY, Gate, apply_gate, bloch_state, measure_qubit, project_qubit
+from bellbidir.sim import reduced_density_matrix
 
 
 def _ix(n, fixed):
@@ -53,6 +54,15 @@ def oracle_measure_qubit(state, index, rng):
     collapsed = np.zeros_like(psi)
     collapsed[_ix(n, {index: outcome})] = halves[outcome] / math.sqrt(weights[outcome])
     return outcome, collapsed.reshape(-1), weights[outcome] / total
+
+
+def oracle_project_qubit(state, index, outcome):
+    n = state.shape[-1].bit_length() - 1
+    psi = np.asarray(state, dtype=complex).reshape([2] * n)
+    half = psi[_ix(n, {index: outcome})]
+    collapsed = np.zeros_like(psi)
+    collapsed[_ix(n, {index: outcome})] = half / math.sqrt(np.vdot(half, half).real)
+    return collapsed.reshape(-1)
 
 
 def oracle_reduced_density_matrix(state, keep):
@@ -96,17 +106,22 @@ def test_apply_gate_equals_the_n_axis_route_bit_for_bit(n):
                 assert np.array_equal(bits(got), bits(oracle_apply_gate(state, gate))), (kind, gate.qubits)
 
 
+def assert_measure_qubit_equals_the_oracle(state, index, seed):
+    """``measure_qubit``'s outcome and probability, and ``project_qubit``'s register after it, against the oracle's."""
+    outcome, prob = measure_qubit(state, index, np.random.default_rng(seed))
+    collapsed = project_qubit(state, index, outcome)
+    expected = oracle_measure_qubit(state, index, np.random.default_rng(seed))
+    assert outcome == expected[0]
+    assert np.array_equal(bits(collapsed), bits(expected[1]))
+    assert np.array_equal(bits(np.float64(prob)), bits(np.float64(expected[2])))
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_measure_qubit_equals_the_n_axis_route_bit_for_bit(n):
     rng = np.random.default_rng(200 + n)
     for state in list(random_registers(n, rng))[:2]:  # measure_qubit takes one register
         for index in range(n):
-            seed = int(rng.integers(2**32))
-            outcome, collapsed, prob = measure_qubit(state, index, np.random.default_rng(seed))
-            expected = oracle_measure_qubit(state, index, np.random.default_rng(seed))
-            assert outcome == expected[0]
-            assert np.array_equal(bits(collapsed), bits(expected[1]))
-            assert np.array_equal(bits(np.float64(prob)), bits(np.float64(expected[2])))
+            assert_measure_qubit_equals_the_oracle(state, index, int(rng.integers(2**32)))
 
 
 def sparse_registers(n, rng):
@@ -117,14 +132,6 @@ def sparse_registers(n, rng):
         parts[zeroed] = np.copysign(0.0, rng.normal(size=parts[zeroed].shape))
         parts[zeroed[0]] = -0.0
         yield state
-
-
-def assert_measure_qubit_equals_the_oracle(state, index, seed):
-    outcome, collapsed, prob = measure_qubit(state, index, np.random.default_rng(seed))
-    expected = oracle_measure_qubit(state, index, np.random.default_rng(seed))
-    assert outcome == expected[0]
-    assert np.array_equal(bits(collapsed), bits(expected[1]))
-    assert np.array_equal(bits(np.float64(prob)), bits(np.float64(expected[2])))
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -194,28 +201,38 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
         lambda: protocols.sample_mixed_trajectories(circuit_ind, circuit_com, 0.4, "Q_A", "C_B", psi, 60, seed=7),
     ]
     got = [case() for case in cases]
-    calls, drawn = [], []  # every oracle call; (register size, outcome) of every measurement
+    calls, drawn = [], []  # the name of every oracle call; (register size, outcome) of every measurement
+    oracles = {
+        "apply_gate": oracle_apply_gate,
+        "measure_qubit": lambda state, index, rng: oracle_measure_qubit(state, index, rng)[::2],  # (outcome, prob)
+        "project_qubit": oracle_project_qubit,
+        "reduced_density_matrix": oracle_reduced_density_matrix,
+    }
 
-    def wrap(oracle):
+    def wrap(name, oracle):
         def call(*args):
-            calls.append(oracle)
+            calls.append(name)
             result = oracle(*args)
-            if oracle is oracle_measure_qubit:
+            if name == "measure_qubit":
                 drawn.append((args[0].size, result[0]))
             return result
 
         return call
 
-    for oracle in (oracle_apply_gate, oracle_measure_qubit, oracle_reduced_density_matrix):
-        monkeypatch.setattr(protocols, oracle.__name__.removeprefix("oracle_"), wrap(oracle))
-    records, corrected = set(), set()  # per call and register (the mixed call draws on two): records, 1-ending prefixes
+    for name, oracle in oracles.items():
+        monkeypatch.setattr(protocols, name, wrap(name, oracle))
+    # per call and register (the mixed call draws on two): records, prefixes, 1-ending prefixes
+    records, prefixes, corrected = set(), set(), set()
     for i, (case, samples) in enumerate(zip(cases, got)):
         start = len(drawn)
         assert np.array_equal(bits(samples), bits(case()))
         for k in range(start, len(drawn), 4):
             (size, *_), record = zip(*drawn[k : k + 4])
             records.add((i, size, record))
+            prefixes.update((i, size, record[: d + 1]) for d in range(4))
             corrected.update((i, size, record[: d + 1]) for d in range(4) if record[d] == 1)
-    # each trajectory is measured; each distinct record is reduced once, and each distinct prefix corrected once
-    assert calls.count(oracle_measure_qubit) == 4 * 180 and calls.count(oracle_reduced_density_matrix) == len(records)
-    assert calls.count(oracle_apply_gate) == len(corrected) > 0
+    # each trajectory is measured; each distinct prefix is projected and corrected once, and each distinct record
+    # reduced once
+    assert calls.count("measure_qubit") == 4 * 180 and calls.count("reduced_density_matrix") == len(records)
+    assert calls.count("project_qubit") == len(prefixes) < 4 * 180
+    assert calls.count("apply_gate") == len(corrected) > 0
