@@ -109,9 +109,7 @@ def _density_matrices(rho) -> tuple[np.ndarray, np.ndarray]:
 
 def _entropy(w: np.ndarray) -> np.ndarray:
     """Entropy of each spectrum along the last axis of ``w``; eigenvalues below zero are rounding noise."""
-    p = np.maximum(w, 0.0)
-    terms = -p * np.log2(p, out=np.zeros_like(p), where=p > _PROB_FLOOR)
-    return sum(np.moveaxis(terms, -1, 0))  # summed in eigenvalue order, as a Python sum would
+    return sum(np.moveaxis(_plog2(np.maximum(w, 0.0)), -1, 0))  # summed in eigenvalue order, as a Python sum would
 
 
 def _marginal_entropy(choi: np.ndarray, keep: int) -> np.ndarray:
@@ -205,7 +203,7 @@ def _accessible_info(choi: np.ndarray, s_output: np.ndarray) -> tuple[np.ndarray
     s_output = np.reshape(s_output, -1)
     forms = _forms(pauli)
     # the lattice is scored _SCAN_BLOCK states at a time: its intermediates take ~0.04 MiB per state
-    blocks = [slice(i, i + _SCAN_BLOCK) for i in range(0, len(pauli), _SCAN_BLOCK)]
+    blocks = [slice(i, i + _SCAN_BLOCK) for i in range(0, max(len(pauli), 1), _SCAN_BLOCK)]  # one, if no state
     scan = np.concatenate([_objective(pauli[b], s_output[b], forms[b] @ _SCAN_MONOMIALS) for b in blocks])
     best, flatness = scan.max(axis=1), np.ptp(scan, axis=1)
     # the reference Bloch axes re-expressed in an orthonormal frame (c, e1, e2) at the best lattice axis c,

@@ -95,7 +95,7 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
     lead, dk = rho.shape[:-2], 2 ** len(keep)
     perm = [len(lead) + axis for axis in axes]
     blocks = rho.reshape(*lead, *shape, *shape).transpose([*range(len(lead)), *perm, *[len(shape) + p for p in perm]])
-    return np.einsum("...aibi->...ab", blocks.reshape(*lead, dk, -1, dk, rho.shape[-1] // dk))
+    return np.einsum("...aibi->...ab", blocks.reshape(*lead, dk, rho.shape[-1] // dk, dk, rho.shape[-1] // dk))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):

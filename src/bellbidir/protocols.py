@@ -38,7 +38,7 @@ from .sim import (
     Gate,
     H,
     X,
-    apply_gate,
+    _apply_in_place,
     measure_qubit,
     project_qubit,
     reduced_density_matrix,
@@ -283,8 +283,9 @@ def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, tri
             outcome, _ = measure_qubit(state, record_ix, rng)
             record += (outcome,)
             if record not in states:
-                psi = project_qubit(state, record_ix, outcome)
-                states[record] = apply_gate(psi, correction) if outcome == 1 else psi
+                psi = states[record] = project_qubit(state, record_ix, outcome)  # new, so corrected in place
+                if outcome == 1:
+                    _apply_in_place(psi, correction, stripped.num_qubits)
         positions[k] = rows.setdefault(record, len(rows))
     table = [reduced_density_matrix(states[record], [output_ix]) for record in rows]
     return np.array(table, dtype=complex).reshape(-1, 2, 2)[positions]

@@ -12,18 +12,17 @@ A kernel addresses only the qubits it names: ``_split`` views a register
 with a length-2 axis per named qubit and one merged axis per run of the
 others, in register order, so k named qubits take at most 2k + 1 axes.
 
-``apply_gate`` slices that view.  A plan cached per gate list,
-prepared qubits, input pattern and kept qubits runs a compact register of
-the amplitudes its input can reach, and names the operand cell each lands
-in: ``run_reduced`` starts it from the nonzero entries of a product of
-preparations and writes straight into the operand of
-``reduced_density_matrix``, the same bits without the full register;
-``run_circuit`` keeps every qubit in order, so each lands in its own cell.
-None builds the full register unitary; the closed gate set {H, X, Z, CZ,
-CNOT, CCNOT} consists entirely of involutions.  In the plan, an H on m live
-column pairs is two gathers of ``2m + 1`` columns, ``(a0, a0, 0)`` and
-``(a1, -a1, 0)`` with the second half negated exactly, then one add and one
-multiply by 1/sqrt(2): the kernel's ``(a0 + a1, a0 - a1)`` bit for bit.
+A plan cached per gate list, prepared qubits, input pattern and kept
+qubits runs a compact register of the amplitudes its input can reach, and
+names the operand cell each lands in: ``run_reduced`` starts it from the
+nonzero entries of a product of preparations and writes straight into the
+operand of ``reduced_density_matrix``, the same bits without the full
+register; ``run_circuit`` keeps every qubit in order, so each lands in its
+own cell.  None builds the full register unitary; the closed gate set {H, X,
+Z, CZ, CNOT, CCNOT} consists entirely of involutions.  In the plan, an H on
+m live column pairs is two gathers of ``2m + 1`` columns, ``(a0, a0, 0)``
+and ``(a1, -a1, 0)`` with the second half negated exactly, then one add and
+one multiply: ``(a0 + a1, a0 - a1)`` times 1/sqrt(2), bit for bit.
 """
 from __future__ import annotations
 
@@ -188,28 +187,18 @@ def _gate_ix(gate: Gate, n: int) -> tuple:
 
 
 def _apply_in_place(psi: np.ndarray, gate: Gate, n: int) -> None:
-    """Apply one gate to a contiguous ``(..., 2**n)`` stack of n-qubit registers, overwriting it."""
+    """Apply an X, Z, CZ, CNOT or CCNOT to a contiguous ``(..., 2**n)`` stack of n-qubit registers, overwriting it.
+
+    :func:`_plan` relabels its columns with it, and the trajectory sampler corrects its registers with it.
+    """
     shape, lo, hi = _gate_ix(gate, n)
     psi = psi.reshape(*psi.shape[:-1], *shape)
-    if gate.kind == "H":
-        a0 = psi[lo].copy()
-        a1 = psi[hi]
-        psi[lo] = (a0 + a1) * _INV_SQRT2
-        psi[hi] = (a0 - a1) * _INV_SQRT2
-    elif gate.kind in ("Z", "CZ"):  # the phase sits where every qubit of the gate is 1
+    if gate.kind in ("Z", "CZ"):  # the phase sits where every qubit of the gate is 1
         psi[hi] *= -1.0
     else:  # X, CNOT, CCNOT: swap
         a0 = psi[lo].copy()
         psi[lo] = psi[hi]
         psi[hi] = a0
-
-
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Return the state, or each state of a stack, with one gate applied (the input is left untouched)."""
-    n = num_qubits_of(state)
-    psi = np.array(state, dtype=complex if np.iscomplexobj(state) else float)
-    _apply_in_place(psi, gate, n)  # _split raises BadIndex for a qubit outside the register
-    return psi
 
 
 @functools.lru_cache(maxsize=256)
@@ -245,14 +234,20 @@ def _plan(gates: tuple[Gate, ...], n: int, prepped: tuple[int, ...], pattern: by
     return tuple(steps), operand[landing], landing
 
 
-def _run_plan(amps: np.ndarray, steps: tuple, columns: np.ndarray) -> np.ndarray:
-    """Run a plan's steps on the input's compact ``(..., m)`` amplitudes; return the reached ones, norm-checked."""
-    zero = np.zeros((*amps.shape[:-1], 1), dtype=amps.dtype)
-    amps = np.concatenate((amps, zero), axis=-1)  # a copy: the steps run in place
+def _run(gates: tuple[Gate, ...], n: int, prepped: tuple[int, ...], inputs: np.ndarray, keep: tuple[int, ...], dtype):
+    """Run ``gates`` on the product ``inputs``, ``(..., 2**k)`` over the qubits ``prepped`` with every other one at 0.
+
+    Returns the reached amplitudes, norm-checked, in a zero ``(..., 2**n)`` array of ``dtype``, each in its cell of
+    the ``(2**len(keep), -1)`` operand of ``reduced_density_matrix``; the cached plan keeps only the cells it reaches.
+    """
+    nonzero = (inputs != 0).reshape(-1, inputs.shape[-1]).any(axis=0)
+    steps, columns, landing = _plan(gates, n, prepped, nonzero.tobytes(), keep)
+    zero = np.zeros((*inputs.shape[:-1], 1), dtype=inputs.dtype)
+    amps = np.concatenate((inputs[..., nonzero], zero), axis=-1)  # a copy: the steps run in place
     for step in steps:
         if step.ndim == 1:
             amps[..., step] *= -1.0
-        else:  # the kernel's H, (a0 + a1) and (a0 - a1) times 1/sqrt(2), with the zero column for an absent partner
+        else:  # (a0 + a1) and (a0 - a1) times 1/sqrt(2), with the zero column for an absent partner
             m = step.shape[1] // 2
             a1 = amps.take(step[1], axis=-1)
             np.negative(a1[..., m:-1], out=a1[..., m:-1])  # exact, so a0 + (-a1) is a0 - a1 bit for bit
@@ -262,7 +257,9 @@ def _run_plan(amps: np.ndarray, steps: tuple, columns: np.ndarray) -> np.ndarray
     amps = amps[..., columns]
     norm = np.linalg.norm(amps, axis=-1)
     _reject_first(~(np.abs(norm - 1.0) < 1e-10), norm, ValueError, "statevector norm {} differs from 1", "state")
-    return amps
+    out = np.zeros((*inputs.shape[:-1], 2**n), dtype=dtype)
+    out[..., landing] = amps
+    return out
 
 
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -270,12 +267,8 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     n = circuit.num_qubits
     state = as_numbers(f"a state of {n} qubits", state, 2**n, axes=1)
     state = state.astype(complex if np.iscomplexobj(state) else float, copy=False)
-    nonzero = (state != 0).reshape(-1, 2**n).any(axis=0)
     every = tuple(range(n))  # the whole register is the input and is kept in order; Circuit has checked the gates
-    steps, columns, landing = _plan(circuit.gates, n, every, nonzero.tobytes(), every)
-    out = np.zeros_like(state)
-    out[..., landing] = _run_plan(state[..., nonzero], steps, columns)
-    return out
+    return _run(circuit.gates, n, every, state, every, state.dtype)
 
 
 def _halves(caller: str, state: np.ndarray, index: int) -> tuple[np.ndarray, list]:
@@ -344,7 +337,7 @@ def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
     shape, axes = _split(n, keep)
     state = np.asarray(state)
     psi = state.reshape(-1, *shape).transpose(0, *[1 + axis for axis in axes])
-    psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), -1)
+    psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), 2 ** (n - len(keep)))
     return _gram(psi, not np.iscomplexobj(state))
 
 
@@ -360,9 +353,5 @@ def run_reduced(circuit: Circuit, keep: list[int], prep: Mapping[str, np.ndarray
     if len(prepped) != len(prep):
         raise BadLabel(f"prepared qubits {sorted(set(prep) - set(circuit.labels))} not in register")
     keep = as_indices("keep", keep)  # ahead of the cache, where (0, 1.0) == (0, 1); _plan checks the rest
-    nonzero = (product != 0).reshape(-1, product.shape[-1]).any(axis=0)
-    steps, columns, landing = _plan(circuit.gates, n, prepped, nonzero.tobytes(), keep)
-    amps = _run_plan(product[..., nonzero], steps, columns)
-    psi = np.zeros((*product.shape[:-1], 2**n), dtype=complex)
-    psi[..., landing] = amps
-    return _gram(psi.reshape(*product.shape[:-1], 2 ** len(keep), -1), not np.iscomplexobj(amps))
+    psi = _run(circuit.gates, n, prepped, product, keep, complex)
+    return _gram(psi.reshape(*product.shape[:-1], 2 ** len(keep), 2 ** (n - len(keep))), not np.iscomplexobj(product))

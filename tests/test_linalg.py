@@ -1,16 +1,17 @@
+from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
-from bellbidir.channels import weight_from_choi
+from bellbidir.channels import analytic_channel, weight_from_choi
 from bellbidir.errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
-from bellbidir.infotheory import classical_accessible_info, info_report_from_choi
+from bellbidir.infotheory import classical_accessible_info, info_report_from_choi, shannon_mutual_information
 from bellbidir.linalg import partial_trace, projector, psd_eigenvalues, trace_distance
-from bellbidir.protocols import apply_channel_from_choi, choi_mixed
-from bellbidir.sim import Circuit, Gate, apply_gate, bell_state, measure_qubit, project_qubit, reduced_density_matrix
-from bellbidir.sim import run_circuit
+from bellbidir.protocols import SchemeParams, apply_channel_from_choi, choi_mixed
+from bellbidir.sim import CNOT, Circuit, Gate, H, bell_state, measure_qubit, project_qubit, reduced_density_matrix
+from bellbidir.sim import run_circuit, run_reduced
 
 I2 = np.eye(2, dtype=complex)
 
@@ -162,7 +163,6 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
         projector: np.float64(1.0),
         lambda state: Circuit(1, ("a",), (), prep={"a": state}): np.ones(3),
         partial(run_circuit, circuit): np.ones(4),
-        partial(apply_gate, gate=Gate("X", (0,))): np.float64(1.0),
         partial(reduced_density_matrix, keep=[0]): np.float64(1.0),
         partial(measure_qubit, index=0, rng=np.random.default_rng(0)): np.float64(1.0),
         partial(project_qubit, index=0, outcome=0): np.float64(1.0),
@@ -182,3 +182,33 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
     assert info_report_from_choi(np.diag([True, False, False, False]), 0.5).i_tot == 0.0
     assert info_report_from_choi(np.diag([1, 0, 0, 0]).tolist(), 0.5).i_tot == 0.0
     assert np.array_equal(projector([1, 0]), [[1, 0], [0, 0]])
+
+
+EMPTY = np.zeros((0, 4, 4))
+BELL_CIRCUIT = Circuit(3, ("a", "b", "c"), (H(0), CNOT(0, 1)))
+
+
+@pytest.mark.parametrize(
+    ("call", "shapes"),
+    [
+        (lambda: astuple(info_report_from_choi(EMPTY, [])), [(0,)] * 9),
+        (lambda: classical_accessible_info(EMPTY), [(0,)] * 2),
+        (lambda: partial_trace(EMPTY, 2, [1]), [(0, 2, 2)]),
+        (lambda: reduced_density_matrix(np.zeros((0, 8)), [2, 0]), [(0, 4, 4)]),
+        (lambda: run_reduced(BELL_CIRCUIT, [1, 2], {"c": np.zeros((0, 2))}), [(0, 4, 4)]),  # a prep no Circuit builds
+        (lambda: run_circuit(BELL_CIRCUIT, np.zeros((0, 8))), [(0, 8)]),
+        (lambda: weight_from_choi(EMPTY), [(0,)]),
+        (lambda: trace_distance(EMPTY, EMPTY), [(0,)]),
+        (lambda: psd_eigenvalues(EMPTY), [(0, 4)]),
+        (lambda: choi_mixed([], EMPTY, EMPTY), [(0, 4, 4)]),
+        (lambda: shannon_mutual_information(np.zeros((0, 2, 2))), [(0,)]),
+        (lambda: analytic_channel("independent", SchemeParams(np.zeros(0), np.zeros(0)), "ab"), [(0,)]),
+    ],
+    ids=["info_report_from_choi", "classical_accessible_info", "partial_trace", "reduced_density_matrix",
+         "run_reduced", "run_circuit", "weight_from_choi", "trace_distance", "psd_eigenvalues", "choi_mixed",
+         "shannon_mutual_information", "analytic_channel"],
+)
+def test_an_empty_stack_gives_empty_results(call, shapes):
+    # an empty stack is a stack of no states, as an empty grid row is, not a malformed input
+    result = call()
+    assert [np.shape(value) for value in (result if isinstance(result, tuple) else (result,))] == shapes

@@ -1,12 +1,14 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial, reduce
 
 import numpy as np
 import pytest
+from dense import oracle_apply_gate
 
 from bellbidir.channels import analytic_channel, choi_of_channel
 from bellbidir.cli import simulated_choi
@@ -39,11 +41,11 @@ from bellbidir.sim import (
     Gate,
     H,
     X,
-    apply_gate,
     bell_state,
     bloch_state,
     reduced_density_matrix,
     run_circuit,
+    run_reduced,
 )
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -167,7 +169,7 @@ def test_stacked_extraction_equals_per_point_on_the_verify_grids():
 
 
 def complex_extraction(circuit, input_label, output_label):
-    """Channel state by a dense complex128 product register, the gates applied one by one by ``apply_gate``."""
+    """Channel state by a dense complex128 product register, the gates applied one by one by the dense oracle."""
     n, ref = circuit.num_qubits + 1, circuit.num_qubits
     gates = (H(ref), CNOT(ref, circuit.index(input_label))) + circuit.gates
     extended = Circuit(n, circuit.labels + ("R",), gates, circuit.prep)
@@ -176,7 +178,7 @@ def complex_extraction(circuit, input_label, output_label):
         factor = np.asarray(extended.prep.get(label, KET0), dtype=complex)
         state = state[..., :, None] * factor[..., None, :]
         state = state.reshape(*state.shape[:-2], -1)
-    final = reduce(apply_gate, extended.gates, state)
+    final = reduce(oracle_apply_gate, extended.gates, state)
     keep = [ref, circuit.index(output_label)]
     psi = final.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in keep + [q for q in range(n) if q not in keep]])
     psi = psi.reshape(*final.shape[:-1], 4, -1)
@@ -336,6 +338,57 @@ def test_mixed_and_common_schemes_equal_the_independent_wiring_on_a_correlated_t
         for params, state in zip(points[40:], correlated[40:]):  # t = 0: the literal one-trigger circuit
             common = extract_choi(build_scheme_common(params), source, target)
             assert max_abs(state - common) <= 1e-14, (params, direction)
+
+
+TWO_WAY = ("R_A", "R_B", "C_B", "C_A")  # the kept qubits of the two-way channel state, in this order
+
+
+def two_way_state(circuit):
+    """The (R_A, R_B, C_B, C_A) state of a scheme circuit whose inputs Q_A and Q_B are Bell-paired with R_A and R_B."""
+    n = circuit.num_qubits
+    bell_pairs = (H(n), CNOT(n, circuit.index("Q_A")), H(n + 1), CNOT(n + 1, circuit.index("Q_B")))
+    joint = Circuit(n + 2, circuit.labels + ("R_A", "R_B"), bell_pairs + circuit.gates, circuit.prep)
+    return run_reduced(joint, [joint.index(label) for label in TWO_WAY], joint.prep)
+
+
+def bell_pair_on(first, second):
+    """The Bell projector on two of the (R_A, R_B, C_B, C_A) qubits, the maximally mixed state on the other two."""
+    rest = [label for label in TWO_WAY if label not in (first, second)]
+    order = [TWO_WAY.index(label) for label in (first, second, *rest)]
+    perm = [order.index(q) for q in range(4)]
+    rho = np.kron(projector(PHI_PLUS), MAX_MIXED_PAIR).reshape([2] * 8)
+    return rho.transpose(perm + [4 + p for p in perm]).reshape(16, 16)
+
+
+def two_way_closed(build, params):
+    """Both channels at once: a firing party teleports its reference's partner, a silent one leaves the pair alone."""
+    weight = lambda p: np.asarray(p)[..., None, None]
+    ab, ba = bell_pair_on("R_A", "C_B"), bell_pair_on("R_B", "C_A")
+    if build is build_scheme_common:
+        return weight(params.p) * ab + (1.0 - weight(params.p)) * ba
+    p1, p2 = weight(params.p1), weight(params.p2)
+    idle, noise = bell_pair_on("C_B", "C_A"), np.eye(16) / 16
+    return (1.0 - p1) * (1.0 - p2) * idle + p1 * (1.0 - p2) * ab + (1.0 - p1) * p2 * ba + p1 * p2 * noise
+
+
+def test_the_two_way_channel_state_equals_its_closed_form_and_catches_the_silent_party_mutants():
+    # each one-way extraction holds the silent party's input at |0>, so it cannot see that party's closing
+    # CNOT(Q, C) deleted or turned into a CZ; with both inputs Bell-paired with their own references, the
+    # joint state can
+    rng = np.random.default_rng(53)
+    row = SchemeParams(*rng.uniform(-7.0, 7.0, (40, 3)).T)
+    point = SchemeParams(1.1, 0.7, 0.4)
+    for build in (build_scheme_independent, build_scheme_common):
+        assert max_abs(two_way_state(build(row)) - two_way_closed(build, row)) <= 1e-12
+        circuit = build(point)
+        assert max_abs(two_way_state(circuit) - two_way_closed(build, point)) <= 1e-12
+        for q, c in (("Q_A", "C_A"), ("Q_B", "C_B")):
+            closing = CNOT(circuit.index(q), circuit.index(c))
+            at = max(i for i, gate in enumerate(circuit.gates) if gate == closing)
+            for swapped in ((), (Gate("CZ", closing.qubits),)):
+                mutant = replace(circuit, gates=circuit.gates[:at] + swapped + circuit.gates[at + 1 :])
+                deviation = max_abs(two_way_state(mutant) - two_way_closed(build, point))
+                assert deviation > 1e-3, (build.__name__, q, swapped)
 
 
 def test_builders_reject_an_empty_sequence():

@@ -12,6 +12,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from dense import oracle_apply_gate
 
 from bellbidir import protocols
 from bellbidir.linalg import projector
@@ -25,7 +26,7 @@ from bellbidir.protocols import (
     channel_endpoints,
     extract_choi,
 )
-from bellbidir.sim import Circuit, Gate, apply_gate, bloch_state, measure_qubit
+from bellbidir.sim import Circuit, Gate, bloch_state, measure_qubit
 
 RECORD_QUBITS = ("M_A1", "M_A2", "M_B1", "M_B2")
 # A record bit of 1 calls for this correction on the receiving half of the Bell pair: M1 an X, M2 a Z after it.
@@ -41,7 +42,7 @@ def record_table(circuit, input_label, output_label, psi_in):
     deferred = tuple(Gate("CNOT" if kind == "X" else "CZ", (ix[m], ix[q])) for m, (kind, q) in CORRECTIONS.items())
     assert circuit.gates[-4:] == deferred  # the scheme ends in its four deferred corrections, and only they go
     body = Circuit(n, labels, circuit.gates[:-4], {**circuit.prep, input_label: psi_in})
-    psi = reduce(apply_gate, body.gates, body.initial_state()).reshape([2] * n)
+    psi = reduce(oracle_apply_gate, body.gates, body.initial_state()).reshape([2] * n)
     rest = [label for label in labels if label not in RECORD_QUBITS]
     psi = np.moveaxis(psi, [ix[m] for m in RECORD_QUBITS], range(4))  # (M_A1, M_A2, M_B1, M_B2, *rest)
     probs, outputs = {}, {}

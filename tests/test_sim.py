@@ -3,17 +3,18 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from dense import oracle_apply_gate
 
 from bellbidir.errors import BadIndex, BadLabel, BadMatrix, OutOfRange, ZeroNorm
 from bellbidir.linalg import partial_trace
 from bellbidir.sim import (
     CCNOT,
     CNOT,
+    GATE_ARITY,
     Circuit,
     Gate,
     H,
     X,
-    apply_gate,
     bell_state,
     bloch_state,
     measure_qubit,
@@ -91,29 +92,30 @@ def test_bloch_state_poles_and_equator():
     assert np.allclose(bloch_state(math.pi / 2), [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
-def test_apply_gate_basics():
+def one_gate(state, gate):
+    """``run_circuit`` of the one-gate circuit on the register, or each register of a stack, ``state``."""
+    n = state.shape[-1].bit_length() - 1
+    return run_circuit(Circuit(n, tuple(f"q{i}" for i in range(n)), (gate,)), state)
+
+
+def test_one_gate_circuit_basics():
     plus = (KET0 + KET1) / math.sqrt(2)
-    assert np.allclose(apply_gate(KET0, H(0)), plus)
+    assert np.allclose(one_gate(KET0, H(0)), plus)
     ket10 = np.kron(KET1, KET0)
     ket11 = np.kron(KET1, KET1)
-    assert np.allclose(apply_gate(ket10, CNOT(0, 1)), ket11)
+    assert np.allclose(one_gate(ket10, CNOT(0, 1)), ket11)
     ket110 = np.kron(ket11, KET0)
     ket111 = np.kron(ket11, KET1)
-    assert np.allclose(apply_gate(ket110, CCNOT(0, 1, 2)), ket111)
-    assert np.allclose(apply_gate(KET1, Gate("Z", (0,))), -KET1)
-    assert np.allclose(apply_gate(ket11, Gate("CZ", (0, 1))), -ket11)
-    assert np.allclose(apply_gate(KET0, X(0)), KET1)
+    assert np.allclose(one_gate(ket110, CCNOT(0, 1, 2)), ket111)
+    assert np.allclose(one_gate(KET1, Gate("Z", (0,))), -KET1)
+    assert np.allclose(one_gate(ket11, Gate("CZ", (0, 1))), -ket11)
+    assert np.allclose(one_gate(KET0, X(0)), KET1)
 
 
-def test_apply_gate_leaves_input_untouched():
+def test_one_gate_circuit_leaves_input_untouched():
     psi = KET0.copy()
-    apply_gate(psi, X(0))
+    one_gate(psi, X(0))
     assert np.array_equal(psi, KET0)
-
-
-def test_apply_gate_bad_index():
-    with pytest.raises(BadIndex):
-        apply_gate(KET0, Gate("CNOT", (0, 1)))
 
 
 def test_gate_validation():
@@ -130,17 +132,21 @@ def test_gates_are_involutions():
     for _ in range(40):
         gate = random_gate(3, rng)
         psi = random_state(3, rng)
-        twice = apply_gate(apply_gate(psi, gate), gate)
+        twice = one_gate(one_gate(psi, gate), gate)
         assert np.abs(twice - psi).max() <= 1e-12
 
 
-def test_apply_gate_matches_explicit_unitaries():
+def test_one_gate_circuit_matches_explicit_unitaries():
     rng = np.random.default_rng(9)
     for _ in range(60):
         gate = random_gate(3, rng)
         psi = random_state(3, rng)
         expected = full_unitary(gate, 3) @ psi
-        assert np.abs(apply_gate(psi, gate) - expected).max() <= 1e-12
+        assert np.abs(one_gate(psi, gate) - expected).max() <= 1e-12
+    for kind, arity in GATE_ARITY.items():  # every kind, whatever the draws above gave
+        gate = Gate(kind, tuple(int(q) for q in rng.choice(3, arity, replace=False)))
+        psi = random_state(3, rng)
+        assert np.abs(one_gate(psi, gate) - full_unitary(gate, 3) @ psi).max() <= 1e-12
 
 
 def test_run_circuit_empty_and_involution():
@@ -173,7 +179,7 @@ def test_run_circuit_on_a_stack_equals_single_runs():
     out = run_circuit(circuit, stack)
     assert out.shape == (6, 32)
     assert np.array_equal(out, np.array([run_circuit(circuit, psi) for psi in stack]))
-    assert np.array_equal(apply_gate(stack, gates[0]), np.array([apply_gate(psi, gates[0]) for psi in stack]))
+    assert np.array_equal(one_gate(stack, gates[0]), np.array([one_gate(psi, gates[0]) for psi in stack]))
     keep = [3, 0]
     rdm = reduced_density_matrix(out, keep)
     assert np.array_equal(rdm, np.array([reduced_density_matrix(psi, keep) for psi in out]))
@@ -280,20 +286,20 @@ def test_real_register_runs_bit_for_bit_like_its_complex_copy():
             assert real_run.dtype == np.float64 and complex_run.dtype == np.complex128
             assert np.array_equal(bits(real_run)[..., 0], bits(complex_run)[..., 0])
             assert not complex_run.imag.any()
-            one_gate = apply_gate(psi, gates[0])
-            assert one_gate.dtype == np.float64
-            assert np.array_equal(bits(one_gate)[..., 0], bits(apply_gate(psi.astype(complex), gates[0]))[..., 0])
+            real_gate = one_gate(psi, gates[0])
+            assert real_gate.dtype == np.float64
+            assert np.array_equal(bits(real_gate)[..., 0], bits(one_gate(psi.astype(complex), gates[0]))[..., 0])
             rdm = reduced_density_matrix(real_run, [4, 1])
             assert rdm.dtype == np.complex128
             assert np.array_equal(bits(rdm), bits(reduced_density_matrix(complex_run, [4, 1])))
 
 
 def assert_runs_like_the_gate_chain(circuit, state):
-    # the oracle is the dense one-gate kernel applied gate by gate; compared by value, because it leaves -0.0
+    # the oracle is the dense one-gate update applied gate by gate; compared by value, because it leaves -0.0
     # where a Z or CZ hits an amplitude that the compact run never holds
     before = bits(state).copy()
     out = run_circuit(circuit, state)
-    expected = reduce(apply_gate, circuit.gates, state)
+    expected = reduce(oracle_apply_gate, circuit.gates, state)
     assert out.dtype == expected.dtype and out.shape == expected.shape
     assert np.array_equal(out, expected)
     assert np.array_equal(bits(state), before)
@@ -333,7 +339,7 @@ def test_run_circuit_equals_the_gate_chain_on_dense_and_sparse_inputs():
 
 
 def test_run_circuit_h_keeps_the_signed_zeros_of_a_complex_register():
-    # every amplitude is held, so the compact H steps must give the kernel's (a0 + a1, a0 - a1) bits exactly,
+    # every amplitude is held, so the compact H steps must give the oracle's (a0 + a1, a0 - a1) bits exactly,
     # the signs of zero imaginary parts included; a few gates only, as more H steps turn those signs to +0
     rng = np.random.default_rng(19)
     labels = tuple(f"q{i}" for i in range(4))
@@ -345,7 +351,7 @@ def test_run_circuit_h_keeps_the_signed_zeros_of_a_complex_register():
             state.real = real / np.linalg.norm(real, axis=-1, keepdims=True)
             state.imag = rng.choice([-0.0, 0.0], (*shape, 16))
             out = run_circuit(Circuit(4, labels, gates), state)
-            assert np.array_equal(bits(out), bits(reduce(apply_gate, gates, state)))
+            assert np.array_equal(bits(out), bits(reduce(oracle_apply_gate, gates, state)))
 
 
 def test_run_circuit_rejects_a_zero_or_nan_register():
