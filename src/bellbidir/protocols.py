@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadChannelState, BadIndex, BadLabel, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
 from .errors import _reject_first, as_reals, as_unit_interval, broadcast, check_unit_interval, is_integer
-from .linalg import _scalar_or_stack, as_numbers, psd_eigenvalues
+from .linalg import _scalar_or_stack, _split, as_numbers, psd_eigenvalues
 from .sim import (
     CCNOT,
     CNOT,
@@ -270,17 +270,22 @@ def _generator(seed) -> np.random.Generator:
 def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, trials: int, rng) -> np.ndarray:
     """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but project, correct and reduce once each.
 
-    Each trial draws its outcomes with :func:`sim.measure_qubit`; a record prefix seen for the first time is projected
-    and corrected, and a record reduced.  Each trial notes its record's row of the per-record output table; one gather
-    fills the ``(trials, 2, 2)`` result.
+    Each trial draws its outcomes with :func:`sim.measure_qubit` at index 0 of a C-ordered copy of its record prefix's
+    register with the next record qubit in front, made once per prefix: its two rows are that qubit's halves in
+    register order, so the weights have the bits of a measurement in place unless the qubit is the register's last
+    (no scheme's is).  A record prefix seen for the first time is projected and corrected, and a record reduced.
+    Each trial notes its record's row of the per-record output table; one gather fills the ``(trials, 2, 2)`` result.
     """
-    states, rows = {(): run_circuit(stripped, stripped.initial_state())}, {}  # per record prefix; per record
+    states, leading, rows = {(): run_circuit(stripped, stripped.initial_state())}, {}, {}  # per prefix; per record
     positions = np.empty(trials, dtype=np.intp)
     for k in range(trials):
         record = ()
         for record_ix, correction in corrections:
             state = states[record]
-            outcome, _ = measure_qubit(state, record_ix, rng)
+            if record not in leading:
+                shape, axes = _split(stripped.num_qubits, (record_ix,))
+                leading[record] = state.reshape(shape).transpose(axes).ravel()  # C-ordered
+            outcome, _ = measure_qubit(leading[record], 0, rng)
             record += (outcome,)
             if record not in states:
                 psi = states[record] = project_qubit(state, record_ix, outcome)  # new, so corrected in place

@@ -272,17 +272,20 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def _halves(caller: str, state: np.ndarray, index: int) -> tuple[np.ndarray, list]:
-    """The rows of one register ``state`` with qubit ``index`` at 0 and at 1, and their squared norms, for ``caller``.
+    """One register ``state`` as ``(2**index, 2, -1)``, whose ``[:, k]`` is the half with qubit ``index`` at k, and
+    the halves' squared norms, for ``caller``.
 
-    The rows are one reshape, which copies only where ``np.vdot``'s ravel would: the weights are a per-half ``vdot``'s.
+    Each weight is the ``vdot`` of its half flattened once as ``np.vdot`` flattens it: a view where one stride reaches
+    every amplitude (index 0, whose halves are two contiguous rows, and the last index), else one contiguous copy.
     """
     n = num_qubits_of(state, f"{caller}'s state")
     if np.ndim(state) != 1:
         raise BadMatrix(f"{caller} takes one register, got a stack of shape {np.shape(state)[:-1]}")
     if not is_integer(index) or not 0 <= index < n:
         raise BadIndex(f"qubit {index!r} is not an index of the {n}-qubit state")
-    halves = np.asarray(state, dtype=complex).reshape(2**index, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-    return halves, [np.vdot(half, half).real for half in halves]
+    halves = np.asarray(state, dtype=complex).reshape(2**index, 2, -1)
+    row0, row1 = halves[:, 0].reshape(-1), halves[:, 1].reshape(-1)
+    return halves, [np.vdot(row0, row0).real, np.vdot(row1, row1).real]
 
 
 def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -314,9 +317,8 @@ def project_qubit(state: np.ndarray, index: int, outcome: int) -> np.ndarray:
         raise OutOfRange(f"outcome must be the integer 0 or 1, got {outcome!r}")
     if weights[outcome] < 1e-15:
         raise ZeroNorm(f"outcome {outcome} on qubit {index} has vanishing weight {weights[outcome]:.3e}")
-    kept = halves[outcome].reshape(2**index, -1)
-    collapsed = np.zeros((kept.shape[0], 2, kept.shape[1]), complex)
-    np.divide(kept, math.sqrt(weights[outcome]), out=collapsed[:, outcome])
+    collapsed = np.zeros(halves.shape, complex)
+    np.divide(halves[:, outcome], math.sqrt(weights[outcome]), out=collapsed[:, outcome])
     return collapsed.reshape(-1)
 
 

@@ -76,6 +76,8 @@ SAMPLES: tuple[tuple, ...] = (
     ("mixed", (1.1, 0.7, 0.4), 0.5, "ba", (1.1, 0.0), 0, ("generator", 18)),
     ("common", (1.1, 0.7, 0.4), None, "ab", (1.1, 0.4), 1, ("generator", 19)),
     ("mixed", (1.1, 0.7, 0.4), 0.5, "ba", (1.1, 0.0), 1, 20),
+    ("independent", (1.1, 0.7, 0.4), None, "ab", (1.1, 0.4), 4096, 21),
+    ("mixed", (1.1, 0.7, 0.4), 0.5, "ba", (1.1, 0.0), 4096, ("generator", 22)),
 )
 
 

@@ -11,7 +11,7 @@ import pytest
 from dense import _ix, oracle_apply_gate
 
 from bellbidir import protocols
-from bellbidir.linalg import partial_trace
+from bellbidir.linalg import _split, partial_trace
 from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent
 from bellbidir.sim import GATE_ARITY, Gate, _apply_in_place, bloch_state, measure_qubit, project_qubit
 from bellbidir.sim import reduced_density_matrix
@@ -118,6 +118,38 @@ def test_measure_qubit_equals_the_n_axis_route_on_signed_zeros_bit_for_bit(n):
                 assert_measure_qubit_equals_the_oracle(state, index, int(rng.integers(2**32)))
 
 
+def to_front(state, q):
+    """A C-ordered copy of one register with qubit q moved to the front, as the trajectory sampler measures it."""
+    shape, axes = _split(state.shape[-1].bit_length() - 1, (q,))
+    return np.ascontiguousarray(state.reshape(shape).transpose(axes)).reshape(-1)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_measure_qubit_at_the_front_of_a_moved_register_keeps_its_bits(n):
+    # The sampler measures each record qubit at index 0 of a moved copy: its halves are contiguous rows holding the
+    # amplitudes that measure_qubit's copy of each half holds in place, in the same order.  The last qubit of two or
+    # more is excluded: there each half is one stride-2 run, which np.vdot sums in place, in another order.
+    rng = np.random.default_rng(500 + n)
+    for state in [*list(random_registers(n, rng))[:2], *sparse_registers(n, rng)]:
+        for q in range(max(n - 1, 1)):
+            seed = int(rng.integers(2**32))
+            outcome, prob = measure_qubit(state, q, np.random.default_rng(seed))
+            moved = to_front(state, q)
+            assert moved.flags.c_contiguous and moved.dtype == state.dtype
+            got = measure_qubit(moved, 0, np.random.default_rng(seed))
+            assert got[0] == outcome and np.array_equal(bits(np.float64(got[1])), bits(np.float64(prob))), q
+
+
+def test_no_record_qubit_is_the_last_of_its_register():
+    # so the invariant above covers every qubit the sampler moves to the front
+    params = SchemeParams(1.1, 0.7, 0.4)
+    for circuit in (build_scheme_independent(params), build_scheme_common(params)):
+        for direction in ("ab", "ba"):
+            endpoints = protocols.channel_endpoints(direction)
+            stripped, corrections, _ = protocols._sampler_setup(circuit, *endpoints, bloch_state(1.1, 0.4), 0)
+            assert len(corrections) == 4 and all(q < stripped.num_qubits - 1 for q, _ in corrections)
+
+
 def test_measure_qubit_equals_the_n_axis_route_on_the_samplers_registers_bit_for_bit(monkeypatch):
     measured = []  # every (register, qubit) the literal sampler measures
 
@@ -177,6 +209,7 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
     ]
     got = [case() for case in cases]
     calls, drawn = [], []  # the name of every oracle call; (register size, outcome) of every measurement
+    measured, projected, runs = [], [], []  # (register, index) of every measurement; every projection; circuit run
     oracles = {
         "_apply_in_place": lambda psi, gate, n: np.copyto(psi, oracle_apply_gate(psi, gate)),  # in place
         "measure_qubit": lambda state, index, rng: oracle_measure_qubit(state, index, rng)[::2],  # (outcome, prob)
@@ -190,14 +223,19 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
             result = oracle(*args)
             if name == "measure_qubit":
                 drawn.append((args[0].size, result[0]))
+                measured.append(args[:2])
+            if name == "project_qubit":
+                projected.append(result)  # corrected in place afterwards, if at all
             return result
 
         return call
 
     for name, oracle in oracles.items():
         monkeypatch.setattr(protocols, name, wrap(name, oracle))
-    # per call and register (the mixed call draws on two): records, prefixes, 1-ending prefixes
-    records, prefixes, corrected = set(), set(), set()
+    run_circuit = protocols.run_circuit
+    monkeypatch.setattr(protocols, "run_circuit", lambda *args: runs.append(run_circuit(*args)) or runs[-1])
+    # per call and register (the mixed call draws on two): records, prefixes, 1-ending prefixes, measured prefixes
+    records, prefixes, corrected, stems = set(), set(), set(), set()
     for i, (case, samples) in enumerate(zip(cases, got)):
         start = len(drawn)
         assert np.array_equal(bits(samples), bits(case()))
@@ -206,8 +244,30 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
             records.add((i, size, record))
             prefixes.update((i, size, record[: d + 1]) for d in range(4))
             corrected.update((i, size, record[: d + 1]) for d in range(4) if record[d] == 1)
+            stems.update((i, size, record[:d]) for d in range(4))
     # each trajectory is measured; each distinct prefix is projected and corrected once, and each distinct record
     # reduced once
     assert calls.count("measure_qubit") == 4 * 180 and calls.count("reduced_density_matrix") == len(records)
     assert calls.count("project_qubit") == len(prefixes) < 4 * 180
     assert calls.count("_apply_in_place") == len(corrected) > 0
+    # each prefix shorter than a record is measured at index 0 of one C-ordered copy of its register, made for it
+    # alone, with the next record qubit in front: replay the draws of each circuit run (consecutive runs differ in
+    # size) against the run's register and the projections in the order they were made
+    record_qubits = {2**c.num_qubits: [q for q, _ in protocols._sampler_setup(c, "Q_A", "C_B", psi, 0)[1]]
+                     for c in (circuit_ind, circuit_com)}
+    projections, k, leading = iter(projected), 0, set()
+    for i, size in [(0, 2**10), (1, 2**9), (2, 2**10), (2, 2**9)]:  # the runs of each call, in order
+        registers = {(): runs.pop(0)}
+        assert registers[()].size == size
+        while k < len(drawn) and drawn[k][0] == size:
+            record = ()
+            for state, index in measured[k : k + 4]:
+                assert index == 0 and state.flags.c_contiguous
+                assert np.array_equal(bits(state), bits(to_front(registers[record], record_qubits[size][len(record)])))
+                leading.add((i, size, id(state)))  # every measured register is held in measured, so ids are unique
+                record += (drawn[k + len(record)][1],)
+                if record not in registers:
+                    registers[record] = next(projections)
+            k += 4
+    assert k == len(drawn) and not runs and next(projections, None) is None
+    assert len(leading) == len(stems)
