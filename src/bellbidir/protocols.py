@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BadChannelState, BadIndex, BadLabel, BadMatrix, NonHermitianInput, NotPSD, OutOfRange
 from .errors import _reject_first, as_reals, as_unit_interval, broadcast, check_unit_interval, is_integer
-from .linalg import _scalar_or_stack, _split, as_numbers, psd_eigenvalues
+from .linalg import _scalar_or_stack, as_numbers, psd_eigenvalues
 from .sim import (
     CCNOT,
     CNOT,
@@ -40,7 +40,6 @@ from .sim import (
     X,
     _apply_in_place,
     measure_qubit,
-    project_qubit,
     reduced_density_matrix,
     run_circuit,
     run_reduced,
@@ -244,18 +243,26 @@ def apply_channel_from_choi(choi: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
 
 
 def _sampler_setup(circuit: Circuit, input_label: str, output_label: str, psi_in: np.ndarray, trials: int) -> tuple:
-    """``circuit`` rebuilt (so checked) with ``psi_in`` on its input, less its corrections; those; the output qubit."""
+    """``circuit`` rebuilt (so checked) with ``psi_in`` on its input, less its corrections; the qubit order that leads
+    with their record qubits; each correction, and the output, indexed in the register left after those measured."""
     if not is_integer(trials) or trials < 0:
         raise OutOfRange(f"trials must be a non-negative integer, got {trials!r}")
     for label, psi in [("psi_in", psi_in), *circuit.prep.items()]:
         if np.ndim(psi) > 1:
             shape = np.shape(psi)[:-1]
             raise ValueError(f"the trajectory sampler takes one register, got a stack of shape {shape} in {label}")
-    output_ix = circuit.index(output_label)
     deferred = [g for g in circuit.gates if g.kind in ("CNOT", "CZ") and circuit.labels[g.qubits[0]].startswith("M_")]
-    corrections = [(gate.qubits[0], Gate("X" if gate.kind == "CNOT" else "Z", gate.qubits[1:])) for gate in deferred]
+    order = [gate.qubits[0] for gate in deferred]  # the record qubits, then the others in register order
+    order += [q for q in range(circuit.num_qubits) if q not in order]
+    output_ix = order.index(circuit.index(output_label)) - len(deferred)  # negative for a record qubit
+    if input_label in circuit.prep:
+        raise BadLabel(f"input qubit {input_label!r} has a fixed preparation; it must start in |0>")
+    if output_ix < 0:
+        raise BadLabel(f"output qubit {output_label!r} is a record qubit, which the sampler measures away")
+    corrections = [Gate("X" if gate.kind == "CNOT" else "Z", (order.index(gate.qubits[1]) - d,))
+                   for d, gate in enumerate(deferred, 1)]
     gates = [gate for gate in circuit.gates if gate not in deferred]
-    return replace(circuit, gates=gates, prep={**circuit.prep, input_label: psi_in}), corrections, output_ix
+    return replace(circuit, gates=gates, prep={**circuit.prep, input_label: psi_in}), order, corrections, output_ix
 
 
 def _generator(seed) -> np.random.Generator:
@@ -267,32 +274,29 @@ def _generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _draw_trajectories(stripped: Circuit, corrections: list, output_ix: int, trials: int, rng) -> np.ndarray:
-    """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but project, correct and reduce once each.
+def _draw_trajectories(stripped: Circuit, order: list, corrections: list, output: int, trials: int, rng) -> np.ndarray:
+    """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but keep, correct and reduce once each.
 
-    Each trial draws its outcomes with :func:`sim.measure_qubit` at index 0 of a C-ordered copy of its record prefix's
-    register with the next record qubit in front, made once per prefix: its two rows are that qubit's halves in
-    register order, so the weights have the bits of a measurement in place unless the qubit is the register's last
-    (no scheme's is).  A record prefix seen for the first time is projected and corrected, and a record reduced.
-    Each trial notes its record's row of the per-record output table; one gather fills the ``(trials, 2, 2)`` result.
+    The run is copied once in C order with the record qubits in front, and each trial measures index 0 of its record
+    prefix's register.  A new prefix keeps the outcome's half, one qubit smaller, normalized for ``measure_qubit``'s
+    absolute floors, and corrects a 1 in place.  One gather from the per-record outputs fills the result.
     """
-    states, leading, rows = {(): run_circuit(stripped, stripped.initial_state())}, {}, {}  # per prefix; per record
+    run = run_circuit(stripped, stripped.initial_state()).reshape([2] * len(order))
+    states, rows = {(): run.transpose(order).ravel()}, {}  # per record prefix; per record, its row of the outputs
     positions = np.empty(trials, dtype=np.intp)
     for k in range(trials):
         record = ()
-        for record_ix, correction in corrections:
+        for correction in corrections:
             state = states[record]
-            if record not in leading:
-                shape, axes = _split(stripped.num_qubits, (record_ix,))
-                leading[record] = state.reshape(shape).transpose(axes).ravel()  # C-ordered
-            outcome, _ = measure_qubit(leading[record], 0, rng)
+            outcome, _ = measure_qubit(state, 0, rng)
             record += (outcome,)
             if record not in states:
-                psi = states[record] = project_qubit(state, record_ix, outcome)  # new, so corrected in place
+                half = np.asarray(state, complex).reshape(2, -1)[outcome]
+                psi = states[record] = half / math.sqrt(np.vdot(half, half).real)  # new, so corrected in place
                 if outcome == 1:
-                    _apply_in_place(psi, correction, stripped.num_qubits)
+                    _apply_in_place(psi, correction, len(order) - len(record))
         positions[k] = rows.setdefault(record, len(rows))
-    table = [reduced_density_matrix(states[record], [output_ix]) for record in rows]
+    table = [reduced_density_matrix(states[record], [output]) for record in rows]
     return np.array(table, dtype=complex).reshape(-1, 2, 2)[positions]
 
 
@@ -306,13 +310,13 @@ def sample_trajectories(
 ) -> np.ndarray:
     """Measure-and-correct execution of a scheme circuit, one circuit run for all trajectories.
 
-    The deferred correction gates are removed; each trajectory measures their control qubits in order.  The
-    post-measurement register and the X/Z correction of a measured 1 are computed once per distinct record
-    prefix, and the output once per distinct record.
-    Returns the per-trajectory output density matrices, gathered from that per-record table, shape
-    ``(trials, 2, 2)``; their mean estimates the channel output for ``psi_in``.  ``seed`` is a non-negative
-    integer or a ``np.random.Generator``; a generator is drawn from as is, so its state advances.  Anything
-    else raises :class:`OutOfRange` before any draw.
+    The deferred correction gates are removed; each trajectory measures their control qubits in order, each leaving
+    the register.  The register after it and the X/Z correction of a measured 1 are computed once per distinct record
+    prefix, and the output once per distinct record.  Returns the per-trajectory output density matrices, gathered
+    from that per-record table, shape ``(trials, 2, 2)``; their mean estimates the channel output for ``psi_in``.
+    ``seed`` is a non-negative integer or a ``np.random.Generator``; a generator is drawn from as is, so its state
+    advances.  Anything else raises :class:`OutOfRange`, and an input that the circuit prepares, or an output that
+    is a record qubit, :class:`BadLabel`, before any draw.
     """
     setup = _sampler_setup(circuit, input_label, output_label, psi_in, trials)
     return _draw_trajectories(*setup, trials, _generator(seed))

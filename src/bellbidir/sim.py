@@ -11,6 +11,7 @@ Registers are float64 unless a preparation, or the state run, is complex.
 A kernel addresses only the qubits it names: ``_split`` views a register
 with a length-2 axis per named qubit and one merged axis per run of the
 others, in register order, so k named qubits take at most 2k + 1 axes.
+``measure_qubit`` only draws: the sampler keeps the outcome's half itself.
 
 A plan cached per gate list, prepared qubits, input pattern and kept
 qubits runs a compact register of the amplitudes its input can reach, and
@@ -271,31 +272,22 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return _run(circuit.gates, n, every, state, every, state.dtype)
 
 
-def _halves(caller: str, state: np.ndarray, index: int) -> tuple[np.ndarray, list]:
-    """One register ``state`` as ``(2**index, 2, -1)``, whose ``[:, k]`` is the half with qubit ``index`` at k, and
-    the halves' squared norms, for ``caller``.
+def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw the outcome of a computational-basis measurement of qubit ``index`` of one register, from ``rng.random()``.
 
-    Each weight is the ``vdot`` of its half flattened once as ``np.vdot`` flattens it: a view where one stride reaches
-    every amplitude (index 0, whose halves are two contiguous rows, and the last index), else one contiguous copy.
+    Returns ``(outcome, probability)``, outcome ``k`` at ``w_k / (w_0 + w_1)`` for any nonzero norm: ``w_k`` is the
+    ``vdot`` of the half with the qubit at ``k``, flattened as ``np.vdot`` does (a view at index 0 or the last qubit).
     """
-    n = num_qubits_of(state, f"{caller}'s state")
+    n = num_qubits_of(state, "measure_qubit's state")
     if np.ndim(state) != 1:
-        raise BadMatrix(f"{caller} takes one register, got a stack of shape {np.shape(state)[:-1]}")
+        raise BadMatrix(f"measure_qubit takes one register, got a stack of shape {np.shape(state)[:-1]}")
     if not is_integer(index) or not 0 <= index < n:
         raise BadIndex(f"qubit {index!r} is not an index of the {n}-qubit state")
+    if not isinstance(rng, np.random.Generator):
+        raise OutOfRange(f"rng must be a np.random.Generator, got {rng!r}")
     halves = np.asarray(state, dtype=complex).reshape(2**index, 2, -1)
     row0, row1 = halves[:, 0].reshape(-1), halves[:, 1].reshape(-1)
-    return halves, [np.vdot(row0, row0).real, np.vdot(row1, row1).real]
-
-
-def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw the outcome of a projective measurement of one qubit in the computational basis.
-
-    The state may have any nonzero norm: outcome ``k`` comes up with probability ``w_k / (w_0 + w_1)``, where
-    ``w_k`` is the squared norm of the half of the state with the qubit at ``k``.  Returns ``(outcome,
-    probability_of_that_outcome)`` from one ``rng.random()`` draw; :func:`project_qubit` builds the register after it.
-    """
-    weights = _halves("measure_qubit", state, index)[1]
+    weights = [np.vdot(row0, row0).real, np.vdot(row1, row1).real]
     total = weights[0] + weights[1]
     if total < 1e-15:
         raise ZeroNorm("cannot measure a zero-norm state")
@@ -304,22 +296,6 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     if prob < 1e-15:
         raise ZeroNorm(f"outcome {outcome} on qubit {index} has vanishing probability")
     return outcome, prob
-
-
-def project_qubit(state: np.ndarray, index: int, outcome: int) -> np.ndarray:
-    """The register after qubit ``index`` of ``state`` is measured at ``outcome``, the integer 0 or 1.
-
-    A new complex register, that half over the root of its weight and the other half zero; :class:`ZeroNorm` if the
-    weight is below 1e-15.
-    """
-    halves, weights = _halves("project_qubit", state, index)
-    if not is_integer(outcome) or outcome not in (0, 1):
-        raise OutOfRange(f"outcome must be the integer 0 or 1, got {outcome!r}")
-    if weights[outcome] < 1e-15:
-        raise ZeroNorm(f"outcome {outcome} on qubit {index} has vanishing weight {weights[outcome]:.3e}")
-    collapsed = np.zeros(halves.shape, complex)
-    np.divide(halves[:, outcome], math.sqrt(weights[outcome]), out=collapsed[:, outcome])
-    return collapsed.reshape(-1)
 
 
 def _gram(psi: np.ndarray, real: bool) -> np.ndarray:

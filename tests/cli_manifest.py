@@ -1,12 +1,14 @@
 """The CLI commands and seeded sampler calls whose output a change compares with its parent's.
 
     PYTHONPATH=src python tests/cli_manifest.py   # one line per command, then one per sampler call
+    PYTHONPATH=src python tests/cli_manifest.py --dump DIR   # the same, and each sampler output as DIR/<i>.npy
     python tests/cli_manifest.py --compare TREE    # this tree's src against TREE's; exit 1 unless all are equal
 
 A command's line holds its exit code, the sha256 of its stdout and stderr, and its argv; each command runs
 in-process through ``bellbidir.cli.main`` with the terminal 80 columns wide, since argparse wraps its usage and
 help text to the terminal.  A sampler call's line holds the sha256 of its output's ``uint64`` view, the output's
-shape and the call.  No digest is committed: full-precision output depends on numpy and BLAS.
+shape and the call.  No digest is committed: full-precision output depends on numpy and BLAS.  ``--compare`` prints,
+after each sampler line whose digest differs, the largest entrywise |difference| of the two outputs.
 ``tests/test_cli_manifest.py`` runs every command with its exit code and every sampler call, and checks that the
 commands cover every subcommand and every choice of the parser, and the calls every kind of sampler input.
 """
@@ -19,6 +21,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIMULATE_POINTS = {
@@ -111,37 +114,61 @@ def sample(call: tuple):
     return sample_trajectories(build(params), *endpoints, psi, trials, seed)
 
 
-def digests() -> list[str]:
+def digests(dump: Path | None = None) -> list[str]:
     """One line per command: its exit code, the sha256 of its stdout and of its stderr, and its argv; then one per
-    sampler call: ``sample``, the sha256 of its output's ``uint64`` view, the output's shape, and the call."""
+    sampler call: ``sample``, the sha256 of its output's ``uint64`` view, the output's shape, and the call.  With
+    ``dump``, the i-th sampler output is also saved as ``dump / f"{i}.npy"``."""
+    import numpy as np
+
     lines = []
     for argv, _ in COMMANDS:
         code, out, err = run(argv)
         sums = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
         lines.append(" ".join([str(code), *sums, *argv]))
-    for call in SAMPLES:
+    for i, call in enumerate(SAMPLES):
         out = sample(call)
+        if dump is not None:
+            np.save(dump / f"{i}.npy", out)
         digest = hashlib.sha256(out.view("u8").tobytes()).hexdigest()
         lines.append(" ".join(["sample", digest, "x".join(map(str, out.shape)), repr(call)]))
     return lines
 
 
-def _digests_of(tree: Path) -> list[str]:
-    """:func:`digests` of a source tree, from a fresh interpreter with only its ``src`` on the path."""
+def _digests_of(tree: Path, dump: Path) -> list[str]:
+    """:func:`digests` of a source tree, from a fresh interpreter with only its ``src`` on the path; its sampler outputs
+    go to ``dump``."""
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "COLUMNS": "80"}
-    done = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, check=True)
-    return done.stdout.splitlines()
+    dump.mkdir()
+    argv = [sys.executable, __file__, "--dump", str(dump)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def compare(tree: Path) -> int:
+    """Print whether each line of this tree's :func:`digests` equals ``tree``'s, with the largest entrywise
+    |difference| of each differing sampler output, then the count; 0 if every line is equal, else 1."""
+    import numpy as np
+
+    with tempfile.TemporaryDirectory() as tmp:
+        dumps = Path(tmp, "here"), Path(tmp, "there")
+        here, there = _digests_of(Path(__file__).resolve().parents[1], dumps[0]), _digests_of(tree, dumps[1])
+        for k, (mine, theirs) in enumerate(zip(here, there, strict=True)):
+            line = ("equal  " if mine == theirs else "DIFFERS") + " " + mine.split(" ", 3)[-1]
+            if mine != theirs and k >= len(COMMANDS):
+                a, b = (np.load(path / f"{k - len(COMMANDS)}.npy") for path in dumps)
+                line += f"  max |difference| {np.abs(a - b).max():.2g}"
+            print(line)
+    counts = f"{len(COMMANDS)} commands, {len(SAMPLES)} sampler calls"
+    print(f"{sum(map(str.__eq__, here, there))} of {len(here)} lines equal ({counts})")
+    return 0 if here == there else 1
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 3:
-        here, there = _digests_of(Path(__file__).resolve().parents[1]), _digests_of(Path(sys.argv[2]))
-        for mine, theirs in zip(here, there, strict=True):
-            print("equal  " if mine == theirs else "DIFFERS", mine.split(" ", 3)[-1])
-        counts = f"{len(COMMANDS)} commands, {len(SAMPLES)} sampler calls"
-        print(f"{sum(map(str.__eq__, here, there))} of {len(here)} lines equal ({counts})")
-        sys.exit(0 if here == there else 1)
-    if sys.argv[1:]:
-        sys.exit(f"usage: python {sys.argv[0]} [--compare TREE]")
-    print("\n".join(digests()))
+        sys.exit(compare(Path(sys.argv[2])))
+    if sys.argv[1:2] == ["--dump"] and len(sys.argv) == 3:
+        print("\n".join(digests(Path(sys.argv[2]))))
+    elif sys.argv[1:]:
+        sys.exit(f"usage: python {sys.argv[0]} [--compare TREE | --dump DIR]")
+    else:
+        print("\n".join(digests()))

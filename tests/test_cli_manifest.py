@@ -1,10 +1,12 @@
 """The committed lists: every command exits as listed and the commands cover the whole parser; every sampler call
-gives states and the calls cover every kind of sampler input."""
+gives states and the calls cover every kind of sampler input; ``--compare`` reports how far differing outputs moved."""
 import argparse
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import cli_manifest
 from cli_manifest import COMMANDS, SAMPLES, run, sample
 
 from bellbidir.channels import SCHEMES
@@ -63,3 +65,24 @@ def test_the_sampler_calls_cover_every_kind_of_input():
     assert schemes == set(SCHEMES) and directions == set(DIRECTIONS) and inputs == {"real", "complex"}
     assert seeds == {int, tuple} and corners == set(SCHEMES) and {0, 1} <= trials
     assert any(call[2] in (0.0, 1.0) for call in SAMPLES)  # the mixed scheme at a t corner
+
+
+def test_compare_prints_the_largest_difference_of_each_differing_sampler_output(monkeypatch, capsys):
+    # two trees that differ only in the second sampler call's output, by 3e-16 in one entry
+    def digests_of(tree, dump):
+        dump.mkdir()
+        lines = [f"0 out err {' '.join(argv)}" for argv, _ in COMMANDS]
+        for i, call in enumerate(SAMPLES):
+            out = np.zeros((2, 2, 2), dtype=complex)
+            out[1, 0, 1] = 3e-16 if (i, dump.name) == (1, "there") else 0.0
+            np.save(dump / f"{i}.npy", out)
+            lines.append(f"sample {out.tobytes().hex()} 2x2x2 {call!r}")
+        return lines
+
+    monkeypatch.setattr(cli_manifest, "_digests_of", digests_of)
+    assert cli_manifest.compare(Path("parent")) == 1
+    lines = capsys.readouterr().out.splitlines()
+    differing = [line for line in lines if line.startswith("DIFFERS")]
+    assert differing == [f"DIFFERS {SAMPLES[1]!r}  max |difference| 3e-16"]
+    counts = f"({len(COMMANDS)} commands, {len(SAMPLES)} sampler calls)"
+    assert lines[-1] == f"{len(lines) - 2} of {len(lines) - 1} lines equal {counts}"

@@ -10,7 +10,7 @@ from bellbidir.errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, Out
 from bellbidir.infotheory import classical_accessible_info, info_report_from_choi, shannon_mutual_information
 from bellbidir.linalg import partial_trace, projector, psd_eigenvalues, trace_distance
 from bellbidir.protocols import SchemeParams, apply_channel_from_choi, choi_mixed
-from bellbidir.sim import CNOT, Circuit, Gate, H, bell_state, measure_qubit, project_qubit, reduced_density_matrix
+from bellbidir.sim import CNOT, Circuit, Gate, H, bell_state, measure_qubit, reduced_density_matrix
 from bellbidir.sim import run_circuit, run_reduced
 
 I2 = np.eye(2, dtype=complex)
@@ -165,7 +165,6 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
         partial(run_circuit, circuit): np.ones(4),
         partial(reduced_density_matrix, keep=[0]): np.float64(1.0),
         partial(measure_qubit, index=0, rng=np.random.default_rng(0)): np.float64(1.0),
-        partial(project_qubit, index=0, outcome=0): np.float64(1.0),
     }
     not_numbers = ([["1", "0"], ["0", "0"]], "abc", b"ab", [[None, 0.5], [0.5, 0.0]], np.full((2, 2), Fraction(1, 4)))
     for call, wrong_size in inputs.items():

@@ -572,6 +572,26 @@ def test_samplers_reject_a_stack_before_any_draw():
         assert mixed(single, common, 0.5, psi_in=psi, trials=trials, seed=1).shape == (trials, 2, 2)
 
 
+def test_samplers_reject_a_prepared_input_or_a_record_output_before_any_draw():
+    # a trigger as input would silently replace its preparation with psi_in; a record qubit as output is measured away
+    circuit_ind, circuit_com = build_scheme_independent(SchemeParams(1.1, 0.7)), build_scheme_common(SchemeParams())
+    prepared = r"^input qubit '{}' has a fixed preparation; it must start in \|0>$"
+    with pytest.raises(BadLabel, match=prepared.format("T_A")):
+        extract_choi(circuit_ind, "T_A", "C_B")  # the sampler raises as the extraction does
+    for sampler, input_label, output_label, message in (
+        (partial(sample_trajectories, circuit_ind), "T_A", "C_B", prepared.format("T_A")),
+        (partial(sample_trajectories, circuit_com), "T", "C_A", prepared.format("T")),
+        (partial(sample_trajectories, circuit_ind), "Q_A", "M_A1", r"^output qubit 'M_A1' is a record qubit, which"),
+        (partial(sample_trajectories, circuit_com), "Q_B", "M_B2", r"^output qubit 'M_B2' is a record qubit, which"),
+        (partial(sample_mixed_trajectories, circuit_ind, circuit_com, 0.5), "T_B", "C_A", prepared.format("T_B")),
+        (partial(sample_mixed_trajectories, circuit_ind, circuit_com, 1.0), "Q_A", "M_A2", r"'M_A2' is a record qubit"),
+    ):
+        rng = np.random.default_rng(5)
+        with pytest.raises(BadLabel, match=message):
+            sampler(input_label, output_label, bloch_state(0.8, 2.1), 4, rng)
+        assert rng.random() == np.random.default_rng(5).random()  # the generator was not drawn from
+
+
 def test_zero_trials_give_an_empty_sample_and_draw_nothing():
     circuit_ind, circuit_com = build_scheme_independent(SchemeParams(0.3, 1.2)), build_scheme_common(SchemeParams())
     psi = bloch_state(0.8, 2.1)

@@ -94,11 +94,11 @@ def test_two_partly_firing_triggers_give_every_record():
 
 
 def _trials(drawn, trials):
-    """Per trial: its register size, its record and the product of its four conditional probabilities."""
+    """Per trial: the size of its first register, its record and the product of its four conditional probabilities."""
     assert len(drawn) == 4 * trials
     for k in range(trials):
         sizes, outcomes, probs = zip(*drawn[4 * k : 4 * k + 4])
-        assert len(set(sizes)) == 1
+        assert sizes == tuple(sizes[0] >> d for d in range(4))  # each measured qubit leaves the register
         yield sizes[0], outcomes, math.prod(probs)
 
 
@@ -159,3 +159,27 @@ def test_every_mixed_trajectory_is_its_records_table_entry(drawn, t):
         _assert_trial_matches_table(samples[k], record, prob, tables[size])
         sizes.append(size)
     assert sizes == [2**circuit_ind.num_qubits] * picks.sum() + [2**circuit_com.num_qubits] * (~picks).sum()
+
+
+@pytest.mark.parametrize("mutant", ["no correction", "the qubit after the target"])
+def test_a_mis_correcting_sampler_misses_the_table(drawn, monkeypatch, mutant):
+    # the trial-by-trial check can fail: a sampler that skips its corrections, or makes them on the wrong qubit,
+    # misses its record's table entry on some trial by far more than the tolerance
+    apply = protocols._apply_in_place
+    wrong = {
+        "no correction": lambda psi, gate, n: None,
+        "the qubit after the target": lambda psi, gate, n: apply(psi, Gate(gate.kind, (gate.qubits[0] + 1,)), n),
+    }
+    monkeypatch.setattr(protocols, "_apply_in_place", wrong[mutant])
+    rng = np.random.default_rng(64)
+    params, psi = SchemeParams(theta1=1.1, theta2=0.7, theta=1.1), random_qubit(rng)
+    circuits, misses = (build_scheme_independent(params), build_scheme_common(params)), []
+    for circuit, direction in itertools.product(circuits, DIRECTIONS):
+        endpoints = channel_endpoints(direction)
+        probs, outputs = record_table(circuit, *endpoints, psi)
+        drawn.clear()
+        samples = protocols.sample_trajectories(circuit, *endpoints, psi, trials=200, seed=3)
+        for sample, (_, record, prob) in zip(samples, _trials(drawn, 200)):
+            assert abs(prob - probs[record]) <= TOL  # the draws are right: only the outputs go wrong
+            misses.append(np.abs(sample - outputs[record]).max())
+    assert max(misses) > 1e-3

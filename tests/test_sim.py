@@ -18,7 +18,6 @@ from bellbidir.sim import (
     bell_state,
     bloch_state,
     measure_qubit,
-    project_qubit,
     reduced_density_matrix,
     run_circuit,
     run_reduced,
@@ -420,9 +419,7 @@ def test_built_circuit_prep_is_read_only():
 def test_measure_deterministic():
     rng = np.random.default_rng(0)
     outcome, prob = measure_qubit(KET0, 0, rng)
-    collapsed = project_qubit(KET0, 0, outcome)
     assert outcome == 0 and prob == 1.0
-    assert np.allclose(collapsed, KET0)
 
 
 def test_measure_bell_correlations():
@@ -430,7 +427,7 @@ def test_measure_bell_correlations():
     for _ in range(50):
         first, p = measure_qubit(bell_state(), 0, rng)
         assert abs(p - 0.5) <= 1e-12
-        second, p2 = measure_qubit(project_qubit(bell_state(), 0, first), 1, rng)
+        second, p2 = measure_qubit(bell_state().reshape(2, -1)[first], 0, rng)  # the kept half, as the sampler keeps it
         assert second == first
         assert abs(p2 - 1.0) <= 1e-12
 
@@ -452,10 +449,8 @@ def test_measure_unnormalized_state():
     ones = 0
     for _ in range(trials):
         outcome, prob = measure_qubit(psi, 0, rng)
-        collapsed = project_qubit(psi, 0, outcome)
         ones += outcome
         assert abs(prob - 0.5) <= 1e-15
-        assert abs(np.linalg.norm(collapsed) - 1.0) <= 1e-15
     assert abs(ones / trials - 0.5) <= 5 * math.sqrt(0.25 / trials)
 
 
@@ -469,46 +464,32 @@ def test_measure_zero_norm_state():
         measure_qubit(np.zeros(2, dtype=complex), 0, np.random.default_rng(0))
 
 
-def test_project_a_vanishing_half_raises_zero_norm():
-    # a register divided by the root of a vanishing weight would hold inf or NaN
-    for state, outcome in [(KET0, 1), (np.zeros(4), 0), (np.array([1.0, 3e-8]), 1), (np.array([0.0, 1e-9j]), 1)]:
-        with pytest.raises(ZeroNorm, match=f"^outcome {outcome} on qubit 0 has vanishing weight"):
-            project_qubit(state, 0, outcome)
-    small = project_qubit(np.array([1.0, 4e-8]), 0, 1)  # weight 1.6e-15, just above the floor
-    assert np.isfinite(small).all() and np.array_equal(small, [0.0, 1.0])
-
-
-def test_project_takes_only_the_outcomes_0_and_1():
-    for outcome in (True, False, np.True_, 1.0, np.float64(0.0), 2, -1, "1", None, [1]):
-        with pytest.raises(OutOfRange, match=r"^outcome must be the integer 0 or 1, got "):
-            project_qubit(bell_state(), 0, outcome)
-    for outcome in (0, 1, np.int64(1), np.uint8(0)):
-        expected = np.zeros(4, dtype=complex)
-        expected[3 * int(outcome)] = 1.0
-        assert np.array_equal(project_qubit(bell_state(), 1, outcome), expected)
-
-
 def test_measure_takes_one_register():
-    # a stack of registers would be measured as one register of all its amplitudes; each message names its function
-    for call, last in [(measure_qubit, np.random.default_rng(0)), (project_qubit, 0)]:
-        name = call.__name__
-        stack = np.full((3, 4), 0.5)
-        with pytest.raises(BadMatrix, match=rf"^{name} takes one register, got a stack of shape \(3,\)$"):
-            call(stack, 0, last)
-        with pytest.raises(BadMatrix, match=r"stack of shape \(1,\)$"):
-            call(bell_state()[None], 0, last)
+    # a stack of registers would be measured as one register of all its amplitudes
+    rng = np.random.default_rng(0)
+    with pytest.raises(BadMatrix, match=r"^measure_qubit takes one register, got a stack of shape \(3,\)$"):
+        measure_qubit(np.full((3, 4), 0.5), 0, rng)
+    with pytest.raises(BadMatrix, match=r"stack of shape \(1,\)$"):
+        measure_qubit(bell_state()[None], 0, rng)
 
 
-@pytest.mark.parametrize("call", [measure_qubit, project_qubit], ids=lambda call: call.__name__)
-def test_the_number_rule_names_the_measurement_function(call):
-    last = np.random.default_rng(0) if call is measure_qubit else 0
-    name = call.__name__
-    with pytest.raises(BadMatrix, match=rf"^{name}'s state must hold only numbers, got an array of dtype <U1$"):
-        call(["1", "0"], 0, last)
-    with pytest.raises(BadMatrix, match=rf"^{name}'s state must be a length-n vector or a stack of them, got shape"):
-        call(np.float64(1.0), 0, last)
-    with pytest.raises(ValueError, match=rf"^{name}'s state length 3 is not a power of two >= 2$"):
-        call(np.ones(3), 0, last)
+@pytest.mark.parametrize(
+    "rng", [5, None, np.random.RandomState(0), np.random.PCG64(0)], ids=["5", "None", "RandomState", "PCG64"]
+)
+def test_measure_takes_only_a_generator(rng):
+    # anything else would fail at its first draw with an AttributeError, or draw from another stream
+    with pytest.raises(OutOfRange, match=r"^rng must be a np\.random\.Generator, got "):
+        measure_qubit(bell_state(), 0, rng)
+
+
+def test_the_number_rule_names_the_measurement_function():
+    rng = np.random.default_rng(0)
+    with pytest.raises(BadMatrix, match=r"^measure_qubit's state must hold only numbers, got an array of dtype <U1$"):
+        measure_qubit(["1", "0"], 0, rng)
+    with pytest.raises(BadMatrix, match=r"^measure_qubit's state must be a length-n vector or a stack of them, got"):
+        measure_qubit(np.float64(1.0), 0, rng)
+    with pytest.raises(ValueError, match=r"^measure_qubit's state length 3 is not a power of two >= 2$"):
+        measure_qubit(np.ones(3), 0, rng)
 
 
 def test_measure_leaves_a_read_only_register_as_it_was():
@@ -519,13 +500,7 @@ def test_measure_leaves_a_read_only_register_as_it_was():
         state.flags.writeable = False
         before = state.tobytes()
         for index in range(5):
-            outcome, _ = measure_qubit(state, index, rng)
-            assert state.tobytes() == before
-            collapsed = project_qubit(state, index, outcome)
-            assert state.tobytes() == before
-            assert collapsed.dtype == complex and collapsed.flags.writeable and collapsed.flags.c_contiguous
-            assert not np.shares_memory(collapsed, state)
-            collapsed[:] = 7.0  # writing the result leaves the input as it was
+            measure_qubit(state, index, rng)
             assert state.tobytes() == before
 
 
@@ -590,15 +565,13 @@ def run_reduced_after_an_integer_keep():
         lambda: reduced_density_matrix(bell_state(), [False]),
         lambda: measure_qubit(bell_state(), 1.5, np.random.default_rng(0)),
         lambda: measure_qubit(bell_state(), True, np.random.default_rng(0)),
-        lambda: project_qubit(bell_state(), 1.5, 0),
-        lambda: project_qubit(bell_state(), True, 0),
         run_reduced_after_an_integer_keep,
         lambda: Gate("H", 0),
         lambda: reduced_density_matrix(bell_state(), 0),
         lambda: run_reduced(Circuit(2, ("a", "b"), (H(0),)), 0, {}),
     ],
     ids=["H-1.5", "CNOT-1.9", "CCNOT-float64", "H-True", "H-str", "CNOT-numpy-bool", "reduced-1.2", "reduced-False",
-         "measure-1.5", "measure-True", "project-1.5", "project-True", "run_reduced-1.0-after-1", "Gate-bare-int",
+         "measure-1.5", "measure-True", "run_reduced-1.0-after-1", "Gate-bare-int",
          "reduced-bare-int", "run_reduced-bare-int"],
 )
 def test_a_qubit_index_that_is_not_an_integer_raises_bad_index(call):

@@ -9,33 +9,28 @@ import math
 import numpy as np
 import pytest
 from dense import _ix, oracle_apply_gate
+from test_record_table import CORRECTIONS, RECORD_QUBITS
 
 from bellbidir import protocols
 from bellbidir.linalg import _split, partial_trace
 from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent
-from bellbidir.sim import GATE_ARITY, Gate, _apply_in_place, bloch_state, measure_qubit, project_qubit
-from bellbidir.sim import reduced_density_matrix
+from bellbidir.sim import GATE_ARITY, Gate, _apply_in_place, bloch_state, measure_qubit, reduced_density_matrix
 
 
 def oracle_measure_qubit(state, index, rng):
     n = state.shape[-1].bit_length() - 1
     psi = np.asarray(state, dtype=complex).reshape([2] * n)
-    halves = [psi[_ix(n, {index: k})] for k in (0, 1)]
-    weights = [np.vdot(half, half).real for half in halves]
+    weights = [np.vdot(half, half).real for half in (psi[_ix(n, {index: k})] for k in (0, 1))]
     total = weights[0] + weights[1]
     outcome = int(rng.random() < weights[1] / total)
-    collapsed = np.zeros_like(psi)
-    collapsed[_ix(n, {index: outcome})] = halves[outcome] / math.sqrt(weights[outcome])
-    return outcome, collapsed.reshape(-1), weights[outcome] / total
+    return outcome, weights[outcome] / total
 
 
-def oracle_project_qubit(state, index, outcome):
+def oracle_keep_front(state, outcome):
+    """The register left when qubit 0 of ``state`` is measured at ``outcome``: that half over the root of its weight."""
     n = state.shape[-1].bit_length() - 1
-    psi = np.asarray(state, dtype=complex).reshape([2] * n)
-    half = psi[_ix(n, {index: outcome})]
-    collapsed = np.zeros_like(psi)
-    collapsed[_ix(n, {index: outcome})] = half / math.sqrt(np.vdot(half, half).real)
-    return collapsed.reshape(-1)
+    half = np.asarray(state, dtype=complex).reshape([2] * n)[outcome]
+    return (half / math.sqrt(np.vdot(half, half).real)).reshape(-1)
 
 
 def oracle_reduced_density_matrix(state, keep):
@@ -82,13 +77,11 @@ def test_apply_in_place_equals_the_n_axis_route_bit_for_bit(n):
 
 
 def assert_measure_qubit_equals_the_oracle(state, index, seed):
-    """``measure_qubit``'s outcome and probability, and ``project_qubit``'s register after it, against the oracle's."""
+    """``measure_qubit``'s outcome and probability against the oracle's."""
     outcome, prob = measure_qubit(state, index, np.random.default_rng(seed))
-    collapsed = project_qubit(state, index, outcome)
     expected = oracle_measure_qubit(state, index, np.random.default_rng(seed))
     assert outcome == expected[0]
-    assert np.array_equal(bits(collapsed), bits(expected[1]))
-    assert np.array_equal(bits(np.float64(prob)), bits(np.float64(expected[2])))
+    assert np.array_equal(bits(np.float64(prob)), bits(np.float64(expected[1])))
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -119,16 +112,16 @@ def test_measure_qubit_equals_the_n_axis_route_on_signed_zeros_bit_for_bit(n):
 
 
 def to_front(state, q):
-    """A C-ordered copy of one register with qubit q moved to the front, as the trajectory sampler measures it."""
+    """A C-ordered copy of one register with qubit q moved to the front."""
     shape, axes = _split(state.shape[-1].bit_length() - 1, (q,))
     return np.ascontiguousarray(state.reshape(shape).transpose(axes)).reshape(-1)
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_measure_qubit_at_the_front_of_a_moved_register_keeps_its_bits(n):
-    # The sampler measures each record qubit at index 0 of a moved copy: its halves are contiguous rows holding the
-    # amplitudes that measure_qubit's copy of each half holds in place, in the same order.  The last qubit of two or
-    # more is excluded: there each half is one stride-2 run, which np.vdot sums in place, in another order.
+    # At index 0 of a moved copy, the halves are contiguous rows holding the amplitudes that measure_qubit's copy of
+    # each half holds in place, in the same order.  The last qubit of two or more is excluded: there each half is one
+    # stride-2 run, which np.vdot sums in place, in another order.
     rng = np.random.default_rng(500 + n)
     for state in [*list(random_registers(n, rng))[:2], *sparse_registers(n, rng)]:
         for q in range(max(n - 1, 1)):
@@ -138,16 +131,6 @@ def test_measure_qubit_at_the_front_of_a_moved_register_keeps_its_bits(n):
             assert moved.flags.c_contiguous and moved.dtype == state.dtype
             got = measure_qubit(moved, 0, np.random.default_rng(seed))
             assert got[0] == outcome and np.array_equal(bits(np.float64(got[1])), bits(np.float64(prob))), q
-
-
-def test_no_record_qubit_is_the_last_of_its_register():
-    # so the invariant above covers every qubit the sampler moves to the front
-    params = SchemeParams(1.1, 0.7, 0.4)
-    for circuit in (build_scheme_independent(params), build_scheme_common(params)):
-        for direction in ("ab", "ba"):
-            endpoints = protocols.channel_endpoints(direction)
-            stripped, corrections, _ = protocols._sampler_setup(circuit, *endpoints, bloch_state(1.1, 0.4), 0)
-            assert len(corrections) == 4 and all(q < stripped.num_qubits - 1 for q, _ in corrections)
 
 
 def test_measure_qubit_equals_the_n_axis_route_on_the_samplers_registers_bit_for_bit(monkeypatch):
@@ -208,66 +191,63 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
         lambda: protocols.sample_mixed_trajectories(circuit_ind, circuit_com, 0.4, "Q_A", "C_B", psi, 60, seed=7),
     ]
     got = [case() for case in cases]
-    calls, drawn = [], []  # the name of every oracle call; (register size, outcome) of every measurement
-    measured, projected, runs = [], [], []  # (register, index) of every measurement; every projection; circuit run
+    events = []  # (name, arguments, result) of every oracle call and circuit run, in order; each holds its arrays
     oracles = {
         "_apply_in_place": lambda psi, gate, n: np.copyto(psi, oracle_apply_gate(psi, gate)),  # in place
-        "measure_qubit": lambda state, index, rng: oracle_measure_qubit(state, index, rng)[::2],  # (outcome, prob)
-        "project_qubit": oracle_project_qubit,
+        "measure_qubit": oracle_measure_qubit,
         "reduced_density_matrix": oracle_reduced_density_matrix,
+        "run_circuit": protocols.run_circuit,  # itself, to hold each run
     }
 
     def wrap(name, oracle):
         def call(*args):
-            calls.append(name)
-            result = oracle(*args)
-            if name == "measure_qubit":
-                drawn.append((args[0].size, result[0]))
-                measured.append(args[:2])
-            if name == "project_qubit":
-                projected.append(result)  # corrected in place afterwards, if at all
-            return result
+            events.append((name, args, oracle(*args)))
+            return events[-1][2]
 
         return call
 
     for name, oracle in oracles.items():
         monkeypatch.setattr(protocols, name, wrap(name, oracle))
-    run_circuit = protocols.run_circuit
-    monkeypatch.setattr(protocols, "run_circuit", lambda *args: runs.append(run_circuit(*args)) or runs[-1])
-    # per call and register (the mixed call draws on two): records, prefixes, 1-ending prefixes, measured prefixes
-    records, prefixes, corrected, stems = set(), set(), set(), set()
-    for i, (case, samples) in enumerate(zip(cases, got)):
-        start = len(drawn)
+    for case, samples in zip(cases, got):
         assert np.array_equal(bits(samples), bits(case()))
-        for k in range(start, len(drawn), 4):
-            (size, *_), record = zip(*drawn[k : k + 4])
-            records.add((i, size, record))
-            prefixes.update((i, size, record[: d + 1]) for d in range(4))
-            corrected.update((i, size, record[: d + 1]) for d in range(4) if record[d] == 1)
-            stems.update((i, size, record[:d]) for d in range(4))
-    # each trajectory is measured; each distinct prefix is projected and corrected once, and each distinct record
-    # reduced once
+    # replay every run against registers built by the n-axis route: the run with the record qubits in front, in the
+    # order they are measured, and per new record prefix the half kept, then corrected for a 1
+    endpoints = [("C_B",), ("C_A",), ("C_B", "C_B")]  # the output of each run, per call: the mixed call runs twice
+    outputs = iter(output for call in endpoints for output in call)
+    runs, records, corrected, measured = 0, set(), set(), set()
+    for name, args, result in events:
+        if name == "run_circuit":
+            circuit, runs = args[0], runs + 1
+            n, labels = circuit.num_qubits, circuit.labels
+            rest = [label for label in labels if label not in RECORD_QUBITS]
+            order = [labels.index(label) for label in (*RECORD_QUBITS, *rest)]
+            registers, record, reduced = {(): result.reshape([2] * n).transpose(order).reshape(-1)}, (), []
+            output = next(outputs)
+        elif name == "measure_qubit":
+            record = () if len(record) == 4 else record
+            state, index, _ = args
+            assert index == 0 and state.flags.c_contiguous and state.size == 2 ** (n - len(record))  # sizes halve
+            assert np.array_equal(bits(state), bits(registers[record]))
+            measured.add((runs, record, id(state)))  # every measured register is held in events, so ids are unique
+            record += (result[0],)
+            if record not in registers:
+                registers[record] = oracle_keep_front(registers[record[:-1]], result[0])
+                if result[0] == 1:
+                    kind, target = CORRECTIONS[RECORD_QUBITS[len(record) - 1]]
+                    gate = Gate(kind, (len(RECORD_QUBITS) - len(record) + rest.index(target),))
+                    registers[record] = oracle_apply_gate(registers[record], gate)
+                    corrected.add((runs, record, gate, n - len(record)))
+            if len(record) == 4 and (runs, record) not in records:
+                records.add((runs, record))
+                reduced.append(record)
+        elif name == "_apply_in_place":
+            state, gate, size = args
+            assert (runs, record, gate, size) in corrected and np.array_equal(bits(state), bits(registers[record]))
+        else:  # one reduction per record, in the order the records first occur
+            state, keep = args
+            assert keep == [rest.index(output)] and np.array_equal(bits(state), bits(registers[reduced.pop(0)]))
+    assert runs == 4 and not reduced and next(outputs, None) is None
+    calls = [name for name, _, _ in events]
     assert calls.count("measure_qubit") == 4 * 180 and calls.count("reduced_density_matrix") == len(records)
-    assert calls.count("project_qubit") == len(prefixes) < 4 * 180
+    assert len(measured) == len({(i, record) for i, record, _ in measured}) < 4 * 180  # one register per prefix
     assert calls.count("_apply_in_place") == len(corrected) > 0
-    # each prefix shorter than a record is measured at index 0 of one C-ordered copy of its register, made for it
-    # alone, with the next record qubit in front: replay the draws of each circuit run (consecutive runs differ in
-    # size) against the run's register and the projections in the order they were made
-    record_qubits = {2**c.num_qubits: [q for q, _ in protocols._sampler_setup(c, "Q_A", "C_B", psi, 0)[1]]
-                     for c in (circuit_ind, circuit_com)}
-    projections, k, leading = iter(projected), 0, set()
-    for i, size in [(0, 2**10), (1, 2**9), (2, 2**10), (2, 2**9)]:  # the runs of each call, in order
-        registers = {(): runs.pop(0)}
-        assert registers[()].size == size
-        while k < len(drawn) and drawn[k][0] == size:
-            record = ()
-            for state, index in measured[k : k + 4]:
-                assert index == 0 and state.flags.c_contiguous
-                assert np.array_equal(bits(state), bits(to_front(registers[record], record_qubits[size][len(record)])))
-                leading.add((i, size, id(state)))  # every measured register is held in measured, so ids are unique
-                record += (drawn[k + len(record)][1],)
-                if record not in registers:
-                    registers[record] = next(projections)
-            k += 4
-    assert k == len(drawn) and not runs and next(projections, None) is None
-    assert len(leading) == len(stems)
