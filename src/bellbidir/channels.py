@@ -82,11 +82,12 @@ def fidelity_quadrature(channel_apply: Callable[[np.ndarray], np.ndarray], nodes
 
     ``channel_apply`` maps a ``(..., 2, 2)`` stack of input density matrices
     to the output ones, as ``partial(apply_channel_from_choi, choi)`` does;
-    it is called once on all nodes**2 node states.  The polar integral uses Gauss-Legendre
-    nodes in cos(theta); the azimuthal one a uniform trapezoid rule, exact
-    for periodic integrands.  For depolarizing-family channels the integrand
-    is constant and the result matches :func:`fidelity_closed` to machine
-    precision at any node count.
+    it is called once on all nodes**2 node states and must return one 2x2
+    matrix each (else :class:`BadMatrix`).  The polar integral uses
+    Gauss-Legendre nodes in cos(theta); the azimuthal one a uniform
+    trapezoid rule, exact for periodic integrands.  For depolarizing-family
+    channels the integrand is constant and the result matches
+    :func:`fidelity_closed` to machine precision at any node count.
     """
     if not is_integer(nodes) or nodes < 4:
         raise OutOfRange(f"need an integer of at least 4 quadrature nodes, got {nodes!r}")
@@ -94,6 +95,9 @@ def fidelity_quadrature(channel_apply: Callable[[np.ndarray], np.ndarray], nodes
     half_thetas = np.arccos(cos_nodes)[:, None] / 2  # polar nodes down the rows, uniform azimuths along them
     phases = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
     psi = np.stack(np.broadcast_arrays(np.cos(half_thetas), phases * np.sin(half_thetas)), axis=-1)
-    out = np.asarray(channel_apply(psi[..., :, None] * psi[..., None, :].conj()), dtype=complex)
-    overlaps = np.einsum("...i,...ij,...j->...", psi.conj(), out, psi).real
+    states = psi[..., :, None] * psi[..., None, :].conj()
+    out = as_numbers("channel_apply's output", channel_apply(states))
+    if out.shape != states.shape:
+        raise BadMatrix(f"channel_apply must map the {states.shape} node states to one 2x2 each, got {out.shape}")
+    overlaps = np.einsum("...i,...ij,...j->...", psi.conj(), out.astype(complex, copy=False), psi).real
     return float(weights @ overlaps.mean(axis=1)) / 2.0

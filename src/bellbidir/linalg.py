@@ -100,6 +100,9 @@ def partial_trace(rho: np.ndarray, num_qubits: int, keep: list[int]) -> np.ndarr
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
     """Trace distance of two Hermitian matrices, half the L1 norm of the spectrum of a - b; per pair of two stacks."""
+    a, b = as_numbers("matrix", a), as_numbers("matrix", b)
+    if a.shape[-1] != b.shape[-1] or any(x != y and 1 not in (x, y) for x, y in zip(a.shape[::-1], b.shape[::-1])):
+        raise BadMatrix(f"trace_distance takes one matrix size in stacks that broadcast, got {a.shape} and {b.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the finite check names
-        w = np.linalg.eigvalsh(_check_hermitian(as_numbers("matrix", a) - as_numbers("matrix", b), "a - b"))
+        w = np.linalg.eigvalsh(_check_hermitian(a - b, "a - b"))
     return _scalar_or_stack(0.5 * np.sum(np.abs(w), axis=-1))

@@ -39,9 +39,9 @@ from .sim import (
     H,
     X,
     _apply_in_place,
+    _prep_product,
+    _run,
     measure_qubit,
-    reduced_density_matrix,
-    run_circuit,
     run_reduced,
 )
 
@@ -194,11 +194,21 @@ def _validate_choi(choi: np.ndarray) -> None:
     _reject_first(defect > MARGINAL_TOL, defect, BadChannelState, message)
 
 
+def _deferred(gates: tuple[Gate, ...], labels: tuple[str, ...], input_ix: int, output_ix: int) -> list[Gate]:
+    """The deferred corrections, each CNOT or CZ that a record qubit (an ``M_`` label) controls; :class:`BadLabel` if
+    the input is the output or a record qubit, which must start in |0> for the Toffoli copies to be the Bell record."""
+    deferred = [g for g in gates if g.kind in ("CNOT", "CZ") and labels[g.qubits[0]].startswith("M_")]
+    if input_ix == output_ix or input_ix in [gate.qubits[0] for gate in deferred]:
+        raise BadLabel(f"input qubit {labels[input_ix]!r} is the output or a record qubit; it must start in |0>")
+    return deferred
+
+
 @functools.lru_cache(maxsize=64)
-def _extended_circuit(gates: tuple[Gate, ...], labels: tuple[str, ...], input_ix: int) -> Circuit:
+def _extended_circuit(gates: tuple[Gate, ...], labels: tuple[str, ...], input_ix: int, output_ix: int) -> Circuit:
     """The prep-less circuit with a reference qubit R appended and Bell-paired with the input before ``gates``."""
     if "R" in labels:
         raise BadLabel("qubit label 'R' is reserved for the reference qubit of a channel state")
+    _deferred(gates, labels, input_ix, output_ix)  # a bad input raises, so a cache hit skips the check
     ref = len(labels)
     return Circuit(ref + 1, labels + ("R",), (H(ref), CNOT(ref, input_ix)) + gates)
 
@@ -212,14 +222,14 @@ def extract_choi(circuit: Circuit, input_label: str, output_label: str) -> np.nd
     the returned 4x4 density matrix.  A stacked circuit gives a ``(k, 4, 4)``
     stack of channel states from one run.  The run starts from the circuit's
     own checked preparations with R = |0> and keeps only the amplitudes they
-    reach, never the full register (:func:`sim.run_reduced`); the states are
-    the bits of the dense run.
+    reach, never the full register (:func:`sim.run_reduced`).  An input that
+    the circuit prepares, a record qubit or the output raises :class:`BadLabel`.
     """
     input_ix = circuit.index(input_label)
     output_ix = circuit.index(output_label)
     if input_label in circuit.prep:
         raise BadLabel(f"input qubit {input_label!r} has a fixed preparation; it must start in |0>")
-    extended = _extended_circuit(circuit.gates, circuit.labels, input_ix)
+    extended = _extended_circuit(circuit.gates, circuit.labels, input_ix, output_ix)
     choi = run_reduced(extended, [circuit.num_qubits, output_ix], circuit.prep)
     _validate_choi(choi)
     return choi
@@ -251,7 +261,7 @@ def _sampler_setup(circuit: Circuit, input_label: str, output_label: str, psi_in
         if np.ndim(psi) > 1:
             shape = np.shape(psi)[:-1]
             raise ValueError(f"the trajectory sampler takes one register, got a stack of shape {shape} in {label}")
-    deferred = [g for g in circuit.gates if g.kind in ("CNOT", "CZ") and circuit.labels[g.qubits[0]].startswith("M_")]
+    deferred = _deferred(circuit.gates, circuit.labels, circuit.index(input_label), circuit.index(output_label))
     order = [gate.qubits[0] for gate in deferred]  # the record qubits, then the others in register order
     order += [q for q in range(circuit.num_qubits) if q not in order]
     output_ix = order.index(circuit.index(output_label)) - len(deferred)  # negative for a record qubit
@@ -277,12 +287,13 @@ def _generator(seed) -> np.random.Generator:
 def _draw_trajectories(stripped: Circuit, order: list, corrections: list, output: int, trials: int, rng) -> np.ndarray:
     """Run a :func:`_sampler_setup` circuit once; measure every trajectory, but keep, correct and reduce once each.
 
-    The run is copied once in C order with the record qubits in front, and each trial measures index 0 of its record
+    The plan runs it with the record qubits in front, as measured, and each trial measures index 0 of its record
     prefix's register.  A new prefix keeps the outcome's half, one qubit smaller, normalized for ``measure_qubit``'s
-    absolute floors, and corrects a 1 in place.  One gather from the per-record outputs fills the result.
+    absolute floors, and corrects a 1 in place.  One batched product forms the outputs, and one gather the result.
     """
-    run = run_circuit(stripped, stripped.initial_state()).reshape([2] * len(order))
-    states, rows = {(): run.transpose(order).ravel()}, {}  # per record prefix; per record, its row of the outputs
+    prepped, product = _prep_product(stripped.labels, stripped.prep)
+    root = _run(stripped.gates, len(order), prepped, product, tuple(order[: len(corrections)]), product.dtype)
+    states, rows = {(): root}, {}  # per record prefix; per record, its row of the outputs
     positions = np.empty(trials, dtype=np.intp)
     for k in range(trials):
         record = ()
@@ -296,8 +307,10 @@ def _draw_trajectories(stripped: Circuit, order: list, corrections: list, output
                 if outcome == 1:
                     _apply_in_place(psi, correction, len(order) - len(record))
         positions[k] = rows.setdefault(record, len(rows))
-    table = [reduced_density_matrix(states[record], [output]) for record in rows]
-    return np.array(table, dtype=complex).reshape(-1, 2, 2)[positions]
+    lead, rest = 2**output, 2 ** (len(order) - len(corrections) - output - 1)  # sized, not -1: 0 records reshape
+    final = np.array([states[record] for record in rows], dtype=complex).reshape(len(rows), lead, 2, rest)
+    operand = final.swapaxes(1, 2).reshape(len(rows), 2, lead * rest)  # the output in front, then the others in order
+    return (operand @ operand.conj().swapaxes(-1, -2))[positions]
 
 
 def sample_trajectories(
@@ -315,8 +328,8 @@ def sample_trajectories(
     prefix, and the output once per distinct record.  Returns the per-trajectory output density matrices, gathered
     from that per-record table, shape ``(trials, 2, 2)``; their mean estimates the channel output for ``psi_in``.
     ``seed`` is a non-negative integer or a ``np.random.Generator``; a generator is drawn from as is, so its state
-    advances.  Anything else raises :class:`OutOfRange`, and an input that the circuit prepares, or an output that
-    is a record qubit, :class:`BadLabel`, before any draw.
+    advances.  Anything else raises :class:`OutOfRange`, and an input that the circuit prepares, a record qubit or
+    the output, or an output that is a record qubit, :class:`BadLabel`, before any draw.
     """
     setup = _sampler_setup(circuit, input_label, output_label, psi_in, trials)
     return _draw_trajectories(*setup, trials, _generator(seed))

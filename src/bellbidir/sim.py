@@ -15,11 +15,11 @@ others, in register order, so k named qubits take at most 2k + 1 axes.
 
 A plan cached per gate list, prepared qubits, input pattern and kept
 qubits runs a compact register of the amplitudes its input can reach, and
-names the operand cell each lands in: ``run_reduced`` starts it from the
-nonzero entries of a product of preparations and writes straight into the
-operand of ``reduced_density_matrix``, the same bits without the full
-register; ``run_circuit`` keeps every qubit in order, so each lands in its
-own cell.  None builds the full register unitary; the closed gate set {H, X,
+lands each in its cell with the kept qubits in front (``_split``'s order):
+``run_reduced`` and the trajectory sampler start it from the nonzero entries
+of a product of preparations, and the sampler keeps its record qubits in
+front; ``run_circuit`` keeps every qubit in order, so each lands in its own
+cell.  None builds the full register unitary; the closed gate set {H, X,
 Z, CZ, CNOT, CCNOT} consists entirely of involutions.  In the plan, an H on
 m live column pairs is two gathers of ``2m + 1`` columns, ``(a0, a0, 0)``
 and ``(a1, -a1, 0)`` with the second half negated exactly, then one add and
@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadIndex, BadLabel, BadMatrix, OutOfRange, ZeroNorm, _reject_first, as_indices, is_integer
+from .errors import BadIndex, BadLabel, BadMatrix, OutOfRange, ZeroNorm, _reject_first, as_indices, as_reals, is_integer
 from .linalg import _split, as_numbers
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CZ": 2, "CNOT": 2, "CCNOT": 3}
@@ -164,16 +164,11 @@ def bell_state() -> np.ndarray:
 
 
 def bloch_state(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Pure qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
+    """Pure qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>; each angle one real number (:func:`as_reals`)."""
+    if as_reals("theta", theta).ndim or as_reals("phi", phi).ndim:
+        raise OutOfRange(f"bloch_state takes one real number per angle, got theta={theta!r}, phi={phi!r}")
+    theta, phi = float(theta), float(phi)  # a float32 phi would make a complex64 phase
     return np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex)
-
-
-def num_qubits_of(state: np.ndarray, name: str = "state") -> int:
-    size = as_numbers(name, state, axes=1).shape[-1]
-    n = size.bit_length() - 1
-    if size < 2 or 2**n != size:
-        raise ValueError(f"{name} length {size} is not a power of two >= 2")
-    return n
 
 
 @functools.lru_cache(maxsize=1024)
@@ -210,7 +205,7 @@ def _plan(gates: tuple[Gate, ...], n: int, prepped: tuple[int, ...], pattern: by
     is.  ``reg`` maps each amplitude to its column, or to -1 (the trailing zero column) while no gate can have made
     it nonzero.  X, CNOT and CCNOT relabel columns; a ``(2, 2m + 1)`` step is an H on m column pairs, gathering
     ``(lo, lo, -1)`` and ``(hi, hi, -1)``, and a 1-D one a negation.  Returns the steps, the reached amplitudes'
-    final columns, and their flat positions in the ``(2**len(keep), -1)`` operand of ``reduced_density_matrix``.
+    final columns, and their flat positions in the register with the qubits ``keep`` in front (``_split``'s axes).
     """
     cells = np.arange(2**n)
     initial = _product_cells(n, prepped)[np.frombuffer(pattern, dtype=bool)]
@@ -239,7 +234,7 @@ def _run(gates: tuple[Gate, ...], n: int, prepped: tuple[int, ...], inputs: np.n
     """Run ``gates`` on the product ``inputs``, ``(..., 2**k)`` over the qubits ``prepped`` with every other one at 0.
 
     Returns the reached amplitudes, norm-checked, in a zero ``(..., 2**n)`` array of ``dtype``, each in its cell of
-    the ``(2**len(keep), -1)`` operand of ``reduced_density_matrix``; the cached plan keeps only the cells it reaches.
+    the register with the qubits ``keep`` in front (``_split``'s order); the cached plan keeps only the reached cells.
     """
     nonzero = (inputs != 0).reshape(-1, inputs.shape[-1]).any(axis=0)
     steps, columns, landing = _plan(gates, n, prepped, nonzero.tobytes(), keep)
@@ -278,7 +273,10 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     Returns ``(outcome, probability)``, outcome ``k`` at ``w_k / (w_0 + w_1)`` for any nonzero norm: ``w_k`` is the
     ``vdot`` of the half with the qubit at ``k``, flattened as ``np.vdot`` does (a view at index 0 or the last qubit).
     """
-    n = num_qubits_of(state, "measure_qubit's state")
+    size = as_numbers("measure_qubit's state", state, axes=1).shape[-1]
+    n = size.bit_length() - 1
+    if size < 2 or 2**n != size:
+        raise ValueError(f"measure_qubit's state length {size} is not a power of two >= 2")
     if np.ndim(state) != 1:
         raise BadMatrix(f"measure_qubit takes one register, got a stack of shape {np.shape(state)[:-1]}")
     if not is_integer(index) or not 0 <= index < n:
@@ -298,33 +296,13 @@ def measure_qubit(state: np.ndarray, index: int, rng: np.random.Generator) -> tu
     return outcome, prob
 
 
-def _gram(psi: np.ndarray, real: bool) -> np.ndarray:
-    """``psi @ psi^H`` of a complex ``(..., 2**k, m)`` operand, which is its own conjugate if ``real``.
-
-    The operand is complex even for a real register: real BLAS would round its sums differently from the complex
-    product.  A real one skips the conj() copy; its product keeps the same bits.  ``reduced_density_matrix`` and
-    ``run_reduced`` both form their product here, so they agree bit for bit.
-    """
-    return psi @ (psi if real else psi.conj()).swapaxes(-1, -2)
-
-
-def reduced_density_matrix(state: np.ndarray, keep: list[int]) -> np.ndarray:
-    """Density matrix of the kept qubits of a pure state, or of each state of a stack, in the order listed."""
-    n = num_qubits_of(state)
-    keep = as_indices("keep", keep)  # ahead of the cache, where (0, 1.0) == (0, 1); _split checks the rest
-    shape, axes = _split(n, keep)
-    state = np.asarray(state)
-    psi = state.reshape(-1, *shape).transpose(0, *[1 + axis for axis in axes])
-    psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), 2 ** (n - len(keep)))
-    return _gram(psi, not np.iscomplexobj(state))
-
-
 def run_reduced(circuit: Circuit, keep: list[int], prep: Mapping[str, np.ndarray]) -> np.ndarray:
-    """``reduced_density_matrix(run_circuit(circuit, state), keep)`` without the full register, bit for bit.
+    """Density matrix of the qubits ``keep``, in the order listed, after ``circuit`` runs on the product of ``prep``.
 
-    ``state`` is the product of a built circuit's checked ``prep``, its labels among the circuit's, with every other
-    qubit |0>; a stacked prep gives a stack.  The product's nonzero entries start the cached plan, and the reached
-    amplitudes are written straight into the complex operand that ``reduced_density_matrix`` forms.
+    ``prep`` is a built circuit's checked preparations, its labels among the circuit's, every other qubit |0>; a
+    stacked prep gives a stack.  The plan writes straight into a ``(..., 2**len(keep), -1)`` operand, so the result
+    has the bits of the full run's reduction without the full register.  The operand is complex even for a real
+    product, since real BLAS would round its sums otherwise; a real one skips the conj() copy, with the same bits.
     """
     n = circuit.num_qubits
     prepped, product = _prep_product(circuit.labels, prep)
@@ -332,4 +310,5 @@ def run_reduced(circuit: Circuit, keep: list[int], prep: Mapping[str, np.ndarray
         raise BadLabel(f"prepared qubits {sorted(set(prep) - set(circuit.labels))} not in register")
     keep = as_indices("keep", keep)  # ahead of the cache, where (0, 1.0) == (0, 1); _plan checks the rest
     psi = _run(circuit.gates, n, prepped, product, keep, complex)
-    return _gram(psi.reshape(*product.shape[:-1], 2 ** len(keep), 2 ** (n - len(keep))), not np.iscomplexobj(product))
+    psi = psi.reshape(*product.shape[:-1], 2 ** len(keep), 2 ** (n - len(keep)))
+    return psi @ (psi.conj() if np.iscomplexobj(product) else psi).swapaxes(-1, -2)

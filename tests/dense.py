@@ -1,9 +1,9 @@
-"""The dense one-gate oracle: a gate applied to an n-qubit register viewed as ``reshape([2] * n)``.
+"""The dense oracles: a gate applied to, and the reduced state of, an n-qubit register viewed as ``reshape([2] * n)``.
 
 Every qubit has its own axis and the gate is one elementwise update of two slices, so the oracle shares no code
 with ``bellbidir.sim``'s split-axis views or its compact plan, and rounds as the simulator does: an H is
 ``(a0 + a1, a0 - a1)`` times 1/sqrt(2), a Z negates, an X swaps.  Tests reduce over :func:`oracle_apply_gate` as the
-reference gate chain.
+reference gate chain, and take :func:`oracle_reduced_density_matrix` as the reference reduction, bit for bit.
 """
 import math
 
@@ -37,3 +37,16 @@ def oracle_apply_gate(state, gate):
         psi[lo] = psi[hi]
         psi[hi] = a0
     return out
+
+
+def oracle_reduced_density_matrix(state, keep):
+    """The density matrix of the qubits ``keep``, in that order, of a register or of each register of a stack.
+
+    The register is moved to ``keep`` first, then the others in register order, and the complex ``(2**len(keep), -1)``
+    operand times its adjoint is the result; a real register is its own conjugate, so it skips the conj() copy.
+    """
+    n = state.shape[-1].bit_length() - 1
+    order = list(keep) + [q for q in range(n) if q not in keep]
+    psi = state.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in order])
+    psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), -1)
+    return psi @ (psi if not np.iscomplexobj(state) else psi.conj()).swapaxes(-1, -2)

@@ -198,6 +198,17 @@ def test_quadrature_maps_all_node_states_in_one_call():
     assert calls == [(16, 16, 2, 2)]
 
 
+def test_quadrature_takes_one_2x2_output_per_node_state():
+    # a (..., 1, 1) output would broadcast against the node states, and one matrix for all nodes is no channel
+    for apply in (lambda rho: rho[..., :1, :1], lambda rho: np.eye(2) / 2, lambda rho: rho[0], lambda rho: rho[None]):
+        with pytest.raises(BadMatrix, match=r"^channel_apply must map the \(8, 8, 2, 2\) node states to one 2x2 each"):
+            fidelity_quadrature(apply, nodes=8)
+    with pytest.raises(BadMatrix, match=r"^channel_apply's output must hold only numbers"):
+        fidelity_quadrature(lambda rho: np.full(rho.shape, "0.5"), nodes=8)
+    # a real output of the right shape passes: the fully depolarizing channel keeps half of every state
+    assert abs(fidelity_quadrature(lambda rho: np.broadcast_to(np.eye(2) / 2, rho.shape), nodes=8) - 0.5) <= 1e-12
+
+
 def test_quadrature_rejects_tiny_node_count():
     with pytest.raises(OutOfRange):
         fidelity_quadrature(lambda rho: np.eye(2) / 2, nodes=2)

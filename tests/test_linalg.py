@@ -1,3 +1,4 @@
+import re
 from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
@@ -10,7 +11,7 @@ from bellbidir.errors import BadIndex, BadMatrix, NonHermitianInput, NotPSD, Out
 from bellbidir.infotheory import classical_accessible_info, info_report_from_choi, shannon_mutual_information
 from bellbidir.linalg import partial_trace, projector, psd_eigenvalues, trace_distance
 from bellbidir.protocols import SchemeParams, apply_channel_from_choi, choi_mixed
-from bellbidir.sim import CNOT, Circuit, Gate, H, bell_state, measure_qubit, reduced_density_matrix
+from bellbidir.sim import CNOT, Circuit, Gate, H, bell_state, measure_qubit
 from bellbidir.sim import run_circuit, run_reduced
 
 I2 = np.eye(2, dtype=complex)
@@ -130,6 +131,18 @@ def test_trace_distance_rejects_a_difference_that_is_not_finite_and_hermitian():
     assert np.all(trace_distance(stack, shifted) <= 1e-10)
 
 
+def test_trace_distance_takes_one_matrix_size_in_stacks_that_broadcast():
+    # a size mismatch names both shapes, and a 1x1 operand must not broadcast against a larger matrix
+    stack2, stack3 = np.array([I2] * 2) / 2, np.array([I2] * 3) / 2
+    for a, b in ((I2, np.eye(4)), (np.eye(4), I2), (stack2, stack3), (np.ones((1, 1)), I2), (np.eye(4), stack2)):
+        shapes = re.escape(f"got {a.shape} and {b.shape}")
+        with pytest.raises(BadMatrix, match=rf"^trace_distance takes one matrix size in stacks that broadcast, {shapes}$"):
+            trace_distance(a, b)
+    # one matrix against a stack, and stacks whose axes broadcast, pair as numpy broadcasts them
+    assert trace_distance(I2 / 2, stack3).tolist() == [0.0] * 3
+    assert trace_distance(stack2[:, None], stack3[None]).shape == (2, 3)
+
+
 @pytest.mark.parametrize("keep", [[0.7], [1.0], [0, 1.0], [True], [np.False_], ["0"], 0], ids=repr)
 def test_partial_trace_rejects_a_keep_that_is_not_integers(keep):
     # an index is a Python or numpy integer, never a bool: 0.7 must not be truncated to qubit 0
@@ -163,7 +176,6 @@ def test_matrix_and_state_inputs_take_only_numbers_of_their_size():
         projector: np.float64(1.0),
         lambda state: Circuit(1, ("a",), (), prep={"a": state}): np.ones(3),
         partial(run_circuit, circuit): np.ones(4),
-        partial(reduced_density_matrix, keep=[0]): np.float64(1.0),
         partial(measure_qubit, index=0, rng=np.random.default_rng(0)): np.float64(1.0),
     }
     not_numbers = ([["1", "0"], ["0", "0"]], "abc", b"ab", [[None, 0.5], [0.5, 0.0]], np.full((2, 2), Fraction(1, 4)))
@@ -193,7 +205,6 @@ BELL_CIRCUIT = Circuit(3, ("a", "b", "c"), (H(0), CNOT(0, 1)))
         (lambda: astuple(info_report_from_choi(EMPTY, [])), [(0,)] * 9),
         (lambda: classical_accessible_info(EMPTY), [(0,)] * 2),
         (lambda: partial_trace(EMPTY, 2, [1]), [(0, 2, 2)]),
-        (lambda: reduced_density_matrix(np.zeros((0, 8)), [2, 0]), [(0, 4, 4)]),
         (lambda: run_reduced(BELL_CIRCUIT, [1, 2], {"c": np.zeros((0, 2))}), [(0, 4, 4)]),  # a prep no Circuit builds
         (lambda: run_circuit(BELL_CIRCUIT, np.zeros((0, 8))), [(0, 8)]),
         (lambda: weight_from_choi(EMPTY), [(0,)]),
@@ -203,8 +214,8 @@ BELL_CIRCUIT = Circuit(3, ("a", "b", "c"), (H(0), CNOT(0, 1)))
         (lambda: shannon_mutual_information(np.zeros((0, 2, 2))), [(0,)]),
         (lambda: analytic_channel("independent", SchemeParams(np.zeros(0), np.zeros(0)), "ab"), [(0,)]),
     ],
-    ids=["info_report_from_choi", "classical_accessible_info", "partial_trace", "reduced_density_matrix",
-         "run_reduced", "run_circuit", "weight_from_choi", "trace_distance", "psd_eigenvalues", "choi_mixed",
+    ids=["info_report_from_choi", "classical_accessible_info", "partial_trace", "run_reduced", "run_circuit",
+         "weight_from_choi", "trace_distance", "psd_eigenvalues", "choi_mixed",
          "shannon_mutual_information", "analytic_channel"],
 )
 def test_an_empty_stack_gives_empty_results(call, shapes):

@@ -8,7 +8,7 @@ from functools import partial, reduce
 
 import numpy as np
 import pytest
-from dense import oracle_apply_gate
+from dense import oracle_apply_gate, oracle_reduced_density_matrix
 
 from bellbidir.channels import analytic_channel, choi_of_channel
 from bellbidir.cli import simulated_choi
@@ -43,7 +43,6 @@ from bellbidir.sim import (
     X,
     bell_state,
     bloch_state,
-    reduced_density_matrix,
     run_circuit,
     run_reduced,
 )
@@ -253,7 +252,7 @@ def test_compact_extraction_edge_cases_equal_the_complex_one_bit_for_bit():
 def test_stacked_verify_grid_extraction_memory_budget():
     # the whole 81-point verify grid in one stacked circuit: the reached amplitudes are written straight into the
     # 81 complex (4, 512) operands, a traced peak of about 2.7 MiB; building the dense 2**11 registers, as
-    # run_circuit and reduced_density_matrix do, peaks at about 4.6 MiB
+    # run_circuit does, and reducing them peaks at about 4.6 MiB
     thetas = np.linspace(0.0, math.pi, 9)
     circuit = build_scheme_independent(SchemeParams(theta1=np.repeat(thetas, 9), theta2=np.tile(thetas, 9)))
     for direction in DIRECTIONS:
@@ -331,8 +330,9 @@ def test_mixed_and_common_schemes_equal_the_independent_wiring_on_a_correlated_t
     gates = _scheme_gates(INDEPENDENT_LABELS, "T_A", "T_B", ())
     for direction in DIRECTIONS:
         source, target = channel_endpoints(direction)
-        extended = _extended_circuit(gates, INDEPENDENT_LABELS, ix[source])
-        correlated = reduced_density_matrix(run_circuit(extended, registers.reshape(len(points), -1)), [n, ix[target]])
+        extended = _extended_circuit(gates, INDEPENDENT_LABELS, ix[source], ix[target])
+        correlated = run_circuit(extended, registers.reshape(len(points), -1))
+        correlated = oracle_reduced_density_matrix(correlated, [n, ix[target]])
         for params, state in zip(points[:40], correlated):
             assert max_abs(state - simulated_choi("mixed", params, direction)) <= 1e-14, (params, direction)
         for params, state in zip(points[40:], correlated[40:]):  # t = 0: the literal one-trigger circuit
@@ -547,7 +547,7 @@ def test_samplers_reject_a_stack_before_any_draw():
         (partial(mixed, single, stacked_common, 1.0, psi_in=psi), stack_message + r"\(2,\) in T$"),  # common never runs
         (partial(mixed, stacked, common, 0.0, psi_in=psi), stack_message + r"\(2,\) in T_A"),  # independent never runs
         # labels and psi_in go through the Circuit rules, for both circuits of the mixed scheme
-        (partial(mixed, single, common, 0.5, psi_in=psi, input_label="Q_X"), r"prepared qubit 'Q_X' not in register"),
+        (partial(mixed, single, common, 0.5, psi_in=psi, input_label="Q_X"), r"no qubit labeled 'Q_X'"),
         (partial(mixed, single, common, 0.5, psi_in=psi, output_label="C_X"), r"no qubit labeled 'C_X'"),
         (partial(mixed, single, common, 1.0, psi_in=psi, output_label="T_A"), r"no qubit labeled 'T_A'"),
         (partial(mixed, single, common, 0.5, psi_in=np.array([1.0, 0, 0])), r"'Q_A' must be a length-2 vector"),
@@ -590,6 +590,26 @@ def test_samplers_reject_a_prepared_input_or_a_record_output_before_any_draw():
         with pytest.raises(BadLabel, match=message):
             sampler(input_label, output_label, bloch_state(0.8, 2.1), 4, rng)
         assert rng.random() == np.random.default_rng(5).random()  # the generator was not drawn from
+
+
+def test_an_input_that_is_a_record_qubit_or_the_output_raises_before_any_draw():
+    # a record qubit must start in |0> for the Toffoli copies to be the Bell record, and no qubit is its own channel
+    circuit_ind, circuit_com = build_scheme_independent(SchemeParams(1.1, 0.7)), build_scheme_common(SchemeParams())
+    samplers = (
+        partial(sample_trajectories, circuit_ind),
+        partial(sample_trajectories, circuit_com),
+        partial(sample_mixed_trajectories, circuit_ind, circuit_com, 0.5),
+    )
+    for input_label, output_label in (("M_A1", "C_B"), ("C_B", "C_B"), ("M_B2", "C_A"), ("C_A", "C_A")):
+        message = rf"^input qubit '{input_label}' is the output or a record qubit; it must start in \|0>$"
+        for circuit in (circuit_ind, circuit_com, circuit_ind):  # the failed check is not cached: the repeat raises
+            with pytest.raises(BadLabel, match=message):
+                extract_choi(circuit, input_label, output_label)
+        for sampler in samplers:
+            rng = np.random.default_rng(5)
+            with pytest.raises(BadLabel, match=message):
+                sampler(input_label, output_label, bloch_state(0.8, 2.1), 4, rng)
+            assert rng.random() == np.random.default_rng(5).random()  # the generator was not drawn from
 
 
 def test_zero_trials_give_an_empty_sample_and_draw_nothing():

@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from dense import oracle_apply_gate
+from dense import oracle_apply_gate, oracle_reduced_density_matrix
 
 from bellbidir.errors import BadIndex, BadLabel, BadMatrix, OutOfRange, ZeroNorm
 from bellbidir.linalg import partial_trace
@@ -18,13 +18,13 @@ from bellbidir.sim import (
     bell_state,
     bloch_state,
     measure_qubit,
-    reduced_density_matrix,
     run_circuit,
     run_reduced,
 )
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
+BELL = Circuit(2, ("a", "b"), (H(0), CNOT(0, 1)))
 
 _MATS = {
     "H": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2),
@@ -89,6 +89,18 @@ def test_bloch_state_poles_and_equator():
     assert np.allclose(bloch_state(0.0), KET0)
     assert np.allclose(bloch_state(math.pi), KET1, atol=1e-15)
     assert np.allclose(bloch_state(math.pi / 2), [1 / math.sqrt(2), 1 / math.sqrt(2)])
+
+
+def test_bloch_state_takes_one_real_number_per_angle():
+    # each angle follows the real-number rule of every other parameter, and is one number
+    for angles in (("a",), (1.0, "0.5"), (None,), (1j,), (1.0, 1 + 0j)):
+        with pytest.raises(OutOfRange, match=r"^(theta|phi)=.* is not a real number$"):
+            bloch_state(*angles)
+    for angles in (([0.1, 0.2],), (1.0, np.zeros(2))):
+        with pytest.raises(OutOfRange, match=r"^bloch_state takes one real number per angle, got theta="):
+            bloch_state(*angles)
+    for theta, phi in ((True, 0), (np.int64(1), np.float32(0.5)), (np.float64(1.1), np.array(0.6))):  # these pass
+        assert np.array_equal(bloch_state(theta, phi), bloch_state(float(theta), float(phi)))
 
 
 def one_gate(state, gate):
@@ -179,9 +191,11 @@ def test_run_circuit_on_a_stack_equals_single_runs():
     assert out.shape == (6, 32)
     assert np.array_equal(out, np.array([run_circuit(circuit, psi) for psi in stack]))
     assert np.array_equal(one_gate(stack, gates[0]), np.array([one_gate(psi, gates[0]) for psi in stack]))
-    keep = [3, 0]
-    rdm = reduced_density_matrix(out, keep)
-    assert np.array_equal(rdm, np.array([reduced_density_matrix(psi, keep) for psi in out]))
+    thetas = [0.3, 1.9, 2.8]
+    prep = lambda ket: Circuit(1, ("q2",), (), {"q2": ket}).prep
+    rdm = run_reduced(circuit, [3, 0], prep(np.array([bloch_state(th) for th in thetas])))
+    singles = [run_reduced(circuit, [3, 0], prep(bloch_state(th))) for th in thetas]
+    assert rdm.shape == (3, 4, 4) and np.array_equal(rdm, np.array(singles))
     stack[4] *= 1.5
     with pytest.raises(ValueError, match="state 4 of the stack"):
         run_circuit(circuit, stack)
@@ -288,9 +302,6 @@ def test_real_register_runs_bit_for_bit_like_its_complex_copy():
             real_gate = one_gate(psi, gates[0])
             assert real_gate.dtype == np.float64
             assert np.array_equal(bits(real_gate)[..., 0], bits(one_gate(psi.astype(complex), gates[0]))[..., 0])
-            rdm = reduced_density_matrix(real_run, [4, 1])
-            assert rdm.dtype == np.complex128
-            assert np.array_equal(bits(rdm), bits(reduced_density_matrix(complex_run, [4, 1])))
 
 
 def assert_runs_like_the_gate_chain(circuit, state):
@@ -504,17 +515,20 @@ def test_measure_leaves_a_read_only_register_as_it_was():
             assert state.tobytes() == before
 
 
-def test_reduced_density_matrix_orders_like_keep():
-    psi = np.kron(KET0, bloch_state(1.0))
-    rho_b = reduced_density_matrix(psi, [1])
+def test_run_reduced_orders_like_keep():
+    empty = Circuit(2, ("a", "b"), ())
+    prep_b, prep_a = (Circuit(2, ("a", "b"), (), {label: bloch_state(1.0)}).prep for label in "ba")
+    rho_b = run_reduced(empty, [1], prep_b)
     assert np.abs(rho_b - np.outer(bloch_state(1.0), bloch_state(1.0).conj())).max() <= 1e-12
-    swapped = reduced_density_matrix(psi, [1, 0])
-    direct = reduced_density_matrix(np.kron(bloch_state(1.0), KET0), [0, 1])
+    swapped = run_reduced(empty, [1, 0], prep_b)
+    direct = run_reduced(empty, [0, 1], prep_a)
     assert np.abs(swapped - direct).max() <= 1e-12
+    assert np.abs(swapped - np.kron(rho_b, np.diag([1.0, 0.0]))).max() <= 1e-12
 
 
 def test_run_reduced_equals_the_reduced_state_of_the_full_run_bit_for_bit():
-    # the prep covers leading qubits of the run circuit, every other qubit starts in |0>, as in extract_choi
+    # the prep covers leading qubits of the run circuit, every other qubit starts in |0>, as in extract_choi; the
+    # reference reduces the complex copy of the run, so a real prep's product, which skips conj(), keeps its bits
     rng = np.random.default_rng(47)
     labels = tuple(f"q{i}" for i in range(7))
     states = [bloch_state(0.0), bloch_state(math.pi), bloch_state(1.3), bloch_state(0.8, 2.1)]
@@ -530,7 +544,7 @@ def test_run_reduced_equals_the_reduced_state_of_the_full_run_bit_for_bit():
         state = np.zeros((*head.shape[:-1], 2**7), dtype=head.dtype)
         state[..., ::4] = head  # q5 = q6 = |0>
         keep = [int(q) for q in rng.choice(7, size=1 + trial % 3, replace=False)]
-        expected = reduced_density_matrix(run_circuit(circuit, state), keep)
+        expected = oracle_reduced_density_matrix(run_circuit(circuit, state.astype(complex)), keep)
         got = run_reduced(circuit, keep, prepared_circuit.prep)
         assert got.shape == expected.shape
         assert np.array_equal(bits(got), bits(expected)), (trial, keep)
@@ -561,18 +575,17 @@ def run_reduced_after_an_integer_keep():
         lambda: Gate("H", (True,)),
         lambda: H("0"),
         lambda: CNOT(np.True_, 2),
-        lambda: reduced_density_matrix(bell_state(), [1.2]),
-        lambda: reduced_density_matrix(bell_state(), [False]),
+        lambda: run_reduced(BELL, [1.2], {}),
+        lambda: run_reduced(BELL, [False], {}),
         lambda: measure_qubit(bell_state(), 1.5, np.random.default_rng(0)),
         lambda: measure_qubit(bell_state(), True, np.random.default_rng(0)),
         run_reduced_after_an_integer_keep,
         lambda: Gate("H", 0),
-        lambda: reduced_density_matrix(bell_state(), 0),
         lambda: run_reduced(Circuit(2, ("a", "b"), (H(0),)), 0, {}),
     ],
-    ids=["H-1.5", "CNOT-1.9", "CCNOT-float64", "H-True", "H-str", "CNOT-numpy-bool", "reduced-1.2", "reduced-False",
-         "measure-1.5", "measure-True", "run_reduced-1.0-after-1", "Gate-bare-int",
-         "reduced-bare-int", "run_reduced-bare-int"],
+    ids=["H-1.5", "CNOT-1.9", "CCNOT-float64", "H-True", "H-str", "CNOT-numpy-bool", "run_reduced-1.2",
+         "run_reduced-False", "measure-1.5", "measure-True", "run_reduced-1.0-after-1", "Gate-bare-int",
+         "run_reduced-bare-int"],
 )
 def test_a_qubit_index_that_is_not_an_integer_raises_bad_index(call):
     with pytest.raises(BadIndex):
@@ -591,14 +604,14 @@ def test_a_qubit_count_that_is_not_a_non_negative_integer_raises_out_of_range():
 def test_numpy_integer_qubit_indices_are_taken_as_ints():
     gate = CNOT(np.int64(0), np.uint8(2))
     assert gate.qubits == (0, 2) and all(type(q) is int for q in gate.qubits)
-    assert np.array_equal(reduced_density_matrix(bell_state(), [np.int64(1)]), reduced_density_matrix(bell_state(), [1]))
+    assert np.array_equal(run_reduced(BELL, [np.int64(1)], {}), run_reduced(BELL, [1], {}))
 
 
 def test_a_one_shot_iterator_of_qubit_indices_is_read_once():
     # the check must not spend the iterator: an empty keep would trace out every qubit
-    marginal = reduced_density_matrix(bell_state(), [1])
+    marginal = run_reduced(BELL, [1], {})
     assert marginal.shape == (2, 2)
-    assert np.array_equal(reduced_density_matrix(bell_state(), (q for q in [1])), marginal)
+    assert np.array_equal(run_reduced(BELL, (q for q in [1]), {}), marginal)
     assert np.array_equal(partial_trace(np.eye(4) / 4, 2, iter([0])), partial_trace(np.eye(4) / 4, 2, [0]))
     assert Gate("CNOT", iter([0, 1])) == CNOT(0, 1)
     assert measure_qubit(bell_state(), np.int32(1), np.random.default_rng(0))[1] == pytest.approx(0.5)

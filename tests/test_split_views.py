@@ -5,16 +5,18 @@ Each oracle below indexes an n-qubit register as ``reshape([2] * n)`` through an
 the addressing differs, never the order of a sum, so every comparison is of ``uint64`` views.
 """
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
-from dense import _ix, oracle_apply_gate
+from dense import _ix, oracle_apply_gate, oracle_reduced_density_matrix
 from test_record_table import CORRECTIONS, RECORD_QUBITS
 
 from bellbidir import protocols
 from bellbidir.linalg import _split, partial_trace
 from bellbidir.protocols import SchemeParams, build_scheme_common, build_scheme_independent
-from bellbidir.sim import GATE_ARITY, Gate, _apply_in_place, bloch_state, measure_qubit, reduced_density_matrix
+from bellbidir.sim import GATE_ARITY, Circuit, Gate, _apply_in_place, bloch_state, measure_qubit
+from bellbidir.sim import run_circuit, run_reduced
 
 
 def oracle_measure_qubit(state, index, rng):
@@ -31,14 +33,6 @@ def oracle_keep_front(state, outcome):
     n = state.shape[-1].bit_length() - 1
     half = np.asarray(state, dtype=complex).reshape([2] * n)[outcome]
     return (half / math.sqrt(np.vdot(half, half).real)).reshape(-1)
-
-
-def oracle_reduced_density_matrix(state, keep):
-    n = state.shape[-1].bit_length() - 1
-    order = list(keep) + [q for q in range(n) if q not in keep]
-    psi = state.reshape(-1, *[2] * n).transpose(0, *[1 + q for q in order])
-    psi = psi.astype(complex, order="C").reshape(*state.shape[:-1], 2 ** len(keep), -1)
-    return psi @ (psi if not np.iscomplexobj(state) else psi.conj()).swapaxes(-1, -2)
 
 
 def oracle_partial_trace(rho, n, keep):
@@ -157,15 +151,28 @@ def test_measure_qubit_equals_the_n_axis_route_on_the_samplers_registers_bit_for
 
 
 @pytest.mark.parametrize("n", range(1, 12))
-def test_reduced_density_matrix_equals_the_n_axis_route_bit_for_bit(n):
+def test_run_reduced_equals_the_n_axis_route_bit_for_bit(n):
+    # every qubit prepared, so the register is dense; the reference runs the same gates over the full register and
+    # reduces it by the n-axis route
     rng = np.random.default_rng(300 + n)
+    labels = tuple(f"q{i}" for i in range(n))
     keeps = [[int(q) for q in rng.choice(n, size, replace=False)] for size in range(1, min(n, 4) + 1)]
     if n == 11:
         keeps += [[10, 2], [2, 10], [10, 0, 5]]
-    for state in random_registers(n, rng):
+    kinds = [kind for kind, arity in GATE_ARITY.items() if arity <= n]
+    kinds = [kinds[i] for i in rng.integers(len(kinds), size=2 * n)]
+    circuit = Circuit(n, labels, tuple(Gate(k, tuple(rng.choice(n, GATE_ARITY[k], replace=False))) for k in kinds))
+    for imaginary, stacked in ((0.0, False), (1.0, False), (1.0, True)):  # real, complex, and a (2, 3) stack on q0
+        kets = rng.normal(size=(n, 2)) + 1j * imaginary * rng.normal(size=(n, 2))
+        prep = {label: ket / np.linalg.norm(ket) for label, ket in zip(labels, kets)}
+        if stacked:
+            prep["q0"] = np.array([prep["q0"] * np.exp(1j * phase) for phase in rng.uniform(0, 6, 6)]).reshape(2, 3, 2)
+        prepared = Circuit(n, labels, (), prep)
+        full = run_circuit(circuit, prepared.initial_state())
+        assert np.iscomplexobj(full) == bool(imaginary) and full.shape == (2, 3) * stacked + (2**n,)
         for keep in keeps:
-            got = reduced_density_matrix(state, keep)
-            assert np.array_equal(bits(got), bits(oracle_reduced_density_matrix(state, keep))), keep
+            got = run_reduced(circuit, keep, prepared.prep)
+            assert np.array_equal(bits(got), bits(oracle_reduced_density_matrix(full, keep))), keep
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -191,18 +198,19 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
         lambda: protocols.sample_mixed_trajectories(circuit_ind, circuit_com, 0.4, "Q_A", "C_B", psi, 60, seed=7),
     ]
     got = [case() for case in cases]
-    events = []  # (name, arguments, result) of every oracle call and circuit run, in order; each holds its arrays
+    events = []  # (name, arguments, result) of every oracle call, run and draw, as each returns; each holds its arrays
     oracles = {
         "_apply_in_place": lambda psi, gate, n: np.copyto(psi, oracle_apply_gate(psi, gate)),  # in place
         "measure_qubit": oracle_measure_qubit,
-        "reduced_density_matrix": oracle_reduced_density_matrix,
-        "run_circuit": protocols.run_circuit,  # itself, to hold each run
+        "_run": protocols._run,  # itself, to hold each run
+        "_draw_trajectories": protocols._draw_trajectories,  # itself, to hold each run's outputs
     }
 
     def wrap(name, oracle):
         def call(*args):
-            events.append((name, args, oracle(*args)))
-            return events[-1][2]
+            result = oracle(*args)
+            events.append((name, args, result))
+            return result
 
         return call
 
@@ -210,19 +218,25 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
         monkeypatch.setattr(protocols, name, wrap(name, oracle))
     for case, samples in zip(cases, got):
         assert np.array_equal(bits(samples), bits(case()))
-    # replay every run against registers built by the n-axis route: the run with the record qubits in front, in the
-    # order they are measured, and per new record prefix the half kept, then corrected for a 1
-    endpoints = [("C_B",), ("C_A",), ("C_B", "C_B")]  # the output of each run, per call: the mixed call runs twice
-    outputs = iter(output for call in endpoints for output in call)
-    runs, records, corrected, measured = 0, set(), set(), set()
+    # replay every run against registers built by the n-axis route: the gate chain with the record qubits in front, in
+    # the order they are measured, and per new record prefix the half kept, then corrected for a 1; then every
+    # trial's output against the reduction of its record's register
+    setups = iter([(circuit_ind, "Q_A", "C_B"), (circuit_com, "Q_B", "C_A"), (circuit_ind, "Q_A", "C_B"),
+                   (circuit_com, "Q_A", "C_B")])  # per run: the mixed call runs each circuit once
+    runs, drawn, corrected, measured = 0, 0, set(), set()
     for name, args, result in events:
-        if name == "run_circuit":
-            circuit, runs = args[0], runs + 1
+        if name == "_run":
+            (circuit, source, output), runs = next(setups), runs + 1
             n, labels = circuit.num_qubits, circuit.labels
             rest = [label for label in labels if label not in RECORD_QUBITS]
             order = [labels.index(label) for label in (*RECORD_QUBITS, *rest)]
-            registers, record, reduced = {(): result.reshape([2] * n).transpose(order).reshape(-1)}, (), []
-            output = next(outputs)
+            body = Circuit(n, labels, circuit.gates[:-4], {**circuit.prep, source: psi})  # less its corrections
+            gates, size, _, _, keep, _ = args
+            assert gates == body.gates and size == n and keep == tuple(order[:4])
+            chain = reduce(oracle_apply_gate, body.gates, body.initial_state())
+            registers = {(): chain.reshape([2] * n).transpose(order).reshape(-1)}
+            assert np.array_equal(bits(result), bits(registers[()]))
+            record, trials = (), []
         elif name == "measure_qubit":
             record = () if len(record) == 4 else record
             state, index, _ = args
@@ -237,17 +251,19 @@ def test_trajectory_samples_equal_the_n_axis_route_bit_for_bit(monkeypatch):
                     gate = Gate(kind, (len(RECORD_QUBITS) - len(record) + rest.index(target),))
                     registers[record] = oracle_apply_gate(registers[record], gate)
                     corrected.add((runs, record, gate, n - len(record)))
-            if len(record) == 4 and (runs, record) not in records:
-                records.add((runs, record))
-                reduced.append(record)
+            if len(record) == 4:
+                trials.append(record)
         elif name == "_apply_in_place":
             state, gate, size = args
             assert (runs, record, gate, size) in corrected and np.array_equal(bits(state), bits(registers[record]))
-        else:  # one reduction per record, in the order the records first occur
-            state, keep = args
-            assert keep == [rest.index(output)] and np.array_equal(bits(state), bits(registers[reduced.pop(0)]))
-    assert runs == 4 and not reduced and next(outputs, None) is None
+        else:  # the draw of this run: each trial's row of the batched product is the reduction of its record's register
+            drawn += 1
+            assert args[3] == rest.index(output) and len(result) == len(trials) > 0
+            for sample, record in zip(result, trials):
+                expected = oracle_reduced_density_matrix(registers[record], [rest.index(output)])
+                assert np.array_equal(bits(sample), bits(expected)), record
+    assert runs == drawn == 4 and next(setups, None) is None
     calls = [name for name, _, _ in events]
-    assert calls.count("measure_qubit") == 4 * 180 and calls.count("reduced_density_matrix") == len(records)
+    assert calls.count("measure_qubit") == 4 * 180
     assert len(measured) == len({(i, record) for i, record, _ in measured}) < 4 * 180  # one register per prefix
     assert calls.count("_apply_in_place") == len(corrected) > 0
