@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadMatrix, OutOfRange, _reject_first, as_reals, is_integer
 from .infotheory import trigger_joint_distribution
 from .linalg import _scalar_or_stack, as_numbers, projector
-from .protocols import A_TO_B, DIRECTIONS, SchemeParams
+from .protocols import A_TO_B, SchemeParams, channel_endpoints
 from .sim import bell_state
 
 SCHEMES = ("independent", "common", "mixed")
@@ -48,8 +48,7 @@ def analytic_channel(scheme: str, params: SchemeParams, direction: str):
 
     A float for a point; for a grid, one weight per point, from one stack of trigger tables.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    channel_endpoints(direction)  # the one direction rule: ValueError unless it is one of DIRECTIONS
     table = trigger_joint_distribution(mixing_weight(scheme, params), params.p1, params.p2, params.p)
     return _scalar_or_stack(table[..., 1, 0] if direction == A_TO_B else table[..., 0, 1])
 

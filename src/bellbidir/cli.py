@@ -23,7 +23,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from . import __version__, errors
-from .channels import SCHEMES, analytic_channel, choi_of_channel, mixing_weight, weight_from_choi
+from .channels import SCHEMES, analytic_channel, choi_of_channel, fidelity_closed, mixing_weight, weight_from_choi
 from .errors import OutOfRange, is_integer
 from .infotheory import (
     aux_info_closed,
@@ -47,7 +47,6 @@ from .protocols import (  # the channel_grid benchmark reads MARGINAL_TOL here
     extract_choi,
     firing_angle,
 )
-from .sim import Circuit
 
 CHOI_TOL = 1e-10
 AUX_TOL = 1e-12
@@ -57,20 +56,17 @@ CONCURRENCE_TOL = 1e-9
 _STACK_POINTS = 81  # points per stacked circuit of channel_deviation: the default 9x9 verify grid in one run
 
 
-def _scheme_circuit(scheme: str, params: SchemeParams) -> Circuit:
-    """Circuit of the independent- or common-trigger scheme; a grid of points gives one stacked circuit."""
-    builders = {"independent": build_scheme_independent, "common": build_scheme_common}
-    if scheme not in builders:
-        raise ValueError(f"scheme must be one of {tuple(builders)}, got {scheme!r}")
-    return builders[scheme](params)
-
-
 def simulated_choi(scheme: str, params: SchemeParams, direction: str) -> np.ndarray:
-    """Channel state of a scheme obtained by circuit simulation."""
+    """Channel state of a scheme by circuit simulation, the CLI's only route to one; a grid gives a stack of them.
+
+    The independent- and common-trigger schemes each run one stacked circuit; the mixed one mixes their states by t.
+    """
+    builders = {"independent": build_scheme_independent, "common": build_scheme_common}
     if scheme == "mixed":
-        parts = [simulated_choi(name, params, direction) for name in ("independent", "common")]
-        return choi_mixed(params.t, *parts)
-    return extract_choi(_scheme_circuit(scheme, params), *channel_endpoints(direction))
+        return choi_mixed(params.t, *(simulated_choi(name, params, direction) for name in ("independent", "common")))
+    if scheme not in builders:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return extract_choi(builders[scheme](params), *channel_endpoints(direction))
 
 
 def _symmetric_point_states(ts: list[float] | np.ndarray) -> np.ndarray:
@@ -85,12 +81,12 @@ def _fig3_columns(scheme: str, grid: np.ndarray) -> list[np.ndarray]:
     with the trigger basis probabilities [1 - p, p]; the corners are simulated in one stacked run per direction.
     """
     ends = np.array([0.0, math.pi])  # (theta1, theta2) over the 2x2 corners, theta over the two ends
-    circuit = _scheme_circuit(scheme, SchemeParams(theta1=ends[:, None], theta2=ends, theta=ends))
-    weights = [weight_from_choi(extract_choi(circuit, *channel_endpoints(d))) for d in DIRECTIONS]
+    corners = SchemeParams(theta1=ends[:, None], theta2=ends, theta=ends)
+    weights = [weight_from_choi(simulated_choi(scheme, corners, direction)) for direction in DIRECTIONS]
     fire = np.array([1.0 - grid, grid])
     if scheme == "common":
-        return [grid, *((1.0 + q @ fire) / 2.0 for q in weights)]
-    return [*np.meshgrid(grid, grid, indexing="ij"), *((1.0 + fire.T @ q @ fire) / 2.0 for q in weights)]
+        return [grid, *(fidelity_closed(q @ fire) for q in weights)]
+    return [*np.meshgrid(grid, grid, indexing="ij"), *(fidelity_closed(fire.T @ q @ fire) for q in weights)]
 
 
 def channel_deviation(scheme: str, grid: SchemeParams) -> list[float]:
@@ -98,18 +94,17 @@ def channel_deviation(scheme: str, grid: SchemeParams) -> list[float]:
 
     Returns ``[A to B, B to A]``, each the maximum over the points of ``grid``.  Trace preservation needs no check
     here: ``extract_choi`` raises ``BadChannelState`` on a reference marginal off I/2 by more than MARGINAL_TOL.  The
-    flattened grid runs in stacked circuits of at most _STACK_POINTS points, so memory is bounded by one such block;
-    the closed forms take every point at once.
+    flattened grid, t with the angles, runs through :func:`simulated_choi` in blocks of at most _STACK_POINTS points,
+    so memory is bounded by one such block; the closed forms take every point at once.
     """
-    fields = np.broadcast_arrays(grid.theta1, grid.theta2, grid.theta)
+    fields = np.broadcast_arrays(grid.theta1, grid.theta2, grid.theta, grid.t)
     if not fields[0].size:
         raise OutOfRange(f"channel_deviation needs at least one parameter point, got a grid of shape {fields[0].shape}")
     flat = [np.ravel(field) for field in fields]
-    starts = range(0, flat[0].size, _STACK_POINTS)
-    circuits = [_scheme_circuit(scheme, SchemeParams(*(f[i : i + _STACK_POINTS] for f in flat))) for i in starts]
+    blocks = [SchemeParams(*(f[i : i + _STACK_POINTS] for f in flat)) for i in range(0, flat[0].size, _STACK_POINTS)]
     worst = []
     for direction in DIRECTIONS:
-        simulated = np.concatenate([extract_choi(circuit, *channel_endpoints(direction)) for circuit in circuits])
+        simulated = np.concatenate([simulated_choi(scheme, block, direction) for block in blocks])
         reference = choi_of_channel(analytic_channel(scheme, grid, direction)).reshape(-1, 4, 4)
         worst.append(float(np.max(trace_distance(simulated, reference))))
     return worst
@@ -239,7 +234,7 @@ def _cmd_simulate(args) -> int:
             "im": np.imag(choi).tolist(),
         },
         "q": q,
-        "fidelity": (1.0 + q) / 2.0,
+        "fidelity": fidelity_closed(q),
         "info": asdict(info_report_from_choi(choi, mixing_weight(args.scheme, params), params.p1, params.p2, params.p)),
         "tool_version": __version__,
     }
@@ -261,7 +256,7 @@ def _cmd_verify(args) -> int:
 _SWEEPS = {
     "3a": (["p1", "p2", "F_ab", "F_ba"], lambda grid: _fig3_columns("independent", grid)),
     "3b": (["p", "F_ab", "F_ba"], lambda grid: _fig3_columns("common", grid)),
-    "3c": (["t", "F"], lambda grid: [grid, (1.0 + weight_from_choi(_symmetric_point_states(grid))) / 2.0]),
+    "3c": (["t", "F"], lambda grid: [grid, fidelity_closed(weight_from_choi(_symmetric_point_states(grid)))]),
     "4": (
         ["t", "i_aux", "i_tot", "i_class", "discord", "concurrence", "i_coh", "min_pt_eig", "entanglement_breaking"],
         lambda grid: astuple(info_report_from_choi(_symmetric_point_states(grid), grid)),

@@ -135,7 +135,7 @@ def build_indirect_bell_block(q: int, c: int, trig: int, m1: int, m2: int) -> li
 
 
 @functools.cache
-def _scheme_gates(labels: tuple[str, ...], alice: str, bob: str, flip: tuple) -> tuple[Gate, ...]:
+def _scheme_gates(labels: tuple[str, ...], alice: str, bob: str, flip: tuple = ()) -> tuple[Gate, ...]:
     """Bell pair, Alice's block under trigger ``alice``, X on each ``flip`` qubit, Bob's block, corrections."""
     ix = {label: i for i, label in enumerate(labels)}
     gates = [H(ix["C_A"]), CNOT(ix["C_A"], ix["C_B"])]
@@ -144,11 +144,6 @@ def _scheme_gates(labels: tuple[str, ...], alice: str, bob: str, flip: tuple) ->
     gates += build_indirect_bell_block(ix["Q_B"], ix["C_B"], ix[bob], ix["M_B1"], ix["M_B2"])
     gates += [Gate(kind, (ix[source], ix[target])) for source, kind, target in _CORRECTIONS]
     return tuple(gates)
-
-
-def _wire_scheme(labels: tuple[str, ...], alice: str, bob: str, prep: dict, flip: tuple = ()) -> Circuit:
-    """The scheme circuit on one gate tuple, shared by every build of the same wiring."""
-    return Circuit(len(labels), labels, _scheme_gates(labels, alice, bob, flip), prep)
 
 
 def _trigger_prep(params: SchemeParams, angles: dict[str, str]) -> dict[str, np.ndarray]:
@@ -163,12 +158,14 @@ def _trigger_prep(params: SchemeParams, angles: dict[str, str]) -> dict[str, np.
 
 def build_scheme_independent(params: SchemeParams) -> Circuit:
     """Both parties act under their own trigger angles theta1 and theta2; array angles give one stacked circuit."""
-    return _wire_scheme(INDEPENDENT_LABELS, "T_A", "T_B", _trigger_prep(params, {"T_A": "theta1", "T_B": "theta2"}))
+    prep = _trigger_prep(params, {"T_A": "theta1", "T_B": "theta2"})
+    return Circuit(len(INDEPENDENT_LABELS), INDEPENDENT_LABELS, _scheme_gates(INDEPENDENT_LABELS, "T_A", "T_B"), prep)
 
 
 def build_scheme_common(params: SchemeParams) -> Circuit:
     """One shared trigger, inverted between the parties, so one side fires; an array angle gives one stacked circuit."""
-    return _wire_scheme(COMMON_LABELS, "T", "T", _trigger_prep(params, {"T": "theta"}), flip=("T",))
+    prep = _trigger_prep(params, {"T": "theta"})
+    return Circuit(len(COMMON_LABELS), COMMON_LABELS, _scheme_gates(COMMON_LABELS, "T", "T", flip=("T",)), prep)
 
 
 def channel_endpoints(direction: str) -> tuple[str, str]:

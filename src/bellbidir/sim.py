@@ -45,7 +45,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Gate:
-    """A single gate application; controls precede the target in ``qubits``."""
+    """A single gate application; controls precede the target in ``qubits``, which its :class:`Circuit` checks."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -57,10 +57,6 @@ class Gate:
         object.__setattr__(self, "qubits", qubits)
         if len(qubits) != GATE_ARITY[self.kind]:
             raise ValueError(f"{self.kind} takes {GATE_ARITY[self.kind]} qubits, got {qubits}")
-        if any(q < 0 for q in qubits):
-            raise BadIndex(f"negative qubit index in {qubits}")
-        if len(set(qubits)) != len(qubits):
-            raise BadIndex(f"repeated qubit index in {qubits}")
 
 
 def H(q: int) -> Gate:
@@ -105,9 +101,8 @@ class Circuit:
             raise ValueError(f"{self.num_qubits} qubits but {len(self.labels)} labels")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("qubit labels must be unique")
-        for gate in self.gates:
-            if any(q >= self.num_qubits for q in gate.qubits):
-                raise BadIndex(f"gate {gate} exceeds register of {self.num_qubits} qubits")
+        for gate in self.gates:  # the kernels' own rule, cached: distinct indices of the register
+            _split(self.num_qubits, gate.qubits)
         prep = {}
         for label, state in self.prep.items():
             if label not in self.labels:
@@ -168,6 +163,8 @@ def bloch_state(theta: float, phi: float = 0.0) -> np.ndarray:
     if as_reals("theta", theta).ndim or as_reals("phi", phi).ndim:
         raise OutOfRange(f"bloch_state takes one real number per angle, got theta={theta!r}, phi={phi!r}")
     theta, phi = float(theta), float(phi)  # a float32 phi would make a complex64 phase
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise OutOfRange(f"bloch_state's angles must be finite, got theta={theta!r}, phi={phi!r}")
     return np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)], dtype=complex)
 
 

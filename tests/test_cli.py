@@ -580,9 +580,36 @@ def test_channel_deviation_extracts_a_grid_larger_than_one_block_in_blocks(monke
     assert calls == [81, 19, "analytic_channel", "choi_of_channel", "trace_distance"] * 2
 
 
-def test_channel_deviation_names_the_two_circuit_schemes():
-    with pytest.raises(ValueError, match=r"^scheme must be one of \('independent', 'common'\), got 'mixed'$"):
-        cli.channel_deviation("mixed", SchemeParams())
+def test_channel_deviation_reads_the_mixed_scheme_and_names_every_scheme():
+    # t is flattened with the angles, so each block mixes by its own points' t: a 10x10 grid with t over both axes
+    # runs in two blocks and meets the mixed closed form at every point
+    rng = np.random.default_rng(38)
+    thetas = np.linspace(0.0, math.pi, 10)
+    grid = SchemeParams(theta1=thetas[:, None], theta2=thetas, theta=thetas[::-1, None], t=rng.uniform(size=(10, 10)))
+    assert max(cli.channel_deviation("mixed", grid)) <= cli.CHOI_TOL
+    with pytest.raises(ValueError, match=r"^scheme must be one of \('independent', 'common', 'mixed'\), got 'both'$"):
+        cli.channel_deviation("both", SchemeParams())
+
+
+def test_simulate_and_fig3_print_the_states_of_simulated_choi(monkeypatch, capsys):
+    # every printed channel number is read off simulated_choi: mixing each of its states with the Bell state moves
+    # simulate's q and fidelity, and every fig-3a fidelity below 1, and leaves the grid columns as they were
+    def outputs():
+        code, report, _ = run_main(capsys, ["simulate", "--scheme", "independent", "--theta1", "1.1", "--theta2", "0.7"])
+        assert code == 0 and main(["sweep", "--figure", "3a", "--points", "5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        return json.loads(report), np.array(rows, dtype=float)
+
+    report, columns = outputs()
+    simulated = cli.simulated_choi
+    bell = choi_of_channel(1.0)
+    monkeypatch.setattr(cli, "simulated_choi", lambda *args: (1 - 1e-6) * simulated(*args) + 1e-6 * bell)
+    shifted_report, shifted_columns = outputs()
+    assert shifted_report["q"] != report["q"] and shifted_report["fidelity"] != report["fidelity"]
+    assert shifted_report["fidelity"] == fidelity_closed(shifted_report["q"])
+    assert np.array_equal(shifted_columns[:, :2], columns[:, :2])
+    below_one = columns[:, 2:] < 1.0
+    assert below_one.sum() >= 40 and (shifted_columns[:, 2:] != columns[:, 2:])[below_one].all()
 
 
 def test_verify_builds_one_scheme_params_per_grid_and_per_block(monkeypatch):

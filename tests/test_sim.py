@@ -103,6 +103,14 @@ def test_bloch_state_takes_one_real_number_per_angle():
         assert np.array_equal(bloch_state(theta, phi), bloch_state(float(theta), float(phi)))
 
 
+def test_bloch_state_takes_only_finite_angles():
+    # a non-finite angle is out of range, as a trigger angle of SchemeParams is: no math error, no NaN amplitudes
+    for bad in (math.inf, -math.inf, math.nan, np.float32(math.inf), np.float64(math.nan)):
+        for angles in ((bad,), (bad, 0.4), (1.1, bad)):
+            with pytest.raises(OutOfRange, match=r"^bloch_state's angles must be finite, got theta="):
+                bloch_state(*angles)
+
+
 def one_gate(state, gate):
     """``run_circuit`` of the one-gate circuit on the register, or each register of a stack, ``state``."""
     n = state.shape[-1].bit_length() - 1
@@ -130,12 +138,15 @@ def test_one_gate_circuit_leaves_input_untouched():
 
 
 def test_gate_validation():
+    # a gate checks its kind and arity; its circuit checks its indices by the rule every kernel applies, before any
+    # run, so a repeated or negative index fails there and a negative one never wraps round to the last qubit
     with pytest.raises(ValueError):
         Gate("H", (0, 1))
-    with pytest.raises(BadIndex):
-        Gate("CNOT", (1, 1))
     with pytest.raises(ValueError):
         Gate("SWAP", (0, 1))
+    for gate in (Gate("CNOT", (1, 1)), CCNOT(0, 2, 0), X(-1), Gate("CZ", (0, -3)), X(3)):
+        with pytest.raises(BadIndex, match=r"^qubits \[.*\] are not distinct indices of the 3-qubit register$"):
+            Circuit(3, ("a", "b", "c"), (H(0), gate))
 
 
 def test_gates_are_involutions():

@@ -1,5 +1,6 @@
 """The package keeps no check in an ``assert``, which ``python -O`` strips out, one import path per name, no
-public name that no code uses, no private name that the package itself does not use and no import it never reads."""
+public name that no code uses, no private name that the package itself does not use and no import it never reads;
+no line of the package or the demos is longer than 120 characters."""
 import ast
 import re
 from pathlib import Path
@@ -14,6 +15,13 @@ USER_CODE = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "benchmarks
 
 def test_sources_are_found():
     assert len(SOURCES) >= 7
+
+
+@pytest.mark.parametrize("source", [*SOURCES, *sorted((ROOT / "demos").glob("*.py"))], ids=lambda path: path.name)
+def test_no_line_is_longer_than_120_characters(source):
+    lines = source.read_text(encoding="utf-8").splitlines()
+    long = [number for number, line in enumerate(lines, 1) if len(line) > 120]
+    assert not long, f"{source.name} has lines longer than 120 characters: {long}"
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
